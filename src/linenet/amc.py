@@ -79,10 +79,8 @@ def capacity_lower(
     spec: NetworkSpec, tol: float = 1e-12, cap: int = DEFAULT_STATE_CAP
 ) -> float:
     """Capacity lower bound: delivery rate of the drop-on-full chain."""
-    chain = build_amc(spec, cap=cap)
-    pi = stationary(chain, tol=tol)
-    block = spec.num_states // (spec.buffers[-1] + 1)
-    return (1.0 - spec.eps[-1]) * (1.0 - float(pi[:block].sum()))
+    pi = stationary(build_amc(spec, cap=cap), tol=tol)
+    return capacity_exact(spec, pi=pi)
 
 
 def prefix_sum_buffers(buffers) -> tuple[int, ...]:

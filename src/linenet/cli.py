@@ -67,14 +67,7 @@ def _emit(args, doc: dict) -> None:
     if getattr(args, "format", "json") == "csv":
         flat: dict = {}
         _flatten("", doc["result"], flat)
-        target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-        try:
-            writer = csv.writer(target)
-            writer.writerow(flat.keys())
-            writer.writerow(flat.values())
-        finally:
-            if args.out:
-                target.close()
+        _emit_csv(args, list(flat), [list(flat.values())])
         return
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -97,8 +90,10 @@ def _emit_csv(args, header: list[str], rows: list[list]) -> None:
 
 def cmd_exact(args) -> int:
     spec = _load_spec(args)
-    cap = emc.capacity_exact(spec, tol=args.tol, cap=args.state_cap)
-    cross = emc.capacity_flow_crosscheck(spec, tol=args.tol, cap=args.state_cap)
+    chain = emc.build_emc(spec, cap=args.state_cap)
+    pi = emc.stationary(chain, tol=args.tol)
+    cap = emc.capacity_exact(spec, pi=pi)
+    cross = emc.capacity_flow_crosscheck(spec, tol=args.tol, pi=pi)
     result = {
         "capacity": cap,
         "interior_link_rates": list(cross),
@@ -106,7 +101,7 @@ def cmd_exact(args) -> int:
         "min_cut": spec.min_cut,
     }
     if args.dump_matrix:
-        emc.build_emc(spec, cap=args.state_cap).to_csv(args.dump_matrix)
+        chain.to_csv(args.dump_matrix)
     _emit(args, _report(args, "exact", result))
     return EXIT_OK
 

@@ -27,6 +27,18 @@ def test_exact_command(spec_file, capsys):
     assert doc["config"]["spec"] == spec_file
 
 
+def test_exact_command_flow_conservation_on_4096_states(tmp_path, capsys):
+    path = tmp_path / "s4096.json"
+    path.write_text(json.dumps({"eps": [0.3, 0.5, 0.5, 0.2, 0.4], "buffers": [7, 7, 7, 7]}))
+    code, out = run(["exact", "--spec", str(path)], capsys)
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["num_states"] == 4096
+    assert len(res["interior_link_rates"]) == 3
+    for rate in res["interior_link_rates"]:
+        assert rate == pytest.approx(res["capacity"], abs=1e-9)
+
+
 def test_bounds_command(spec_file, capsys):
     code, out = run(["bounds", "--spec", spec_file, "--with-exact"], capsys)
     assert code == 0

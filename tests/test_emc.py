@@ -119,13 +119,33 @@ def test_stationary_rejects_reducible():
         emc.stationary(eye)
 
 
-def test_stationary_residual_contract(paper_four_hop):
-    mat = emc.build_emc(paper_four_hop)
+def test_stationary_rejects_residual_above_tol(paper_four_hop):
+    with pytest.raises(ConvergenceError) as err:
+        emc.stationary(emc.build_emc(paper_four_hop), tol=1e-30)
+    assert err.value.residual > 1e-30
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5)),
+        # slowly mixing: nearly every transmission is erased
+        NetworkSpec((0.99, 0.997, 0.99701), (3, 3)),
+    ],
+    ids=["paper_four_hop", "slow_mixing"],
+)
+def test_stationary_residual_contract(spec):
+    mat = emc.build_emc(spec)
     pi = emc.stationary(mat, tol=1e-12)
     resid = np.max(np.abs(pi @ mat.probs - pi))
     assert resid <= 1e-12
     assert pi.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(pi >= 0)
+    system = mat.dense().T - np.eye(mat.n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(mat.n)
+    rhs[-1] = 1.0
+    np.testing.assert_allclose(pi, np.linalg.solve(system, rhs), rtol=0, atol=1e-12)
 
 
 def test_capacity_exact_birth_death():
@@ -136,6 +156,14 @@ def test_capacity_exact_birth_death():
 def test_capacity_exact_paper_network(paper_four_hop):
     cap = emc.capacity_exact(paper_four_hop)
     assert cap == pytest.approx(0.43501, abs=1e-3)
+
+
+def test_capacity_exact_reversal_invariant():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        spec = random_spec(rng, h_choices=(2, 3, 4, 5), m_max=4)
+        rev = NetworkSpec(tuple(reversed(spec.eps)), tuple(reversed(spec.buffers)))
+        assert emc.capacity_exact(rev) == pytest.approx(emc.capacity_exact(spec), abs=1e-10)
 
 
 def test_capacity_approaches_min_cut():
