@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -63,13 +64,24 @@ def _flatten(prefix: str, value, into: dict) -> None:
         into[prefix] = value
 
 
+def _strict(value):
+    """Non-finite floats become None: strict JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(args, doc: dict) -> None:
     if getattr(args, "format", "json") == "csv":
         flat: dict = {}
         _flatten("", doc["result"], flat)
         _emit_csv(args, list(flat), [list(flat.values())])
         return
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -46,9 +46,6 @@ class GF2m:
         self._exp = exp
         self._log = log
 
-    def add(self, a, b):
-        return np.bitwise_xor(a, b)
-
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.uint32)
         b = np.asarray(b, dtype=np.uint32)
@@ -67,14 +64,6 @@ class GF2m:
 
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.q, size=size, dtype=np.uint32)
-
-    def combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """sum_i coeffs[i] * rows[i] over the field."""
-        out = np.zeros(rows.shape[1], dtype=np.uint32)
-        for c, row in zip(coeffs, rows):
-            if c:
-                out = self.axpy(c, row, out)
-        return out
 
 
 def rank(gf: GF2m, rows: np.ndarray) -> int:

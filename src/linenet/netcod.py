@@ -17,7 +17,7 @@ injections since the last compaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .model import NetworkSpec, make_rng, state_index
 __all__ = [
     "FieldSpec",
     "CodedBuffer",
-    "nc_transmit",
-    "nc_receive",
     "simulate_no_feedback",
     "eta_transition_comparison",
     "NoFeedbackStats",
@@ -66,32 +64,34 @@ class CodedBuffer:
     def width(self) -> int:
         return self.rows.shape[1]
 
-    def grow(self, width: int) -> None:
-        if width > self.width:
-            extra = np.zeros((self.m, width - self.width), dtype=np.uint32)
-            self.rows = np.concatenate([self.rows, extra], axis=1)
 
-    def rank(self) -> int:
-        return _span_rank(self.gf, self.rows)
+def _transmit(buf: CodedBuffer, w: np.ndarray) -> np.ndarray:
+    """The combination sum_i w[i] * slot i (zero slots allowed)."""
+    return np.bitwise_xor.reduce(buf.gf.mul(w[:, None], buf.rows), axis=0)
 
 
-def nc_transmit(buf: CodedBuffer, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random combination of the buffer slots (zero slots allowed)."""
-    coeffs = buf.gf.random_elements(rng, buf.m)
-    return _combine(buf.gf, coeffs, buf.rows)
-
-
-def nc_receive(buf: CodedBuffer, pkt: np.ndarray, rng: np.random.Generator) -> CodedBuffer:
-    """Fold a received packet into every slot with fresh random weights."""
+def _fold(buf: CodedBuffer, pkt: np.ndarray, w: np.ndarray) -> None:
+    """Fold a received packet into every slot: slot i gains w[i] * pkt."""
     if pkt.shape[0] != buf.width:
         raise ValueError(f"packet width {pkt.shape[0]} != buffer width {buf.width}")
-    coeffs = buf.gf.random_elements(rng, buf.m)
-    buf.rows ^= buf.gf.mul(coeffs[:, None], pkt[None, :])
-    return buf
+    buf.rows ^= buf.gf.mul(w[:, None], pkt[None, :])
 
 
-def _combine(gf: GF2m, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor.reduce(gf.mul(coeffs[:, None], rows), axis=0)
+class _DrawnWeights:
+    """Weight rows drawn from ``rng`` at the moment an epoch reads them.
+
+    Stands in for a pre-drawn weight block: ``cf[row, :m]`` returns m
+    fresh field elements whatever the row, so the draws follow the order
+    in which the epoch transmits and folds, and a fold that an erasure
+    skips draws nothing.
+    """
+
+    def __init__(self, gf: GF2m, rng: np.random.Generator):
+        self.gf = gf
+        self.rng = rng
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.gf.random_elements(self.rng, key[1].stop)
 
 
 @dataclass
@@ -104,7 +104,6 @@ class NoFeedbackStats:
     destination_rank: int
     innovative_rate: float
     innovative_rate_se: float
-    eta_visits: np.ndarray | None = field(repr=False, default=None)
 
 
 class _Workspace:
@@ -155,6 +154,27 @@ class _Workspace:
             if row[c]:
                 row ^= self.gf.mul(np.uint32(row[c]), piv)
         return True
+
+    def epoch(self, x, cf) -> bool:
+        """One feedback-free epoch; True iff the destination's rank grew.
+
+        Every node transmits a combination of its start-of-epoch slots,
+        then arrivals land in reverse-hop order: the destination absorbs,
+        interior nodes fold, and the source injects a fresh packet.
+        ``x[k]`` tells whether link k delivers.  With n nodes, node i
+        transmits with weights ``cf[i, :m_i]`` and folds with
+        ``cf[n + i, :m_i]``.
+        """
+        bufs = self.bufs
+        n = len(bufs)
+        outs = [_transmit(b, cf[i, : b.m]) for i, b in enumerate(bufs)]
+        grew = bool(x[n]) and self.absorb_at_destination(outs[n - 1], outs[: n - 1])
+        for a in range(n - 1, 0, -1):
+            if x[a]:
+                _fold(bufs[a], outs[a - 1], cf[n + a, : bufs[a].m])
+        if x[0]:
+            _fold(bufs[0], self.inject_column(), cf[n, : bufs[0].m])
+        return grew
 
     def _compact(self) -> None:
         """Re-express every slot over a basis of the current buffer span."""
@@ -214,19 +234,17 @@ def simulate_no_feedback(
     warmup: int | None = None,
     seed: int = 0,
     batches: int = 100,
-    track_eta: bool = False,
 ) -> NoFeedbackStats:
     """Run the coding scheme; measure the destination's innovative rate.
 
-    Each epoch every node transmits from its start-of-epoch buffer;
-    erasures apply independently per link; buffers fold in arrivals in
-    reverse-hop order.  The innovative rate is the destination's rank
-    growth per epoch after warm-up.  ``track_eta`` additionally records
-    the visit counts of the useful-occupancy vector (slow; meant for
-    transition-matrix comparisons on small networks).
+    Each epoch is one :meth:`_Workspace.epoch`, with erasures applied
+    independently per link.  The innovative rate is the destination's
+    rank growth per epoch after warm-up.
     """
     if warmup is None:
         warmup = min(max(epochs // 10, 1000), epochs // 2)
+    if not 0 <= warmup < epochs:
+        raise SpecValidationError(f"need 0 <= warmup < epochs, got {warmup}, {epochs}")
     h = spec.h
     eps = np.asarray(spec.eps)
     gf = field.make()
@@ -239,47 +257,26 @@ def simulate_no_feedback(
     in_batch = 0
     rank_dest = 0
     rank_at_warmup = 0
-    eta_visits = np.zeros(spec.num_states, dtype=np.int64) if track_eta else None
 
-    nodes = h - 1
     block = 1 << 12
     done = 0
     while done < epochs:
         todo = min(block, epochs - done)
         xs = rng.random((todo, h)) >= eps
         # one draw per epoch: transmit weights for every node, then fold weights
-        coeff_block = ws.gf.random_elements(rng, (todo, 2 * nodes, max(spec.buffers)))
+        coeff_block = ws.gf.random_elements(rng, (todo, 2 * (h - 1), max(spec.buffers)))
         for row in range(todo):
             t = done + row
-            x = xs[row]
-            cf = coeff_block[row]
-            outs = [
-                _combine(ws.gf, cf[i, : b.m], b.rows) for i, b in enumerate(ws.bufs)
-            ]
-            # reverse-hop updates: destination first, interior, then source edge
-            if x[h - 1]:
-                if ws.absorb_at_destination(outs[h - 2], outs[: h - 2]):
-                    rank_dest += 1
-                    if t >= warmup:
-                        in_batch += 1
-            for a in range(h - 2, 0, -1):
-                if x[a]:
-                    buf = ws.bufs[a]
-                    fold = cf[nodes + a, : buf.m]
-                    buf.rows ^= ws.gf.mul(fold[:, None], outs[a - 1][None, :])
-            if x[0]:
-                pkt = ws.inject_column()
-                buf = ws.bufs[0]
-                fold = cf[nodes, : buf.m]
-                buf.rows ^= ws.gf.mul(fold[:, None], pkt[None, :])
+            if ws.epoch(xs[row], coeff_block[row]):
+                rank_dest += 1
+                if t >= warmup:
+                    in_batch += 1
             if t == warmup - 1:
                 rank_at_warmup = rank_dest
             if t >= warmup:
                 if (t - warmup + 1) % batch_len == 0 and len(batch_counts) < batches:
                     batch_counts.append(in_batch)
                     in_batch = 0
-                if eta_visits is not None:
-                    eta_visits[state_index(ws.eta_vector(), spec) - 1] += 1
         done += todo
 
     rate = (rank_dest - rank_at_warmup) / measured
@@ -294,7 +291,6 @@ def simulate_no_feedback(
         destination_rank=rank_dest,
         innovative_rate=rate,
         innovative_rate_se=se,
-        eta_visits=eta_visits,
     )
 
 
@@ -327,18 +323,10 @@ def eta_transition_comparison(
     ws = _Workspace(gf, spec.buffers, capacity_hint=max(96, 4 * sum(spec.buffers)))
     n = spec.num_states
     counts = np.zeros((n, n), dtype=np.int64)
+    weights = _DrawnWeights(gf, rng)
     prev = state_index(ws.eta_vector(), spec) - 1
     for _ in range(epochs):
-        x = rng.random(h) >= eps
-        outs = [nc_transmit(b, rng) for b in ws.bufs]
-        if x[h - 1]:
-            ws.absorb_at_destination(outs[h - 2], outs[: h - 2])
-        for a in range(h - 2, 0, -1):
-            if x[a]:
-                nc_receive(ws.bufs[a], outs[a - 1], rng)
-        if x[0]:
-            pkt = ws.inject_column()
-            nc_receive(ws.bufs[0], pkt, rng)
+        ws.epoch(rng.random(h) >= eps, weights)
         cur = state_index(ws.eta_vector(), spec) - 1
         counts[prev, cur] += 1
         prev = cur

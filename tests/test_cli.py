@@ -93,6 +93,32 @@ def test_netcod_command(tmp_path, capsys):
     assert abs(res["innovative_rate"] - res["exact_capacity"]) < 0.05
 
 
+def test_netcod_warmup_out_of_range_exits_validation(tmp_path, capsys):
+    path = tmp_path / "net3.json"
+    path.write_text(json.dumps({"eps": [0.5, 0.5, 0.5], "buffers": [2, 2]}))
+    for warmup in ("1000", "2000"):
+        code, out = run(
+            ["netcod", "--spec", str(path), "--q", "16", "--epochs", "1000", "--warmup", warmup],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+
+
+def test_delay_simulation_report_is_strict_json(spec_file, capsys):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out = run(
+        ["simulate", "--spec", spec_file, "--mode", "delay", "--epochs", "3000", "--seed", "2"],
+        capsys,
+    )
+    assert code == 0
+    res = json.loads(out, parse_constant=reject)["result"]
+    assert res["throughput_se"] is None
+    assert res["delay_mean"] > 0
+
+
 def test_continuous_command(capsys):
     code, out = run(
         ["continuous", "--lambdas", "10,3,2.99", "--buffers", "3,3", "--tau", "0.001"],
