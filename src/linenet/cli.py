@@ -164,6 +164,7 @@ def cmd_dbie(args) -> int:
         "destination_interarrival": sol.f[-1].to_obj(),
         "iterations": sol.iterations,
         "precision_digits": sol.dps,
+        "truncated_mass": sol.truncated_mass,
     }
     _emit(args, _report(args, "dbie", result, notes))
     return EXIT_OK

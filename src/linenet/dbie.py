@@ -10,6 +10,11 @@ hence the inter-arrival mixture handed to the next node.  Forward
 sweeps repeat until blocking probabilities settle; the capacity
 estimate is the reciprocal mean inter-arrival time at the destination.
 
+The imbedded chain moves up by at most one state per arrival, so its
+stationary vector follows from the cut equations alone: a backward
+recursion of O(m^2) sums and products of non-negative terms (the GTH
+idea for a skip-free chain), with no matrix and no subtraction.
+
 All mixture arithmetic runs in extended precision: weights of opposite
 sign and magnitude 1e5 or far beyond must cancel to unit mass.  The
 working precision escalates automatically when weight sums drift.
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpf, matrix, lu_solve
+from mpmath import matrix, mp, mpf
 
 from .errors import (
     ConsistencyError,
@@ -29,13 +34,11 @@ from .errors import (
     SpecValidationError,
     TruncationError,
 )
-from .mixtures import GeometricMixture, geometric, gm_convolve, identity
+from .mixtures import GeometricMixture, geometric, identity
 from .model import NetworkSpec
 
 __all__ = [
     "DistSolution",
-    "GeometricMixture",
-    "gm_convolve",
     "effective_failure",
     "dj_distribution",
     "embedded_chain",
@@ -81,65 +84,60 @@ def dj_distribution(
     """
     tt = mpf(theta_tilde)
     if not 0 < tt < 1:
-        raise ValueError(f"effective failure parameter {tt} outside (0, 1)")
+        raise SpecValidationError(f"effective failure parameter {tt} outside (0, 1)")
     ratio = (1 - tt) / tt
-    out: list[mpf] = []
-    cum = mpf(0)
+    # per mixture term: its weight p_l (1-t_l)/t_l, the running product
+    # ratio^j x_l^j / (1-x_l)^(j+1) (at j = 0 here), and the factor that
+    # steps it from j to j + 1
+    coef, power, step = [], [], []
+    for p, t in g_in.terms:
+        x = t * tt
+        coef.append(p * (1 - t) / t)
+        power.append(1 / (1 - x))
+        step.append(ratio * x / (1 - x))
+    out = [sum((c * (r - 1) for c, r in zip(coef, power)), mpf(0))]
+    cum = out[0]
     limit = j_max if j_max is not None else _DJ_HARD_CAP
-    j = 0
-    while j <= limit:
-        acc = mpf(0)
-        for p, t in g_in.terms:
-            x = t * tt
-            term = (x ** j) / (1 - x) ** (j + 1)
-            if j == 0:
-                term -= 1
-            acc += p * (1 - t) / t * term
-        out.append(ratio ** j * acc)
-        cum += out[-1]
+    for _ in range(limit):
         if j_max is None and 1 - cum < tail:
             return out
-        j += 1
-    if j_max is not None:
+        acc = mpf(0)
+        for k, c in enumerate(coef):
+            power[k] *= step[k]
+            acc += c * power[k]
+        out.append(acc)
+        cum += acc
+    if j_max is not None or 1 - cum < tail:
         return out
     raise TruncationError(
         f"departure-count series did not reach tail {tail} within {_DJ_HARD_CAP} terms"
     )
 
 
-def _chain_from_d(d: list[mpf], m: int) -> tuple[matrix, list[mpf]]:
-    """Imbedded post-arrival occupancy chain on states 1..m, and its
-    stationary row vector."""
-    total = sum(d, mpf(0))
-    cum = [mpf(0)]
-    for v in d:
-        cum.append(cum[-1] + v)
+def _stationary_from_d(d: list[mpf], m: int) -> tuple[list[mpf], mpf]:
+    """Stationary distribution of the post-arrival occupancy chain on
+    1..m, and the mass sum(d) of the series it was built from.
 
-    def dval(k: int) -> mpf:
-        if k < 0:
-            return mpf(0)
-        return d[k] if k < len(d) else mpf(0)
-
-    P = matrix(m, m)
-    for i in range(1, m + 1):
-        # all i packets drained before the next arrival
-        P[i - 1, 0] += total - cum[min(i, len(d))]
-        for j in range(2, m + 1):
-            P[i - 1, j - 1] += dval(i + 1 - j)
-        # a blocked arrival leaves a full queue full
-        P[i - 1, m - 1] += dval(i - m)
-
-    if m == 1:
-        return P, [mpf(1)]
-    A = matrix(m, m)
-    for i in range(m):
-        for j in range(m):
-            A[i, j] = (1 if i == j else 0) - P[j, i]
-    for j in range(m):
-        A[m - 1, j] = 1
-    b = matrix([0] * (m - 1) + [1])
-    pi = lu_solve(A, b)
-    return P, [pi[i] for i in range(m)]
+    From occupancy i the next post-arrival occupancy is k or lower iff
+    at least i + 1 - k potential departures occur.  Across the cut
+    between k and k + 1 the upward flow pi_k d_0 therefore balances the
+    downward flow sum_{i>k} pi_i T(i + 1 - k), where T(x) = sum_{n>=x}
+    d_n.  Setting pi_m = 1 and recursing down to pi_1 needs only sums
+    and products of non-negative terms.
+    """
+    # suffix sums T(0..m), each a single addition from the tail up
+    T = [mpf(0)] * (m + 1)
+    acc = sum(d[m + 1:], mpf(0))
+    for x in range(min(m, len(d) - 1), -1, -1):
+        acc += d[x]
+        T[x] = acc
+    w = [mpf(0)] * (m + 1)
+    w[m] = mpf(1)
+    for k in range(m - 1, 0, -1):
+        down = sum((w[i] * T[i + 1 - k] for i in range(k + 1, m + 1)), mpf(0))
+        w[k] = down / d[0]
+    total = sum(w, mpf(0))
+    return [v / total for v in w[1:]], T[0]
 
 
 def embedded_chain(g_in: GeometricMixture, m: int, theta_N, q):
@@ -151,7 +149,20 @@ def embedded_chain(g_in: GeometricMixture, m: int, theta_N, q):
     """
     tt = effective_failure(theta_N, q)
     d = dj_distribution(g_in, tt)
-    return _chain_from_d(d, m)
+
+    def dval(k: int) -> mpf:
+        return d[k] if 0 <= k < len(d) else mpf(0)
+
+    P = matrix(m, m)
+    for i in range(1, m + 1):
+        # all i packets drained before the next arrival
+        P[i - 1, 0] += sum(d[i:], mpf(0))
+        for j in range(2, m + 1):
+            P[i - 1, j - 1] += dval(i + 1 - j)
+        # a blocked arrival leaves a full queue full
+        P[i - 1, m - 1] += dval(i - m)
+    pi, _ = _stationary_from_d(d, m)
+    return P, pi
 
 
 def blocking_prob(g_in: GeometricMixture, m: int, theta_N, q) -> mpf:
@@ -162,7 +173,7 @@ def blocking_prob(g_in: GeometricMixture, m: int, theta_N, q) -> mpf:
     """
     tt = effective_failure(theta_N, q)
     d = dj_distribution(g_in, tt)
-    _, pi = _chain_from_d(d, m)
+    pi, _ = _stationary_from_d(d, m)
     return pi[m - 1] * d[0]
 
 
@@ -173,7 +184,10 @@ def _starvation_from_pi(g_in: GeometricMixture, pi: list[mpf], tt: mpf) -> Geome
     norm = mpf(0)
     for p, t in g_in.terms:
         ratio = t * (1 - tt) / (1 - t * tt)
-        s = sum((pi[k - 1] * ratio ** k for k in range(1, len(pi) + 1)), mpf(0))
+        s, power = mpf(0), mpf(1)
+        for v in pi:
+            power *= ratio
+            s += v * power
         w = p * s
         weights.append((w, t))
         norm += w
@@ -192,6 +206,7 @@ def starvation_distribution(g_in: GeometricMixture, pi, theta_N, q) -> Geometric
 class _NodeAnalysis:
     blocking: mpf
     pi: list[mpf]
+    truncated: mpf
     alpha: mpf
     ups: GeometricMixture
     g_out: GeometricMixture
@@ -202,7 +217,7 @@ def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q, alpha_slack=1e-9) 
     q = mpf(q)
     tt = effective_failure(theta_N, q)
     d = dj_distribution(g_in, tt)
-    _, pi = _chain_from_d(d, m)
+    pi, mass = _stationary_from_d(d, m)
     blocking = pi[m - 1] * d[0]
 
     # flow balance pins the output mean: accepted inflow (1 - blocking)
@@ -217,7 +232,9 @@ def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q, alpha_slack=1e-9) 
     alpha = min(max(alpha, mpf(0)), mpf(1))
     ups = fx.scaled(alpha).plus(identity().scaled(1 - alpha))
     g_out = ups.convolve(geometric(theta_N))
-    return _NodeAnalysis(blocking=blocking, pi=pi, alpha=alpha, ups=ups, g_out=g_out)
+    return _NodeAnalysis(
+        blocking=blocking, pi=pi, truncated=1 - mass, alpha=alpha, ups=ups, g_out=g_out
+    )
 
 
 def upsilon(g_in: GeometricMixture, m: int, theta_N, q) -> tuple[GeometricMixture, mpf]:
@@ -239,7 +256,8 @@ class DistSolution:
     the destination), ``pb`` the blocking vector (pb[h-1] = 0),
     ``pi_embedded[j]`` the post-arrival occupancy distribution of
     intermediate node j over 1..m_j, and ``alpha[j]`` its starvation
-    fraction.
+    fraction.  ``truncated_mass`` is the largest departure-count mass
+    1 - sum_j D_j cut off at any node in the final sweep.
     """
 
     f: list[GeometricMixture]
@@ -251,6 +269,7 @@ class DistSolution:
     dps: int
     eps_used: tuple[float, ...]
     perturbed: bool
+    truncated_mass: float
     capacity_value: float = field(repr=False, default=float("nan"))
 
 
@@ -296,6 +315,7 @@ def _sweep_solve(
         residual = mpf("inf")
         for it in range(1, max_iter + 1):
             pb_write = list(pb_read)
+            truncated = mpf(0)
             f[0] = geometric(th[0])
             for j in range(h - 1):
                 res = _analyze_node(f[j], buffers[j], th[j + 1], pb_read[j + 1])
@@ -306,6 +326,7 @@ def _sweep_solve(
                 pb_write[j] = res.blocking
                 pis[j] = res.pi
                 alphas[j] = res.alpha
+                truncated = max(truncated, res.truncated)
             residual = max(abs(a - b) for a, b in zip(pb_write, pb_read))
             pb_read = pb_write
             if residual <= tol:
@@ -320,7 +341,7 @@ def _sweep_solve(
         pb = np.array([float(v) for v in pb_read])
         pi_arrays = [np.array([float(v) for v in p]) for p in pis]
         alpha = np.array([float(a) for a in alphas])
-        return f, pb, pi_arrays, alpha, it, float(residual), cap
+        return f, pb, pi_arrays, alpha, it, float(residual), float(truncated), cap
 
 
 class _PrecisionDrift(Exception):
@@ -355,7 +376,7 @@ def solve(
     while True:
         attempts += 1
         try:
-            f, pb, pis, alpha, it, residual, cap = _sweep_solve(
+            f, pb, pis, alpha, it, residual, truncated, cap = _sweep_solve(
                 eps_used, spec.buffers, max_iter, tol, work_dps
             )
             break
@@ -375,6 +396,7 @@ def solve(
         dps=work_dps,
         eps_used=eps_used,
         perturbed=perturbed,
+        truncated_mass=truncated,
         capacity_value=cap,
     )
 

@@ -56,6 +56,16 @@ def test_rbie_dbie_commands(spec_file, capsys):
     assert json.loads(out)["result"]["capacity"] == pytest.approx(0.435089, abs=1e-3)
 
 
+def test_dbie_long_buffers(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"eps": [0.3, 0.5, 0.45], "buffers": [100, 100]}))
+    code, out = run(["dbie", "--spec", str(path)], capsys)
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["capacity"] == pytest.approx(0.49999999990515487, abs=1e-10)
+    assert 0 <= res["truncated_mass"] < 1e-12
+
+
 def test_dbie_equal_eps_warns(tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text(json.dumps({"eps": [0.5, 0.5, 0.5], "buffers": [2, 2]}))

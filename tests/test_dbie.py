@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import lu_solve, matrix, mp, mpf
 
 from conftest import QueueOracle
 from linenet import dbie, emc
-from linenet.errors import DegenerateDistributionError
+from linenet.errors import DegenerateDistributionError, SpecValidationError
 from linenet.mixtures import GeometricMixture, geometric
 from linenet.model import NetworkSpec
 
@@ -42,6 +44,12 @@ def test_dj_nonnegative_and_wald():
         assert mean_count == pytest.approx(float(g.mean()) * (1 - tt), rel=1e-8)
 
 
+@pytest.mark.parametrize("tt", [0.0, 1.0, 1.5, -0.2])
+def test_dj_rejects_failure_parameter_outside_unit_interval(tt):
+    with pytest.raises(SpecValidationError):
+        dbie.dj_distribution(geometric(0.5), tt)
+
+
 def test_dj_against_thinning_oracle():
     g = GeometricMixture.from_terms([(0.6, 0.3), (0.4, 0.7)])
     theta, q = 0.5, 0.3
@@ -74,6 +82,67 @@ def test_embedded_chain_rows_stochastic():
         for i in range(m):
             assert float(sum(P[i, j] for j in range(m))) == pytest.approx(1.0, abs=1e-10)
         assert float(sum(pi)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _two_term_case(rng):
+    t1, t2 = sorted(rng.uniform(0.1, 0.9, 2))
+    w = rng.uniform(0.1, 0.9)
+    g = GeometricMixture.from_terms([(w, t1), (1 - w, t2 + 1e-3)])
+    return g, rng.uniform(0.2, 0.8), rng.uniform(0, 0.5)
+
+
+def _lu_stationary(P):
+    """Dense oracle: (I - P)^T pi = 0 with the balance equation of state m
+    replaced by the normalization."""
+    m = P.rows
+    A = matrix(m, m)
+    for i in range(m):
+        for j in range(m):
+            A[i, j] = 1 if i == m - 1 else (1 if i == j else 0) - P[j, i]
+    return lu_solve(A, matrix([0] * (m - 1) + [1]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 30, 60])
+def test_stationary_matches_dense_lu(m):
+    rng = np.random.default_rng(100 + m)
+    for _ in range(3):
+        g, theta, q = _two_term_case(rng)
+        P, pi = dbie.embedded_chain(g, m, theta, q)
+        oracle = _lu_stationary(P)
+        for k in range(m):
+            assert float(pi[k]) == pytest.approx(float(oracle[k]), abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 3, 10, 40])
+def test_stationary_cut_equations_hold(m):
+    rng = np.random.default_rng(200 + m)
+    with mp.workdps(50):
+        for _ in range(3):
+            g, theta, q = _two_term_case(rng)
+            d = dbie.dj_distribution(g, dbie.effective_failure(theta, q))
+            pi, mass = dbie._stationary_from_d(d, m)
+            assert abs(mp.fsum(pi) - 1) < mpf("1e-40")
+            assert abs(mass - mp.fsum(d)) < mpf("1e-45")
+            assert all(v > 0 for v in pi)
+            for k in range(1, m):
+                up = pi[k - 1] * d[0]
+                down = mp.fsum(pi[i - 1] * mp.fsum(d[i + 1 - k:]) for i in range(k + 1, m + 1))
+                assert abs(up - down) < mpf("1e-30")
+
+
+@given(
+    t1=st.floats(0.05, 0.9),
+    gap=st.floats(0.01, 0.09),
+    w=st.floats(0.05, 0.95),
+    theta=st.floats(0.1, 0.9),
+    q=st.floats(0.0, 0.5),
+)
+@settings(max_examples=30, deadline=None)
+def test_blocking_prob_nonincreasing_in_buffer(t1, gap, w, theta, q):
+    g = GeometricMixture.from_terms([(w, t1), (1 - w, t1 + gap)])
+    pb = [dbie.blocking_prob(g, m, theta, q) for m in range(1, 13)]
+    for small, large in zip(pb, pb[1:]):
+        assert large <= small + 1e-12
 
 
 def test_embedded_chain_vs_queue_oracle():
@@ -165,6 +234,12 @@ def test_upsilon_paper_destination_mixture(paper_four_hop):
 def test_solve_paper_capacity(paper_four_hop):
     sol = dbie.solve(paper_four_hop)
     assert dbie.capacity(sol) == pytest.approx(0.435089, abs=1e-4)
+
+
+def test_solve_paper_capacity_pinned(paper_four_hop):
+    sol = dbie.solve(paper_four_hop)
+    assert dbie.capacity(sol) == pytest.approx(0.4350849911370754, abs=1e-10)
+    assert 0 <= sol.truncated_mass < 1e-12
 
 
 def test_solve_two_hop_matches_exact():
