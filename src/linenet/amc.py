@@ -28,7 +28,6 @@ from .model import NetworkSpec, make_rng
 
 __all__ = [
     "BoundsResult",
-    "step_amc",
     "step_amc_batch",
     "build_amc",
     "capacity_lower",
@@ -42,32 +41,29 @@ __all__ = [
 ]
 
 
-def step_amc_batch(states: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Vectorized drop-on-full step for a batch of trajectories.
+def _drop(states: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop-on-full transfers for a batch of trajectories: ``(sent, stored)``.
 
-    Transfers out of a node need only the sender non-empty and a channel
-    success; an arrival that finds no room (after the receiver's own
-    departure) is dropped.
+    ``sent`` (K, h) marks a transmission on each link: it needs only the
+    sender non-empty (the source always is) and a channel success.
+    ``stored`` (K, h-1) marks the arrivals that found room at their
+    receiver after its own departure; the others are dropped.
     """
     K, n = states.shape
     h = n + 1
     x = np.broadcast_to(x, (K, h))
     m = np.broadcast_to(m, (K, n))
-    y = np.empty((K, h), dtype=states.dtype)
-    y[:, 0] = x[:, 0]
-    y[:, 1:] = x[:, 1:] * (states > 0)
-    stored = y[:, :-1] * ((m - states + y[:, 1:]) > 0)
-    return states + stored - y[:, 1:]
+    sent = np.empty((K, h), dtype=states.dtype)
+    sent[:, 0] = x[:, 0]
+    sent[:, 1:] = x[:, 1:] * (states > 0)
+    stored = sent[:, :-1] * ((m - states + sent[:, 1:]) > 0)
+    return sent, stored
 
 
-def step_amc(s, x, spec: NetworkSpec) -> tuple[int, ...]:
-    """One epoch of the drop-on-full chain."""
-    out = step_amc_batch(
-        np.asarray(s, dtype=np.int64)[None, :],
-        np.asarray(x, dtype=np.int64),
-        np.asarray(spec.buffers, dtype=np.int64),
-    )
-    return tuple(int(v) for v in out[0])
+def step_amc_batch(states: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Vectorized drop-on-full step for a batch of trajectories (see _drop)."""
+    sent, stored = _drop(states, x, m)
+    return states + stored - sent[:, 1:]
 
 
 def build_amc(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> SparseStochasticMatrix:
@@ -229,12 +225,9 @@ def coupled_upper_batch(
         n_exact = n_exact + y[:, :-1] - y[:, 1:]
         dest_exact += y[:, -1]
 
-        ya = np.empty_like(y)
-        ya[:, 0] = x[:, 0]
-        ya[:, 1:] = x[:, 1:] * (n_approx > 0)
-        stored = ya[:, :-1] * ((exp - n_approx + ya[:, 1:]) > 0)
-        dest_approx += ya[:, -1]
-        n_approx = n_approx + stored - ya[:, 1:]
+        sent, stored = _drop(n_approx, x, exp)
+        dest_approx += sent[:, -1]
+        n_approx = n_approx + stored - sent[:, 1:]
 
         ext_exact = np.concatenate([n_exact, dest_exact[:, None]], axis=1)
         ext_approx = np.concatenate([n_approx, dest_approx[:, None]], axis=1)

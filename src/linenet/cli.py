@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -368,7 +369,9 @@ def cmd_reproduce(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call."""
     p = argparse.ArgumentParser(
         prog="linenet",
         description="Finite-buffer erasure line networks: capacity, bounds, estimates, delay, simulation",
@@ -376,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"linenet {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, spec_required=True):
+    def common(sp):
         sp.add_argument("--spec", help="path to network JSON {\"eps\": [...], \"buffers\": [...]}")
         sp.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
         sp.add_argument("--max-iter", type=int, default=10**5, dest="max_iter")
@@ -426,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_netcod)
 
     sp = sub.add_parser("continuous", help="continuous-time tandem via discretization")
-    common(sp, spec_required=False)
+    common(sp)
     sp.add_argument("--lambdas", required=True, help="comma-separated service rates (1/s)")
     sp.add_argument("--buffers", required=True, help="comma-separated buffer sizes")
     sp.add_argument("--tau", type=float, required=True, help="epoch length (s)")
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_continuous)
 
     sp = sub.add_parser("allocate", help="buffer allocation search")
-    common(sp, spec_required=False)
+    common(sp)
     sp.add_argument("--eps", required=True, help="comma-separated erasure probabilities")
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument(

@@ -15,7 +15,7 @@ the result and is not a solver setting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -32,8 +32,6 @@ from .model import NetworkSpec, enumerate_states
 
 __all__ = [
     "SparseStochasticMatrix",
-    "auxiliary_y",
-    "step_emc",
     "step_emc_batch",
     "build_emc",
     "stationary",
@@ -50,32 +48,6 @@ DEFAULT_STATE_CAP = 10**7
 # ---------------------------------------------------------------------------
 # single-step dynamics
 # ---------------------------------------------------------------------------
-
-def auxiliary_y(s: Sequence[int], x: Sequence[int], spec: NetworkSpec) -> tuple[int, ...]:
-    """Per-link transfer indicators for one epoch, given occupancies and channels.
-
-    Entry ``a`` is 1 iff a packet crosses link ``a`` and is stored.  A
-    transfer needs the upstream node non-empty (the source always is),
-    a channel success, and room at the receiver after the receiver's
-    own departure this epoch; hence the indicators are resolved from
-    the last link backwards.
-    """
-    h = spec.h
-    m = spec.buffers
-    y = [0] * h
-    # last link: destination always has room
-    y[h - 1] = x[h - 1] if s[h - 2] > 0 else 0
-    for a in range(h - 2, 0, -1):
-        y[a] = x[a] if s[a - 1] > 0 and (m[a] - s[a] + y[a + 1]) > 0 else 0
-    y[0] = x[0] if (m[0] - s[0] + y[1]) > 0 else 0
-    return tuple(y)
-
-
-def step_emc(s: Sequence[int], x: Sequence[int], spec: NetworkSpec) -> tuple[int, ...]:
-    """One epoch of the exact chain; each component changes by at most 1."""
-    y = auxiliary_y(s, x, spec)
-    return tuple(s[j] + y[j] - y[j + 1] for j in range(spec.h - 1))
-
 
 def transfer_indicators_batch(states: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Vectorized per-link transfer indicators for a batch of trajectories.
@@ -119,14 +91,6 @@ class SparseStochasticMatrix:
 
     n: int
     probs: sparse.csr_matrix = field(repr=False)
-
-    def row(self, i: int) -> list[tuple[int, float]]:
-        start, stop = self.probs.indptr[i], self.probs.indptr[i + 1]
-        return list(zip(self.probs.indices[start:stop], self.probs.data[start:stop]))
-
-    def rows(self) -> Iterator[list[tuple[int, float]]]:
-        for i in range(self.n):
-            yield self.row(i)
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.probs.sum(axis=1)).ravel()

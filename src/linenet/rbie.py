@@ -21,8 +21,6 @@ __all__ = [
     "RateSolution",
     "local_params",
     "occupancy_phi",
-    "step_pb",
-    "step_rate",
     "solve",
     "capacity",
     "solve_batch",
@@ -69,18 +67,6 @@ def occupancy_phi(r: float, eps_next: float, pb_next: float, m: int) -> np.ndarr
         if w[k] > 1e280:
             w /= w[k]
     return w / w.sum()
-
-
-def step_pb(r: float, eps_next: float, pb_next: float, m: int) -> float:
-    """Blocking probability this node presents upstream."""
-    phi = occupancy_phi(r, eps_next, pb_next, m)
-    return (eps_next + (1.0 - eps_next) * pb_next) * float(phi[m])
-
-
-def step_rate(r: float, eps_next: float, pb_next: float, m: int) -> float:
-    """Arrival rate this node presents downstream."""
-    phi = occupancy_phi(r, eps_next, pb_next, m)
-    return (1.0 - eps_next) * (1.0 - float(phi[0]))
 
 
 @dataclass

@@ -29,7 +29,7 @@ __all__ = [
     "default_warmup",
 ]
 
-_BLOCK = 1 << 14
+_BLOCK = 1 << 10  # channel rows drawn at a time; any size gives the same draws
 
 
 @dataclass
@@ -88,6 +88,49 @@ def _batch_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def _walk(spec: NetworkSpec, epochs: int, seed: int):
+    """Yield ``(t, x, y, n)`` for each epoch of the exact feedback scheme.
+
+    ``x`` is the epoch's channel row (True on success), ``y`` the
+    per-link transfer indicators and ``n`` the occupancies after the
+    epoch.  A transfer needs the sender non-empty (the source always
+    is), a channel success, and room at the receiver after its own
+    departure this epoch, so ``y`` is resolved from the last link
+    backwards.  ``y`` and ``n`` are updated in place; copy them to keep
+    them past the next epoch.  This is the scalar twin of
+    ``emc.transfer_indicators_batch``, kept in pure Python because one
+    trajectory pays a NumPy call's overhead every epoch.
+    """
+    h = spec.h
+    m = spec.buffers
+    eps = np.asarray(spec.eps)
+    rng = make_rng(seed)
+    n = [0] * (h - 1)
+    y = [0] * h
+    done = 0
+    while done < epochs:
+        todo = min(_BLOCK, epochs - done)
+        xs = (rng.random((todo, h)) >= eps).tolist()
+        for row, x in enumerate(xs):
+            y_next = y[h - 1] = 1 if (x[h - 1] and n[h - 2] > 0) else 0
+            for a in range(h - 2, 0, -1):
+                ya = y[a] = 1 if (x[a] and n[a - 1] > 0 and m[a] - n[a] + y_next > 0) else 0
+                n[a] += ya - y_next
+                y_next = ya
+            y0 = y[0] = 1 if (x[0] and m[0] - n[0] + y_next > 0) else 0
+            n[0] += y0 - y_next
+            yield done + row, x, y, n
+        done += todo
+
+
+def _check_warmup(epochs: int, warmup: int | None) -> int:
+    if warmup is None:
+        warmup = default_warmup(epochs)
+    if not 0 <= warmup < epochs:
+        raise SpecValidationError(f"need 0 <= warmup < epochs, got {warmup}, {epochs}")
+    return warmup
+
+
 def simulate_feedback(
     spec: NetworkSpec,
     epochs: int,
@@ -102,73 +145,39 @@ def simulate_feedback(
     every that many epochs (thinned, so the samples decorrelate enough
     for goodness-of-fit testing).
     """
-    if warmup is None:
-        warmup = default_warmup(epochs)
-    if not 0 <= warmup < epochs:
-        raise SpecValidationError(f"need 0 <= warmup < epochs, got {warmup}, {epochs}")
+    warmup = _check_warmup(epochs, warmup)
     h = spec.h
     m = spec.buffers
-    eps = np.asarray(spec.eps)
-    rng = make_rng(seed)
-
-    n = [0] * (h - 1)
-    occupancy = np.zeros((h - 1, max(m) + 1), dtype=np.int64)
-    weights = []
-    wgt = 1
-    for mm in m:
-        weights.append(wgt)
-        wgt *= mm + 1
-    joint = np.zeros(spec.num_states, dtype=np.int64) if joint_stride > 0 else None
+    occupancy = [[0] * (max(m) + 1) for _ in range(h - 1)]
+    weights = np.concatenate(([1], np.cumprod(np.asarray(m) + 1)[:-1])).tolist()
+    joint = [0] * spec.num_states if joint_stride > 0 else None
 
     measured = epochs - warmup
     batch_len = max(measured // batches, 1)
-    batch_counts = []
-    delivered = 0
-    in_batch = 0
+    # deliveries per batch of measured epochs; a partial last batch is dropped
+    per_batch = [0] * (measured // batch_len + 1)
+    for t, _, y, n in _walk(spec, epochs, seed):
+        if t < warmup:
+            continue
+        if y[h - 1]:
+            per_batch[(t - warmup) // batch_len] += 1
+        for j in range(h - 1):
+            occupancy[j][n[j]] += 1
+        if joint is not None and (t - warmup) % joint_stride == 0:
+            joint[sum(nj * wj for nj, wj in zip(n, weights))] += 1
 
-    done = 0
-    while done < epochs:
-        todo = min(_BLOCK, epochs - done)
-        xs = rng.random((todo, h)) >= eps
-        for row in range(todo):
-            x = xs[row]
-            t = done + row
-            y_next = 1 if (x[h - 1] and n[h - 2] > 0) else 0
-            arrived = y_next
-            for a in range(h - 2, 0, -1):
-                y = 1 if (x[a] and n[a - 1] > 0 and m[a] - n[a] + y_next > 0) else 0
-                n[a] += y - y_next
-                y_next = y
-            y0 = 1 if (x[0] and m[0] - n[0] + y_next > 0) else 0
-            n[0] += y0 - y_next
-            if t >= warmup:
-                if arrived:
-                    delivered += 1
-                    in_batch += 1
-                for j in range(h - 1):
-                    occupancy[j, n[j]] += 1
-                if joint is not None and (t - warmup) % joint_stride == 0:
-                    idx = 0
-                    for j in range(h - 1):
-                        idx += n[j] * weights[j]
-                    joint[idx] += 1
-                if (t - warmup + 1) % batch_len == 0 and len(batch_counts) < batches:
-                    batch_counts.append(in_batch)
-                    in_batch = 0
-        done += todo
-
-    throughput = delivered / measured
-    batch_tputs = np.asarray(batch_counts, dtype=float) / batch_len
+    full = min(batches, measured // batch_len)
+    batch_tputs = np.asarray(per_batch[:full], dtype=float) / batch_len
     return SimStats(
         spec=spec,
         epochs=epochs,
         warmup=warmup,
         seed=seed,
-        packets_delivered=delivered,
-        throughput=throughput,
+        packets_delivered=sum(per_batch),
+        throughput=sum(per_batch) / measured,
         throughput_se=_batch_se(batch_tputs),
-        occupancy_counts=occupancy,
-        joint_counts=joint,
+        occupancy_counts=np.asarray(occupancy, dtype=np.int64),
+        joint_counts=None if joint is None else np.asarray(joint, dtype=np.int64),
         joint_stride=joint_stride,
     )
 
@@ -180,59 +189,31 @@ def simulate_delay_fcfs(
     seed: int = 0,
     batches: int = 100,
 ) -> SimStats:
-    """Packet-tagged simulation measuring first-come first-serve delay.
+    """First-come first-serve delay from an end-to-end FIFO of admissions.
 
-    Each stored packet at the first intermediate node is tagged with
-    its storage epoch; delay is the difference at destination receipt.
-    Packets stored during warm-up are excluded.
+    Under feedback every node is FIFO and drops nothing, so the k-th
+    packet delivered is the k-th one admitted; delay is the delivery
+    epoch minus the admission epoch.  Packets admitted during warm-up
+    are kept in the FIFO as -1 and excluded.
     """
-    if warmup is None:
-        warmup = default_warmup(epochs)
-    if not 0 <= warmup < epochs:
-        raise SpecValidationError(f"need 0 <= warmup < epochs, got {warmup}, {epochs}")
+    warmup = _check_warmup(epochs, warmup)
     h = spec.h
     m = spec.buffers
-    eps = np.asarray(spec.eps)
-    rng = make_rng(seed)
-
-    queues: list[deque] = [deque() for _ in range(h - 1)]
-    occupancy = np.zeros((h - 1, max(m) + 1), dtype=np.int64)
+    admitted: deque = deque()
+    occupancy = [[0] * (max(m) + 1) for _ in range(h - 1)]
     delays: list[int] = []
     delivered = 0
-
-    done = 0
-    while done < epochs:
-        todo = min(_BLOCK, epochs - done)
-        xs = rng.random((todo, h)) >= eps
-        for row in range(todo):
-            x = xs[row]
-            t = done + row
-            # resolve transfer indicators from the last hop backwards
-            y = [0] * h
-            y[h - 1] = 1 if (x[h - 1] and len(queues[h - 2]) > 0) else 0
-            for a in range(h - 2, 0, -1):
-                y[a] = (
-                    1
-                    if (x[a] and len(queues[a - 1]) > 0
-                        and m[a] - len(queues[a]) + y[a + 1] > 0)
-                    else 0
-                )
-            y[0] = 1 if (x[0] and m[0] - len(queues[0]) + y[1] > 0) else 0
-            # apply moves; heads were fixed at the start of the epoch
-            if y[h - 1]:
-                tag = queues[h - 2].popleft()
-                if tag >= 0:
-                    delays.append(t - tag)
-                delivered += 1 if t >= warmup else 0
-            for a in range(h - 2, 0, -1):
-                if y[a]:
-                    queues[a].append(queues[a - 1].popleft())
-            if y[0]:
-                queues[0].append(t if t >= warmup else -1)
-            if t >= warmup:
-                for j in range(h - 1):
-                    occupancy[j, len(queues[j])] += 1
-        done += todo
+    for t, _, y, n in _walk(spec, epochs, seed):
+        if y[h - 1]:
+            tag = admitted.popleft()
+            if tag >= 0:
+                delays.append(t - tag)
+        if y[0]:
+            admitted.append(t if t >= warmup else -1)
+        if t >= warmup:
+            delivered += y[h - 1]
+            for j in range(h - 1):
+                occupancy[j][n[j]] += 1
 
     measured = epochs - warmup
     darr = np.asarray(delays, dtype=np.int64)
@@ -254,7 +235,7 @@ def simulate_delay_fcfs(
         packets_delivered=delivered,
         throughput=delivered / measured,
         throughput_se=float("nan"),
-        occupancy_counts=occupancy,
+        occupancy_counts=np.asarray(occupancy, dtype=np.int64),
         delay_mean=delay_mean,
         delay_se=delay_se,
         delay_var=delay_var,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from linenet.model import NetworkSpec
 
@@ -9,6 +10,26 @@ def random_spec(rng: np.random.Generator, h_choices=(2, 3, 4), m_max=4) -> Netwo
     eps = tuple(float(e) for e in rng.uniform(0.05, 0.95, size=h))
     buffers = tuple(int(m) for m in rng.integers(1, m_max + 1, size=h - 1))
     return NetworkSpec(eps, buffers)
+
+
+@st.composite
+def line_specs(draw, h_values=(2, 3, 4), m_max=3) -> NetworkSpec:
+    """Small specs for cross-layer properties; about half have all-equal eps."""
+    h = draw(st.sampled_from(h_values))
+    e = st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)
+    eps = [draw(e)] * h if draw(st.booleans()) else draw(st.lists(e, min_size=h, max_size=h))
+    buffers = draw(st.lists(st.integers(1, m_max), min_size=h - 1, max_size=h - 1))
+    return NetworkSpec(tuple(eps), tuple(buffers))
+
+
+def step1(kernel, s, x, spec: NetworkSpec) -> tuple[int, ...]:
+    """Apply a batch kernel (transfer indicators or a chain step) to one state."""
+    out = kernel(
+        np.asarray([s], dtype=np.int64),
+        np.asarray(x, dtype=np.int64),
+        np.asarray(spec.buffers, dtype=np.int64),
+    )
+    return tuple(int(v) for v in out[0])
 
 
 @pytest.fixture(scope="session")

@@ -5,19 +5,21 @@ import pytest
 
 from linenet import amc, emc
 from linenet.model import NetworkSpec, enumerate_states
-from conftest import random_spec
+from conftest import line_specs, random_spec, step1
+
+from hypothesis import given, settings
 
 
 def test_step_amc_examples():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    assert amc.step_amc((0, 0), (1, 1, 1), spec) == (1, 0)
+    assert step1(amc.step_amc_batch, (0, 0), (1, 1, 1), spec) == (1, 0)
 
     spec2 = NetworkSpec((0.5, 0.5), (2,))
-    assert amc.step_amc((2,), (1, 0), spec2) == (2,)
+    assert step1(amc.step_amc_batch, (2,), (1, 0), spec2) == (2,)
 
     spec3 = NetworkSpec((0.5, 0.5, 0.5), (1, 1))
-    assert amc.step_amc((1, 0), (1, 0, 0), spec3) == (1, 0)
-    assert amc.step_amc((1, 0), (1, 0, 1), spec3) == (1, 0)
+    assert step1(amc.step_amc_batch, (1, 0), (1, 0, 0), spec3) == (1, 0)
+    assert step1(amc.step_amc_batch, (1, 0), (1, 0, 1), spec3) == (1, 0)
 
 
 def test_exhaustive_pointwise_domination_after_one_step():
@@ -25,8 +27,8 @@ def test_exhaustive_pointwise_domination_after_one_step():
     spec = NetworkSpec((0.4, 0.6, 0.3), (1, 1))
     for s in map(tuple, enumerate_states(spec)):
         for x in itertools.product((0, 1), repeat=3):
-            n_exact = emc.step_emc(s, x, spec)
-            n_approx = amc.step_amc(s, x, spec)
+            n_exact = step1(emc.step_emc_batch, s, x, spec)
+            n_approx = step1(amc.step_amc_batch, s, x, spec)
             assert all(a >= b for a, b in zip(n_exact, n_approx))
 
 
@@ -58,6 +60,15 @@ def test_sandwich_on_random_specs():
         res = amc.bounds(spec, with_exact=True)
         assert res.lower <= res.exact + 1e-9
         assert res.exact <= res.upper + 1e-9
+
+
+@given(line_specs())
+@settings(max_examples=100, deadline=None)
+def test_bounds_sandwich_below_min_cut(spec):
+    res = amc.bounds(spec, with_exact=True)
+    assert res.lower <= res.exact + 1e-9
+    assert res.exact <= res.upper + 1e-9
+    assert res.upper <= spec.min_cut + 1e-9
 
 
 def test_monotone_gap_in_buffer_size():

@@ -207,6 +207,18 @@ def test_matrix_dump_flag(spec_file, tmp_path, capsys):
     assert target.read_text().startswith("row,col,prob")
 
 
+def test_options_do_not_leak_between_calls(spec_file, tmp_path, capsys):
+    target = tmp_path / "mat.csv"
+    code, _ = run(["exact", "--spec", spec_file, "--dump-matrix", str(target)], capsys)
+    assert code == 0
+    target.write_text("untouched")
+    code, out = run(["exact", "--spec", spec_file], capsys)
+    assert code == 0
+    assert target.read_text() == "untouched"
+    assert "dump_matrix" not in json.loads(out)["config"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_csv_format_single_result(spec_file, capsys):
     code, out = run(["exact", "--spec", spec_file, "--format", "csv"], capsys)
     assert code == 0

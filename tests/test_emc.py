@@ -6,8 +6,9 @@ import pytest
 from linenet import emc
 from linenet.errors import ConvergenceError, StateSpaceCapError
 from linenet.model import NetworkSpec, enumerate_states
-from conftest import random_spec
+from conftest import line_specs, random_spec, step1
 
+from hypothesis import given, settings
 from scipy import sparse
 
 
@@ -18,38 +19,38 @@ def brute_transition_row(spec, s):
         p = 1.0
         for xi, e in zip(x, spec.eps):
             p *= (1 - e) if xi else e
-        nxt = emc.step_emc(s, x, spec)
+        nxt = step1(emc.step_emc_batch, s, x, spec)
         probs[nxt] = probs.get(nxt, 0.0) + p
     return probs
 
 
-def test_auxiliary_y_empty_buffers():
+def test_transfer_indicators_empty_buffers():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     for x in itertools.product((0, 1), repeat=3):
-        y = emc.auxiliary_y((0, 0), x, spec)
+        y = step1(emc.transfer_indicators_batch, (0, 0), x, spec)
         assert y == (x[0], 0, 0)
 
 
-def test_auxiliary_y_full_buffer_cut_through():
+def test_transfer_indicators_full_buffer_cut_through():
     spec = NetworkSpec((0.5, 0.5), (2,))
     # departure frees the slot within the epoch, arrival stored
-    assert emc.auxiliary_y((2,), (1, 1), spec) == (1, 1)
+    assert step1(emc.transfer_indicators_batch, (2,), (1, 1), spec) == (1, 1)
     # no departure: arrival refused
-    assert emc.auxiliary_y((2,), (1, 0), spec) == (0, 0)
+    assert step1(emc.transfer_indicators_batch, (2,), (1, 0), spec) == (0, 0)
 
 
 def test_step_examples():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    assert emc.step_emc((0, 0), (0, 1, 1), spec) == (0, 0)
+    assert step1(emc.step_emc_batch, (0, 0), (0, 1, 1), spec) == (0, 0)
     # every transfer succeeds; flows cancel
-    assert emc.step_emc((1, 1), (1, 1, 1), spec) == (1, 1)
+    assert step1(emc.step_emc_batch, (1, 1), (1, 1, 1), spec) == (1, 1)
 
 
 def test_step_bounded_movement_exhaustive():
     spec = NetworkSpec((0.4, 0.6, 0.3), (2, 2))
     for s in map(tuple, enumerate_states(spec)):
         for x in itertools.product((0, 1), repeat=3):
-            nxt = emc.step_emc(s, x, spec)
+            nxt = step1(emc.step_emc_batch, s, x, spec)
             for j in range(2):
                 assert 0 <= nxt[j] <= spec.buffers[j]
                 assert abs(nxt[j] - s[j]) <= 1
@@ -164,6 +165,16 @@ def test_capacity_exact_reversal_invariant():
         spec = random_spec(rng, h_choices=(2, 3, 4, 5), m_max=4)
         rev = NetworkSpec(tuple(reversed(spec.eps)), tuple(reversed(spec.buffers)))
         assert emc.capacity_exact(rev) == pytest.approx(emc.capacity_exact(spec), abs=1e-10)
+
+
+@given(line_specs())
+@settings(max_examples=100, deadline=None)
+def test_capacity_nondecreasing_in_each_buffer(spec):
+    base = emc.capacity_exact(spec)
+    for j in range(spec.h - 1):
+        grown = list(spec.buffers)
+        grown[j] += 1
+        assert emc.capacity_exact(spec.with_buffers(tuple(grown))) >= base - 1e-9
 
 
 def test_capacity_approaches_min_cut():

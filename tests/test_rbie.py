@@ -40,10 +40,15 @@ def test_occupancy_phi_equal_rates_uniformish():
 
 
 def test_step_pb_and_rate_examples():
-    assert rbie.step_pb(0.5, 0.5, 0.0, 2) == pytest.approx(0.2, abs=1e-15)
-    assert rbie.step_rate(0.5, 0.5, 0.0, 2) == pytest.approx(0.4, abs=1e-15)
-    assert rbie.step_pb(0.0, 0.5, 0.0, 2) == 0.0
-    assert rbie.step_rate(0.0, 0.5, 0.0, 2) == 0.0
+    # one node's blocking and emitted rate, read off the solved two-hop line
+    sol = rbie.solve(NetworkSpec((0.5, 0.5), (2,)))
+    assert sol.iterations == 2
+    assert sol.r[1] == pytest.approx(0.4, abs=1e-15)
+    assert sol.pb[0] == pytest.approx(0.2, abs=1e-15)
+    # a node never fed stays empty, so it neither blocks nor emits
+    phi = rbie.occupancy_phi(0.0, 0.5, 0.0, 2)
+    assert phi[0] == 1.0
+    assert phi[2] == 0.0
 
 
 def test_paper_four_hop_solution(paper_four_hop):

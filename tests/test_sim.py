@@ -19,6 +19,67 @@ def test_reproducible_bit_identical():
     assert c.packets_delivered != a.packets_delivered
 
 
+@pytest.mark.parametrize(
+    "eps,buffers",
+    [((0.4, 0.6, 0.3), (2, 2)), ((0.3, 0.5), (2,)), ((0.35, 0.5, 0.45, 0.3), (1, 2, 1))],
+)
+def test_walk_couples_with_batch_kernels(eps, buffers):
+    # the walk's scalar transfer rule against the batch kernel the chains use
+    spec = NetworkSpec(eps, buffers)
+    m = np.asarray(buffers, dtype=np.int64)
+    prev = np.zeros((1, spec.h - 1), dtype=np.int64)
+    visited = set()
+    for t, x, y, n in sim._walk(spec, 20_000, seed=1):
+        xa = np.asarray(x, dtype=np.int64)
+        assert emc.transfer_indicators_batch(prev, xa, m)[0].tolist() == y, t
+        nxt = emc.step_emc_batch(prev, xa, m)
+        assert nxt[0].tolist() == n, t
+        visited.add((tuple(prev[0].tolist()), tuple(x)))
+        prev = nxt
+    assert t == 20_000 - 1
+    assert len(visited) == spec.num_states * 2 ** spec.h
+
+
+# fixed-seed outputs: a change to the channel draws or the transfer rule shows here
+PINNED_FEEDBACK = {
+    "eps": (0.3, 0.5, 0.7), "buffers": (2, 2),
+    "packets_delivered": 4928,
+    "throughput_se": 0.00292598985567119,
+    "occupancy_counts": [[309, 2475, 15216], [1617, 4981, 11402]],
+    "joint_counts": [3, 10, 227, 9, 102, 600, 38, 213, 1370],
+}
+PINNED_DELAY = {
+    "eps": (0.3, 0.45, 0.5, 0.2), "buffers": (2, 3, 1),
+    "packets_delivered": 7464,
+    "occupancy_counts": [[720, 4130, 13150, 0], [1469, 3868, 5573, 7090], [8674, 9326, 0, 0]],
+    "delay_counts": [0, 0, 0, 44, 115, 320, 516, 732, 897, 899, 881, 767, 583, 460, 333, 308,
+                     205, 133, 103, 60, 36, 27, 20, 7, 4, 2, 4, 1, 2, 0, 0, 0, 1],
+    "delay_mean": 10.183914209115281,
+    "delay_se": 0.1053284814136635,
+    "delay_var": 12.548554726517475,
+}
+
+
+def test_simulators_match_pinned_values():
+    p = PINNED_FEEDBACK
+    st_ = sim.simulate_feedback(
+        NetworkSpec(p["eps"], p["buffers"]), 20_000, warmup=2_000, seed=4, joint_stride=7
+    )
+    assert st_.packets_delivered == p["packets_delivered"]
+    assert st_.throughput_se == p["throughput_se"]
+    assert st_.occupancy_counts.tolist() == p["occupancy_counts"]
+    assert st_.joint_counts.tolist() == p["joint_counts"]
+
+    p = PINNED_DELAY
+    st_ = sim.simulate_delay_fcfs(NetworkSpec(p["eps"], p["buffers"]), 20_000, warmup=2_000, seed=11)
+    assert st_.packets_delivered == p["packets_delivered"]
+    assert st_.occupancy_counts.tolist() == p["occupancy_counts"]
+    assert st_.delay_counts.tolist() == p["delay_counts"]
+    assert (st_.delay_mean, st_.delay_se, st_.delay_var) == (
+        p["delay_mean"], p["delay_se"], p["delay_var"]
+    )
+
+
 def test_throughput_matches_exact_within_3se():
     rng = np.random.default_rng(123)
     for _ in range(5):
