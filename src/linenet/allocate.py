@@ -65,10 +65,6 @@ def _count_compositions(total: int, parts: int) -> int:
     return comb(total, parts)
 
 
-def _score(eps, cands: np.ndarray, tol: float) -> dict:
-    return rbie.solve_batch(eps, cands, tol=tol)
-
-
 def _objective_order(objective, caps, delays, floor):
     if objective == "max-throughput":
         keys = np.lexsort((delays, -caps))
@@ -121,7 +117,7 @@ def allocate(
 
     if method == "exhaustive":
         cands = compositions_at_most(budget, parts)
-        out = _score(eps, cands, tol)
+        out = rbie.solve_batch(eps, cands, tol=tol)
         caps, delays = out["capacity"], out["mean_delay"]
         evaluated = cands.shape[0]
     elif method == "neighborhood":
@@ -183,7 +179,7 @@ def _neighborhood_search(eps, budget, objective, floor, tol):
     seen: dict[tuple, tuple[float, float]] = {}
 
     def eval_many(arr):
-        out = _score(eps, arr, tol)
+        out = rbie.solve_batch(eps, arr, tol=tol)
         for row, c, d in zip(arr, out["capacity"], out["mean_delay"]):
             seen[tuple(int(v) for v in row)] = (float(c), float(d))
         return out

@@ -379,65 +379,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"linenet {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--spec", help="path to network JSON {\"eps\": [...], \"buffers\": [...]}")
-        sp.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-        sp.add_argument("--max-iter", type=int, default=10**5, dest="max_iter")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--epochs", type=int, default=10**5)
-        sp.add_argument("--warmup", type=int, default=None)
-        sp.add_argument("--state-cap", type=int, default=emc.DEFAULT_STATE_CAP, dest="state_cap")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    # options several subcommands share; each registers only those its handler reads
+    shared = {
+        "spec": ("--spec", dict(help='path to network JSON {"eps": [...], "buffers": [...]}')),
+        "tol": ("--tol", dict(type=float, default=1e-10, help="solver tolerance")),
+        "max_iter": ("--max-iter", dict(type=int, default=10**5)),
+        "seed": ("--seed", dict(type=int, default=0)),
+        "epochs": ("--epochs", dict(type=int, default=10**5)),
+        "warmup": ("--warmup", dict(type=int, default=None)),
+        "state_cap": ("--state-cap", dict(type=int, default=emc.DEFAULT_STATE_CAP)),
+        "format": ("--format", dict(choices=("json", "csv"), default="json")),
+    }
+
+    def command(name, func, options, help):
+        sp = sub.add_parser(name, help=help)
+        for opt in options.split():
+            flag, kwargs = shared[opt]
+            sp.add_argument(flag, dest=opt, **kwargs)
         sp.add_argument("--out", help="output path (stdout when omitted)")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("exact", help="exact capacity from the occupancy chain")
-    common(sp)
+    sp = command("exact", cmd_exact, "spec tol state_cap format", "exact capacity from the occupancy chain")
     sp.add_argument("--dump-matrix", help="write the transition matrix as CSV triplets")
-    sp.set_defaults(func=cmd_exact)
 
-    sp = sub.add_parser("bounds", help="capacity lower/upper bounds")
-    common(sp)
+    sp = command("bounds", cmd_bounds, "spec tol state_cap format", "capacity lower/upper bounds")
     sp.add_argument("--with-exact", action="store_true")
-    sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("rbie", help="rate-based iterative estimate")
-    common(sp)
-    sp.set_defaults(func=cmd_rbie)
+    command("rbie", cmd_rbie, "spec tol max_iter format", "rate-based iterative estimate")
+    command("dbie", cmd_dbie, "spec tol max_iter format", "distribution-based iterative estimate")
 
-    sp = sub.add_parser("dbie", help="distribution-based iterative estimate")
-    common(sp)
-    sp.set_defaults(func=cmd_dbie)
-
-    sp = sub.add_parser("delay", help="analytic delay profile")
-    common(sp)
+    sp = command("delay", cmd_delay, "spec tol format", "analytic delay profile")
     sp.add_argument("--method", choices=("rbie", "dbie", "both"), default="both")
     sp.add_argument("--include-source", action="store_true")
     sp.add_argument("--pmf-out", help="write the delay pmf as CSV")
-    sp.set_defaults(func=cmd_delay)
 
-    sp = sub.add_parser("simulate", help="Monte-Carlo simulation of the feedback scheme")
-    common(sp)
+    sp = command(
+        "simulate", cmd_simulate, "spec epochs warmup seed format",
+        "Monte-Carlo simulation of the feedback scheme",
+    )
     sp.add_argument("--mode", choices=("throughput", "delay"), default="throughput")
     sp.add_argument("--hist-out", help="write histogram CSV")
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("netcod", help="no-feedback coded simulation")
-    common(sp)
+    sp = command(
+        "netcod", cmd_netcod, "spec epochs warmup seed state_cap format", "no-feedback coded simulation"
+    )
     sp.add_argument("--q", type=int, default=65536, choices=netcod_mod.SUPPORTED_FIELD_SIZES)
     sp.add_argument("--q-sweep", dest="q_sweep", help="comma-separated field sizes; emits a rate-vs-q CSV")
     sp.add_argument("--compare-exact", action="store_true")
-    sp.set_defaults(func=cmd_netcod)
 
-    sp = sub.add_parser("continuous", help="continuous-time tandem via discretization")
-    common(sp)
+    sp = command(
+        "continuous", cmd_continuous, "state_cap format", "continuous-time tandem via discretization"
+    )
     sp.add_argument("--lambdas", required=True, help="comma-separated service rates (1/s)")
     sp.add_argument("--buffers", required=True, help="comma-separated buffer sizes")
     sp.add_argument("--tau", type=float, required=True, help="epoch length (s)")
     sp.add_argument("--method", choices=("exact", "rbie", "dbie", "all"), default="all")
-    sp.set_defaults(func=cmd_continuous)
 
-    sp = sub.add_parser("allocate", help="buffer allocation search")
-    common(sp)
+    sp = command("allocate", cmd_allocate, "format", "buffer allocation search")
     sp.add_argument("--eps", required=True, help="comma-separated erasure probabilities")
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument(
@@ -446,10 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--floor", type=float, default=None, help="throughput floor for min-delay")
     sp.add_argument("--method", choices=("auto", "exhaustive", "neighborhood"), default="auto")
     sp.add_argument("--top", type=int, default=10)
-    sp.set_defaults(func=cmd_allocate)
 
-    sp = sub.add_parser("reproduce", help="emit plot-ready sweep datasets")
-    common(sp)
+    sp = command("reproduce", cmd_reproduce, "epochs seed state_cap", "emit plot-ready sweep datasets")
     sp.add_argument("--figure", required=True, help=f"one of: {', '.join(FIGURES)}")
     sp.add_argument("--max-hops", type=int, default=8, dest="max_hops")
     sp.add_argument("--max-memory", type=int, default=8, dest="max_memory")
@@ -460,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="build_cap",
         help="skip exact curves when states * 2^h exceeds this",
     )
-    sp.set_defaults(func=cmd_reproduce)
 
     return p
 

@@ -34,7 +34,7 @@ from .errors import (
     SpecValidationError,
     TruncationError,
 )
-from .mixtures import GeometricMixture, geometric, identity
+from .mixtures import GeometricMixture
 from .model import NetworkSpec
 
 __all__ = [
@@ -230,8 +230,8 @@ def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q, alpha_slack=1e-9) 
             f"starvation fraction {float(alpha)} outside [0, 1]"
         )
     alpha = min(max(alpha, mpf(0)), mpf(1))
-    ups = fx.scaled(alpha).plus(identity().scaled(1 - alpha))
-    g_out = ups.convolve(geometric(theta_N))
+    ups = fx.scaled(alpha).plus(GeometricMixture.identity().scaled(1 - alpha))
+    g_out = ups.convolve(GeometricMixture.geometric(theta_N))
     return _NodeAnalysis(
         blocking=blocking, pi=pi, truncated=1 - mass, alpha=alpha, ups=ups, g_out=g_out
     )
@@ -316,7 +316,7 @@ def _sweep_solve(
         for it in range(1, max_iter + 1):
             pb_write = list(pb_read)
             truncated = mpf(0)
-            f[0] = geometric(th[0])
+            f[0] = GeometricMixture.geometric(th[0])
             for j in range(h - 1):
                 res = _analyze_node(f[j], buffers[j], th[j + 1], pb_read[j + 1])
                 f[j + 1] = res.g_out.compact()

@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 
 from .errors import DistinctParamError
 
-__all__ = ["GeometricMixture", "geometric", "identity", "gm_convolve"]
+__all__ = ["GeometricMixture"]
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,3 @@ class GeometricMixture:
             while float(self.cdf_tail(k - 1)) > tail:
                 fh.write(f"{k},{float(self.pmf(k))!r}\n")
                 k += 1
-
-
-def geometric(theta) -> GeometricMixture:
-    return GeometricMixture.geometric(theta)
-
-
-def identity() -> GeometricMixture:
-    return GeometricMixture.identity()
-
-
-def gm_convolve(a: GeometricMixture, b: GeometricMixture) -> GeometricMixture:
-    return a.convolve(b)

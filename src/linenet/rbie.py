@@ -10,7 +10,7 @@ the conserved per-node storage rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,31 +42,106 @@ def local_params(r: float, eps_next: float, pb_next: float) -> tuple[float, floa
     return alpha, beta, r
 
 
-def occupancy_phi(r: float, eps_next: float, pb_next: float, m: int) -> np.ndarray:
-    """Steady-state occupancy distribution of the local birth-death walk.
+def _node_phi(r: np.ndarray, eps_next: float, pb_next: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Steady-state occupancy pmfs of one node on K lines at once.
 
-    Computed by explicit partial sums so the alpha == beta case needs
-    no special handling.  Degenerate limits: a node that can never
-    drain (pb_next = 1) sits at full occupancy, a node that never
-    receives (r = 0) stays empty.
+    Row i is the local walk's distribution for rate ``r[i]``, downstream
+    blocking ``pb_next[i]`` and buffer ``m[i]``, padded with zeros past
+    column ``m[i]``.  All rows run the same partial-product recurrence in
+    lockstep, so the alpha == beta case needs no special handling.
+    Degenerate limits: a node that can never drain (pb_next = 1) sits at
+    full occupancy, a node that never receives (r = 0) stays empty.
     """
     alpha, beta, alpha0 = local_params(r, eps_next, pb_next)
-    out = np.zeros(m + 1)
-    if alpha0 == 0.0:
-        out[0] = 1.0
-        return out
-    if beta == 0.0:
-        out[m] = 1.0
-        return out
     # unnormalized weights: w_0 = 1, w_k = alpha0 * alpha^(k-1) / beta^k
-    w = np.empty(m + 1)
+    # (stored as w[k, i], so each step of the recurrence writes one contiguous row)
+    w = np.zeros((int(m.max()) + 1, r.shape[0]))
     w[0] = 1.0
-    w[1] = alpha0 / beta
-    for k in range(2, m + 1):
-        w[k] = w[k - 1] * (alpha / beta)
-        if w[k] > 1e280:
-            w /= w[k]
-    return w / w.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w[1] = alpha0 / beta
+        x = alpha / beta
+        for k in range(2, w.shape[0]):
+            np.multiply(w[k - 1], x, out=w[k])
+            w[k] *= k <= m
+            big = w[k] > 1e280
+            if big.any():
+                w[:, big] /= w[k, big]
+        w /= w.sum(axis=0)
+    phi = w.T
+    stuck = beta == 0.0
+    phi[stuck] = 0.0
+    phi[stuck, m[stuck]] = 1.0
+    idle = alpha0 == 0.0
+    phi[idle] = 0.0
+    phi[idle, 0] = 1.0
+    return phi
+
+
+def occupancy_phi(r: float, eps_next: float, pb_next: float, m: int) -> np.ndarray:
+    """Steady-state occupancy distribution of the local birth-death walk."""
+    return _node_phi(
+        np.array([r], dtype=float), eps_next, np.array([pb_next], dtype=float), np.array([m])
+    )[0]
+
+
+def _sweep(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """One forward sweep over K lines: rates downstream, blocking upstream.
+
+    ``r`` and ``pb`` are (K, h).  Walking source-to-destination, node j
+    reads the rate its upstream neighbour emitted earlier in this sweep
+    and the blocking its downstream neighbour presented in the previous
+    sweep; it writes its emitted rate into ``r`` in place.  Returns the
+    refreshed blocking probabilities (the destination's column is kept).
+    """
+    rows = np.arange(r.shape[0])
+    pb_new = pb.copy()
+    for j in range(buffers.shape[1]):
+        e, q, m = eps[j + 1], pb[:, j + 1], buffers[:, j]
+        phi = _node_phi(r[:, j], e, q, m)
+        r[:, j + 1] = (1.0 - e) * (1.0 - phi[:, 0])
+        pb_new[:, j] = (e + (1.0 - e) * q) * phi[rows, m]
+        del phi  # free before the next node's pmfs: K rows of them are large
+    return pb_new
+
+
+def _fixed_point(eps, buffers: np.ndarray, max_iter: int, tol: float):
+    """Sweep K lines from r = 0, pb = 0 to their rate/blocking fixed points.
+
+    A line stops sweeping once one sweep changes its (r, pb) by at most
+    ``tol`` in max-norm, so every row ends exactly where a solve of that
+    line alone would.  Returns (r, pb, sweeps, residual), the last two
+    the largest over the lines.
+    """
+    K, n = buffers.shape
+    r = np.zeros((K, n + 1))
+    pb = np.zeros((K, n + 1))
+    r[:, 0] = 1.0 - eps[0]
+    active = np.arange(K)
+    residual = np.full(K, np.inf)
+    for it in range(1, max_iter + 1):
+        r_act, pb_act = r[active], pb[active]
+        pb_new = _sweep(eps, buffers[active], r_act, pb_act)
+        residual[active] = np.maximum(
+            np.max(np.abs(r_act - r[active]), axis=1), np.max(np.abs(pb_new - pb_act), axis=1)
+        )
+        r[active], pb[active] = r_act, pb_new
+        active = active[residual[active] > tol]
+        if active.size == 0:
+            break
+    else:
+        worst = float(residual.max())
+        raise ConvergenceError(
+            f"rate sweeps did not converge: residual {worst:.3e}",
+            residual=worst,
+            iterations=max_iter,
+        )
+    return r, pb, it, float(residual.max())
+
+
+def _node_phis(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray):
+    """Each node's (K, max m_j + 1) occupancy pmfs at (r, pb), one node at a time."""
+    for j in range(buffers.shape[1]):
+        yield _node_phi(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])
 
 
 @dataclass
@@ -84,62 +159,17 @@ class RateSolution:
     phi: list[np.ndarray]
     iterations: int
     residual: float
-    history: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
     def occupancy_means(self) -> np.ndarray:
         return np.array([float(np.arange(len(p)) @ p) for p in self.phi])
 
 
-def solve(
-    spec: NetworkSpec,
-    max_iter: int = 10**5,
-    tol: float = 1e-12,
-    pb_init: float | np.ndarray = 0.0,
-    keep_history: bool = False,
-) -> RateSolution:
-    """Run forward sweeps to the unique rate/blocking fixed point.
-
-    One sweep walks nodes source-to-destination: it first emits the new
-    downstream rate, then refreshes the node's blocking probability for
-    the next sweep.  Sweeps stop when the joint max-norm change of
-    (r, pb) is at most ``tol``.
-    """
-    h = spec.h
-    m = spec.buffers
-    r = np.zeros(h)
-    pb_read = np.zeros(h) + pb_init
-    pb_read[h - 1] = 0.0
-    r[0] = 1.0 - spec.eps[0]
-    history: list | None = [] if keep_history else None
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        r_old = r.copy()
-        pb_old = pb_read.copy()
-        pb_write = pb_read.copy()
-        for j in range(h - 1):
-            e = spec.eps[j + 1]
-            q = pb_read[j + 1]
-            phi = occupancy_phi(r[j], e, q, m[j])
-            r[j + 1] = (1.0 - e) * (1.0 - float(phi[0]))
-            pb_write[j] = (e + (1.0 - e) * q) * float(phi[m[j]])
-        pb_read = pb_write
-        if history is not None:
-            history.append((r.copy(), pb_read.copy()))
-        residual = max(
-            float(np.max(np.abs(r - r_old))), float(np.max(np.abs(pb_read - pb_old)))
-        )
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"rate sweeps did not converge: residual {residual:.3e}",
-            residual=residual,
-            iterations=max_iter,
-        )
-    phi = [occupancy_phi(r[j], spec.eps[j + 1], pb_read[j + 1], m[j]) for j in range(h - 1)]
-    return RateSolution(
-        r=r, pb=pb_read, phi=phi, iterations=it, residual=residual, history=history
-    )
+def solve(spec: NetworkSpec, max_iter: int = 10**5, tol: float = 1e-12) -> RateSolution:
+    """Run forward sweeps to the unique rate/blocking fixed point of one line."""
+    buffers = np.array([spec.buffers])
+    r, pb, it, residual = _fixed_point(spec.eps, buffers, max_iter, tol)
+    phi = [p[0] for p in _node_phis(spec.eps, buffers, r, pb)]
+    return RateSolution(r=r[0], pb=pb[0], phi=phi, iterations=it, residual=residual)
 
 
 def capacity(sol: RateSolution) -> float:
@@ -152,34 +182,6 @@ def capacity(sol: RateSolution) -> float:
     return float(flows[-1])
 
 
-# ---------------------------------------------------------------------------
-# vectorized evaluation over many buffer allocations
-# ---------------------------------------------------------------------------
-
-def _geom_sum(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_{l=0}^{m-1} x^l, stable near x = 1 (series in x - 1 there)."""
-    d = x - 1.0
-    near = np.abs(d) < 1e-6
-    xs = np.where(near, 2.0, x)
-    closed = (np.power(xs, m) - 1.0) / (xs - 1.0)
-    series = m * (
-        1.0 + d * (m - 1) / 2.0 + d * d * (m - 1) * (m - 2) / 6.0
-    )
-    return np.where(near, series, closed)
-
-
-def _weighted_geom_sum(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_{k=1}^{m} k x^k, stable near x = 1 (series in x - 1 there)."""
-    d = x - 1.0
-    near = np.abs(d) < 1e-4
-    xs = np.where(near, 2.0, x)
-    closed = xs * (1.0 - (m + 1) * np.power(xs, m) + m * np.power(xs, m + 1)) / (xs - 1.0) ** 2
-    sum_k2 = m * (m + 1) * (2 * m + 1) / 6.0
-    sum_k3 = (m * (m + 1) / 2.0) ** 2
-    series = m * (m + 1) / 2.0 + d * sum_k2 + d * d * (sum_k3 - sum_k2) / 2.0
-    return np.where(near, series, closed)
-
-
 def solve_batch(
     eps,
     buffers: np.ndarray,
@@ -188,62 +190,17 @@ def solve_batch(
 ) -> dict:
     """Fixed point for many buffer allocations of one erasure profile.
 
-    ``buffers`` is (K, h-1).  Returns capacity, rates, blocking
-    probabilities and per-node occupancy means as arrays.  Geometric
-    sums use closed forms with series guards near ratio 1; exact
-    partial-sum arithmetic is available through :func:`solve` for
-    final re-scoring.
+    ``buffers`` is (K, h-1).  The K lines are swept together, each row
+    exactly as :func:`solve` sweeps it.  Returns capacity, rates,
+    blocking probabilities, per-node occupancy means and mean delay as
+    arrays, and the number of sweeps.
     """
-    eps = np.asarray(eps, dtype=float)
-    buffers = np.asarray(buffers, dtype=float)
-    K, n = buffers.shape
-    h = n + 1
-    r = np.zeros((K, h))
-    pb = np.zeros((K, h))
-    r[:, 0] = 1.0 - eps[0]
-    for it in range(1, max_iter + 1):
-        r_old = r.copy()
-        pb_old = pb.copy()
-        pb_new = pb.copy()
-        for j in range(h - 1):
-            e = eps[j + 1]
-            q = pb[:, j + 1]
-            m = buffers[:, j]
-            fail = e + (1.0 - e) * q
-            alpha = r[:, j] * fail
-            beta = (1.0 - r[:, j]) * (1.0 - q) * (1.0 - e)
-            x = alpha / beta
-            s = _geom_sum(x, m)
-            phi0 = 1.0 / (1.0 + (r[:, j] / beta) * s)
-            phim = phi0 * (r[:, j] / beta) * np.power(x, m - 1)
-            r[:, j + 1] = (1.0 - e) * (1.0 - phi0)
-            pb_new[:, j] = fail * phim
-        pb = pb_new
-        residual = max(
-            float(np.max(np.abs(r - r_old))), float(np.max(np.abs(pb - pb_old)))
-        )
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"batch rate sweeps did not converge: residual {residual:.3e}",
-            residual=residual,
-            iterations=max_iter,
-        )
-
-    occupancy_mean = np.empty((K, n))
-    for j in range(h - 1):
-        e = eps[j + 1]
-        q = pb[:, j + 1]
-        m = buffers[:, j]
-        fail = e + (1.0 - e) * q
-        alpha = r[:, j] * fail
-        beta = (1.0 - r[:, j]) * (1.0 - q) * (1.0 - e)
-        x = alpha / beta
-        s = _geom_sum(x, m)
-        phi0 = 1.0 / (1.0 + (r[:, j] / beta) * s)
-        occupancy_mean[:, j] = phi0 * (r[:, j] / alpha) * _weighted_geom_sum(x, m)
-
+    eps = tuple(float(e) for e in eps)
+    buffers = np.asarray(buffers, dtype=np.int64)
+    r, pb, it, _ = _fixed_point(eps, buffers, max_iter, tol)
+    occupancy_mean = np.stack(
+        [p @ np.arange(p.shape[1]) for p in _node_phis(eps, buffers, r, pb)], axis=1
+    )
     cap = r[:, -1] * (1.0 - pb[:, -1])
     return {
         "capacity": cap,

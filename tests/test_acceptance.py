@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from linenet import allocate, amc, dbie, delay, emc, netcod, rbie, sim
-from linenet.mixtures import GeometricMixture, gm_convolve
+from linenet.mixtures import GeometricMixture
 from linenet.model import NetworkSpec, enumerate_states, index_state, state_index
 from conftest import QueueOracle, random_spec
 
@@ -291,7 +291,7 @@ def test_criterion_9b_convolution_brute_force():
         w1, w2 = rng.uniform(0.1, 0.9, 2)
         a = GeometricMixture.from_terms([(w1, ts[0]), (1 - w1, ts[1])])
         b = GeometricMixture.from_terms([(w2, ts[2]), (1 - w2, ts[3])])
-        conv = gm_convolve(a, b)
+        conv = a.convolve(b)
         ks = np.arange(2, 201)
         got = np.array([float(conv.pmf(int(k))) for k in ks])
         av = np.array([float(a.pmf(int(k))) for k in range(201)])

@@ -145,8 +145,9 @@ def test_allocate_command(capsys):
         capsys,
     )
     assert code == 0
-    res = json.loads(out)["result"]
-    assert sum(res["best"]["buffers"]) <= 8
+    doc = json.loads(out)
+    assert sum(doc["result"]["best"]["buffers"]) <= 8
+    assert "state_cap" not in doc["config"] and "tol" not in doc["config"]
 
 
 def test_reproduce_tau_sweep(tmp_path, capsys):
@@ -198,6 +199,20 @@ def test_exit_codes(tmp_path, capsys):
     eq = tmp_path / "unknown_fig"
     assert cli.main(["reproduce", "--figure", "nope"]) == cli.EXIT_VALIDATION
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["allocate", "--eps", "0.3,0.5,0.5", "--budget", "6", "--tol", "1e-3"],
+        ["exact", "--spec", "net.json", "--epochs", "5"],
+    ],
+)
+def test_options_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_matrix_dump_flag(spec_file, tmp_path, capsys):

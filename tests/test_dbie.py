@@ -6,7 +6,7 @@ from mpmath import lu_solve, matrix, mp, mpf
 from conftest import QueueOracle
 from linenet import dbie, emc
 from linenet.errors import DegenerateDistributionError, SpecValidationError
-from linenet.mixtures import GeometricMixture, geometric
+from linenet.mixtures import GeometricMixture
 from linenet.model import NetworkSpec
 
 
@@ -22,7 +22,7 @@ def test_effective_failure_limits():
 
 
 def test_dj_closed_form_single_geometric():
-    g = geometric(0.5)
+    g = GeometricMixture.geometric(0.5)
     d = dbie.dj_distribution(g, 0.6)
     assert float(d[0]) == pytest.approx((1 - 0.5) * 0.6 / (1 - 0.5 * 0.6), abs=1e-12)
     assert float(d[0]) == pytest.approx(series_d0_oracle(0.5, 0.6), abs=1e-10)
@@ -47,7 +47,7 @@ def test_dj_nonnegative_and_wald():
 @pytest.mark.parametrize("tt", [0.0, 1.0, 1.5, -0.2])
 def test_dj_rejects_failure_parameter_outside_unit_interval(tt):
     with pytest.raises(SpecValidationError):
-        dbie.dj_distribution(geometric(0.5), tt)
+        dbie.dj_distribution(GeometricMixture.geometric(0.5), tt)
 
 
 def test_dj_against_thinning_oracle():
@@ -64,7 +64,7 @@ def test_dj_against_thinning_oracle():
 
 
 def test_embedded_chain_single_slot():
-    P, pi = dbie.embedded_chain(geometric(0.5), 1, 0.4, 0.0)
+    P, pi = dbie.embedded_chain(GeometricMixture.geometric(0.5), 1, 0.4, 0.0)
     assert P.rows == 1 and float(P[0, 0]) == pytest.approx(1.0, abs=1e-10)
     assert [float(v) for v in pi] == [1.0]
 
@@ -146,7 +146,7 @@ def test_blocking_prob_nonincreasing_in_buffer(t1, gap, w, theta, q):
 
 
 def test_embedded_chain_vs_queue_oracle():
-    g = geometric(0.5)
+    g = GeometricMixture.geometric(0.5)
     theta = 0.5
     oracle = QueueOracle(g, 2, theta, 0.0, 200_000, seed=3)
     _, pi = dbie.embedded_chain(g, 2, theta, 0.0)
@@ -169,7 +169,7 @@ def test_blocking_prob_vs_queue_oracle():
 
 
 def test_blocking_prob_ample_buffer():
-    p = float(dbie.blocking_prob(geometric(0.5), 50, 0.4, 0.0))
+    p = float(dbie.blocking_prob(GeometricMixture.geometric(0.5), 50, 0.4, 0.0))
     assert p < 1e-6
 
 
@@ -182,7 +182,7 @@ def test_blocking_prob_paper_values(paper_four_hop):
 
 def test_starvation_memoryless_single_term():
     pi = [0.3, 0.7]
-    fx = dbie.starvation_distribution(geometric(0.4), pi, 0.5, 0.0)
+    fx = dbie.starvation_distribution(GeometricMixture.geometric(0.4), pi, 0.5, 0.0)
     assert len(fx.terms) == 1
     p, t = fx.terms[0]
     assert float(p) == pytest.approx(1.0, abs=1e-12)
@@ -197,7 +197,7 @@ def test_starvation_weights_normalized():
 
 
 def test_starvation_vs_queue_oracle():
-    g = geometric(0.5)
+    g = GeometricMixture.geometric(0.5)
     theta, m = 0.5, 2
     oracle = QueueOracle(g, m, theta, 0.0, 300_000, seed=21)
     _, pi = dbie.embedded_chain(g, m, theta, 0.0)
@@ -215,7 +215,7 @@ def test_upsilon_defining_mean_identity():
     g = GeometricMixture.from_terms([(0.6, 0.3), (0.4, 0.7)])
     m, theta, q = 3, 0.5, 0.2
     ups, alpha = dbie.upsilon(g, m, theta, q)
-    g_out = ups.convolve(geometric(theta))
+    g_out = ups.convolve(GeometricMixture.geometric(theta))
     blocking = dbie.blocking_prob(g, m, theta, q)
     expect = float(g.mean()) * (1 - q) / (1 - float(blocking))
     assert float(g_out.mean()) == pytest.approx(expect, rel=1e-12)
@@ -272,6 +272,6 @@ def test_perturb_equal_eps():
 
 
 def test_starvation_degenerate_signal():
-    g = geometric(0.5)
+    g = GeometricMixture.geometric(0.5)
     with pytest.raises(DegenerateDistributionError):
         dbie.starvation_distribution(g, [0.0, 0.0], 0.5, 0.0)

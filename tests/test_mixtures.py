@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from linenet.errors import DistinctParamError
-from linenet.mixtures import GeometricMixture, geometric, gm_convolve, identity
+from linenet.mixtures import GeometricMixture
 
 
 def brute_convolve_pmf(f, g, kmax):
@@ -16,7 +16,7 @@ def brute_convolve_pmf(f, g, kmax):
 
 
 def test_single_convolution_identity():
-    res = gm_convolve(geometric(0.5), geometric(0.25))
+    res = GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.25))
     terms = {float(t): float(p) for p, t in res.terms}
     assert terms[0.5] == pytest.approx(3.0, abs=1e-15)
     assert terms[0.25] == pytest.approx(-2.0, abs=1e-15)
@@ -24,15 +24,17 @@ def test_single_convolution_identity():
 
 
 def test_convolution_pmf_matches_brute_force():
-    a = gm_convolve(geometric(0.5), geometric(0.25))
-    oracle = brute_convolve_pmf(geometric(0.5), geometric(0.25), 200)
+    a = GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.25))
+    oracle = brute_convolve_pmf(
+        GeometricMixture.geometric(0.5), GeometricMixture.geometric(0.25), 200
+    )
     got = np.array([float(a.pmf(k)) for k in range(201)])
     np.testing.assert_allclose(got, oracle, atol=1e-12)
 
 
 def test_convolve_with_identity_is_noop():
-    a = gm_convolve(geometric(0.3), geometric(0.6))
-    same = gm_convolve(a, identity())
+    a = GeometricMixture.geometric(0.3).convolve(GeometricMixture.geometric(0.6))
+    same = a.convolve(GeometricMixture.identity())
     assert same.terms == a.terms
     assert same.atom0 == a.atom0
 
@@ -43,8 +45,8 @@ def test_weight_sums_preserved():
         t1, t2, t3 = sorted(rng.uniform(0.05, 0.95, 3))
         if t2 - t1 < 1e-3 or t3 - t2 < 1e-3:
             continue
-        a = gm_convolve(geometric(t1), geometric(t3))
-        b = gm_convolve(a, geometric(t2))
+        a = GeometricMixture.geometric(t1).convolve(GeometricMixture.geometric(t3))
+        b = a.convolve(GeometricMixture.geometric(t2))
         assert float(b.weight_sum()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -57,7 +59,7 @@ def test_random_pairs_match_brute_force():
         w = rng.uniform(0.2, 0.8)
         a = GeometricMixture.from_terms([(w, ts[0]), (1 - w, ts[1])])
         b = GeometricMixture.from_terms([(0.5, ts[2]), (0.5, ts[3])])
-        conv = gm_convolve(a, b)
+        conv = a.convolve(b)
         oracle = brute_convolve_pmf(a, b, 200)
         got = np.array([float(conv.pmf(k)) for k in range(201)])
         np.testing.assert_allclose(got[2:], oracle[2:], atol=1e-10)
@@ -65,14 +67,14 @@ def test_random_pairs_match_brute_force():
 
 def test_mean_additivity():
     a = GeometricMixture.from_terms([(0.7, 0.2), (0.3, 0.8)])
-    b = geometric(0.55)
-    conv = gm_convolve(a, b)
+    b = GeometricMixture.geometric(0.55)
+    conv = a.convolve(b)
     assert float(conv.mean()) == pytest.approx(float(a.mean() + b.mean()), rel=1e-12)
 
 
 def test_coincident_parameters_rejected():
     with pytest.raises(DistinctParamError):
-        gm_convolve(geometric(0.5), geometric(0.5))
+        GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.5))
 
 
 @given(
@@ -89,8 +91,8 @@ def test_convolution_properties(thetas, seed):
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(len(thetas) - 1))
     a = GeometricMixture.from_terms(list(zip(weights, thetas[:-1])))
-    b = geometric(thetas[-1])
-    conv = gm_convolve(a, b)
+    b = GeometricMixture.geometric(thetas[-1])
+    conv = a.convolve(b)
     assert float(conv.weight_sum()) == pytest.approx(1.0, abs=1e-9)
     assert float(conv.mean()) == pytest.approx(float(a.mean() + b.mean()), rel=1e-9)
     # a sum of two waits of at least one epoch each cannot finish in one
@@ -102,7 +104,7 @@ def test_validate_catches_bad_mixtures():
     bad = GeometricMixture.from_terms([(2.0, 0.5)])
     with pytest.raises(ValueError):
         bad.validate()
-    ok = gm_convolve(geometric(0.4), geometric(0.6))
+    ok = GeometricMixture.geometric(0.4).convolve(GeometricMixture.geometric(0.6))
     ok.validate(k_check=2000)
 
 
@@ -114,12 +116,14 @@ def test_compact_drops_negligible_terms():
 
 
 def test_serialization_round_trip(tmp_path):
-    a = gm_convolve(geometric(0.5), geometric(0.25))
+    a = GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.25))
     back = GeometricMixture.from_obj(a.to_obj())
     assert [(float(p), float(t)) for p, t in back.terms] == [
         (float(p), float(t)) for p, t in a.terms
     ]
-    ups = identity().scaled(0.25).plus(geometric(0.5).scaled(0.75))
+    ups = GeometricMixture.identity().scaled(0.25).plus(
+        GeometricMixture.geometric(0.5).scaled(0.75)
+    )
     obj = ups.to_obj()
     assert any(e["theta"] is None for e in obj)
     back2 = GeometricMixture.from_obj(obj)
@@ -136,10 +140,10 @@ def test_serialization_round_trip(tmp_path):
 def test_extended_precision_survives_large_weights():
     # weights near 1e5 with cancellation: unit mass must survive
     with mp.workdps(50):
-        a = geometric(mpf("0.5"))
-        b = geometric(mpf("0.50001"))
-        c = geometric(mpf("0.50002"))
-        conv = gm_convolve(gm_convolve(a, b), c)
+        a = GeometricMixture.geometric(mpf("0.5"))
+        b = GeometricMixture.geometric(mpf("0.50001"))
+        c = GeometricMixture.geometric(mpf("0.50002"))
+        conv = a.convolve(b).convolve(c)
         assert abs(float(conv.weight_sum()) - 1.0) < 1e-12
         for k in (1, 2, 10, 100):
             assert float(conv.pmf(k)) >= -1e-12

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linenet import emc, rbie
+from linenet.allocate import compositions_at_most
 from linenet.model import NetworkSpec
-from conftest import random_spec
+from conftest import line_specs, random_spec
 
 
 def test_local_params_example():
@@ -69,19 +72,33 @@ def test_two_hop_immediate_convergence():
     assert rbie.capacity(sol) == pytest.approx(emc.capacity_exact(spec), abs=1e-9)
 
 
+def sweep_iterates(spec: NetworkSpec, pb0: float, sweeps: int = 100):
+    """(r, pb) after each of ``sweeps`` shared sweep steps on one line, from pb = pb0."""
+    buffers = np.array([spec.buffers])
+    r = np.zeros((1, spec.h))
+    r[:, 0] = 1.0 - spec.eps[0]
+    pb = np.full((1, spec.h), pb0)
+    pb[:, -1] = 0.0
+    out = []
+    for _ in range(sweeps):
+        pb = rbie._sweep(spec.eps, buffers, r, pb)
+        out.append((r[0].copy(), pb[0].copy()))
+    return out
+
+
 def test_monotone_iterates(paper_four_hop):
-    sol = rbie.solve(paper_four_hop, keep_history=True)
-    rs = np.array([r for r, _ in sol.history])
-    pbs = np.array([p for _, p in sol.history])
+    history = sweep_iterates(paper_four_hop, 0.0)
+    rs = np.array([r for r, _ in history])
+    pbs = np.array([p for _, p in history])
     assert np.all(np.diff(rs, axis=0) >= -1e-14)
     assert np.all(np.diff(pbs, axis=0) >= -1e-14)
 
 
 def test_unique_fixed_point_from_perturbed_init(paper_four_hop):
     a = rbie.solve(paper_four_hop)
-    b = rbie.solve(paper_four_hop, pb_init=0.5)
-    assert np.max(np.abs(a.r - b.r)) < 1e-8
-    assert np.max(np.abs(a.pb - b.pb)) < 1e-8
+    r, pb = sweep_iterates(paper_four_hop, 0.5)[-1]
+    assert np.max(np.abs(a.r - r)) < 1e-8
+    assert np.max(np.abs(a.pb - pb)) < 1e-8
 
 
 def test_flow_conservation_residual():
@@ -125,7 +142,42 @@ def test_solve_batch_matches_scalar(paper_four_hop):
     for k in range(buffers.shape[0]):
         spec = NetworkSpec(paper_four_hop.eps, tuple(int(v) for v in buffers[k]))
         sol = rbie.solve(spec)
-        assert out["capacity"][k] == pytest.approx(rbie.capacity(sol), abs=1e-8)
+        assert out["capacity"][k] == pytest.approx(rbie.capacity(sol), abs=1e-12)
         assert out["mean_delay"][k] == pytest.approx(
-            float(sol.occupancy_means().sum()) / rbie.capacity(sol), rel=1e-6
+            float(sol.occupancy_means().sum()) / rbie.capacity(sol), rel=1e-12
         )
+
+
+@st.composite
+def eps_and_buffer_rows(draw):
+    """One erasure profile and one to six buffer rows for it."""
+    spec = draw(line_specs())
+    n = spec.h - 1
+    rows = draw(st.lists(st.lists(st.integers(1, 3), min_size=n, max_size=n), max_size=5))
+    return spec.eps, np.array([spec.buffers, *rows])
+
+
+@given(eps_and_buffer_rows())
+@settings(max_examples=100, deadline=None)
+def test_batch_rows_conserve_flow_and_match_solve(case):
+    eps, buffers = case
+    out = rbie.solve_batch(eps, buffers, tol=1e-12)
+    flows = out["r"] * (1.0 - out["pb"])
+    assert np.all(flows.max(axis=1) - flows.min(axis=1) <= 1e-9)
+    for k, row in enumerate(buffers):
+        sol = rbie.solve(NetworkSpec(eps, tuple(int(v) for v in row)))
+        assert out["capacity"][k] == pytest.approx(rbie.capacity(sol), abs=1e-12)
+        np.testing.assert_allclose(out["r"][k], sol.r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out["pb"][k], sol.pb, rtol=0, atol=1e-12)
+
+
+def test_batch_mean_delay_matches_phi_near_equal_rates():
+    # rows where a closed-form geometric sum near ratio 1 was off by up to 1.4e-9
+    eps = (0.3, 0.5, 0.5, 0.2)
+    cands = compositions_at_most(30, 3)
+    out = rbie.solve_batch(eps, cands, tol=1e-12)
+    for row in ((7, 2, 21), (9, 2, 5), (6, 6, 4), (15, 9, 6), (7, 2, 17)):
+        k = int(np.flatnonzero((cands == row).all(axis=1))[0])
+        sol = rbie.solve(NetworkSpec(eps, row))
+        expected = float(sol.occupancy_means().sum()) / rbie.capacity(sol)
+        assert out["mean_delay"][k] == pytest.approx(expected, rel=1e-12)
