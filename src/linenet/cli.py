@@ -378,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"linenet {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # name -> subcommand parser, for errors in a subcommand's own terms
 
     # options several subcommands share; each registers only those its handler reads
     shared = {
@@ -463,7 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        # exits 2 with the subcommand's usage line, which lists the options it takes
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except StateSpaceCapError as exc:

@@ -42,46 +42,83 @@ def local_params(r: float, eps_next: float, pb_next: float) -> tuple[float, floa
     return alpha, beta, r
 
 
-def _node_phi(r: np.ndarray, eps_next: float, pb_next: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Steady-state occupancy pmfs of one node on K lines at once.
+def occupancy_phi(r: float, eps_next: float, pb_next: float, m: int) -> np.ndarray:
+    """Steady-state occupancy distribution of the local birth-death walk.
 
-    Row i is the local walk's distribution for rate ``r[i]``, downstream
-    blocking ``pb_next[i]`` and buffer ``m[i]``, padded with zeros past
-    column ``m[i]``.  All rows run the same partial-product recurrence in
-    lockstep, so the alpha == beta case needs no special handling.
-    Degenerate limits: a node that can never drain (pb_next = 1) sits at
-    full occupancy, a node that never receives (r = 0) stays empty.
+    States 1..m carry a geometric block with ratio alpha/beta, written
+    with its largest weight 1: powers of y = min(alpha/beta, beta/alpha)
+    counted up from state 1 when the walk falls and down from state m
+    when it rises.  The empty state weighs beta/alpha0 times state 1.
+    No term is a difference, so the alpha == beta case needs no special
+    handling.  Degenerate limits: a node that can never drain
+    (pb_next = 1) sits at full occupancy, a node that never receives
+    (r = 0) stays empty.
     """
     alpha, beta, alpha0 = local_params(r, eps_next, pb_next)
-    # unnormalized weights: w_0 = 1, w_k = alpha0 * alpha^(k-1) / beta^k
-    # (stored as w[k, i], so each step of the recurrence writes one contiguous row)
-    w = np.zeros((int(m.max()) + 1, r.shape[0]))
-    w[0] = 1.0
+    out = np.zeros(m + 1)
+    if alpha0 == 0.0:
+        out[0] = 1.0
+        return out
+    if beta == 0.0:
+        out[m] = 1.0
+        return out
+    rising = alpha > beta
+    block = (beta / alpha if rising else alpha / beta) ** np.arange(m)
+    out[1:] = block[::-1] if rising else block
+    out[0] = out[1] * beta / alpha0
+    return out / out.sum()
+
+
+def _geom_sums(y: np.ndarray, m: np.ndarray):
+    """sum_{i<m} y^i, sum_{i<m} i y^i and y^(m-1) per row, for 0 <= y <= 1.
+
+    The partial sums are built by doubling along the binary digits of
+    m - 1, high digit first: the k terms summed so far are doubled to
+    2k by appending a copy scaled by y^k, then term 2k is appended when
+    the digit is set.  K rows cost O(K log max m) time and O(K) memory,
+    and every step adds or multiplies nonnegative numbers, so nothing
+    cancels near y = 1.
+    """
+    n = m - 1
+    g, h, top = np.zeros_like(y), np.zeros_like(y), np.ones_like(y)  # over i < k; y^k
+    for shift in range(int(n.max()).bit_length() - 1, -1, -1):
+        k = n >> (shift + 1)
+        h += top * (h + k * g)
+        g += top * g
+        top *= top
+        bit = (n >> shift) & 1
+        add = bit * top
+        g += add
+        h += 2 * k * add
+        top = np.where(bit, top * y, top)
+    return g + top, h + n * top, top
+
+
+def _node_moments(r: np.ndarray, eps_next: float, pb_next: np.ndarray, m: np.ndarray):
+    """(phi_0, phi_m, mean occupancy) of one node's walk on K lines at once.
+
+    Row i is the walk of :func:`occupancy_phi` for rate ``r[i]``,
+    downstream blocking ``pb_next[i]`` and buffer ``m[i]``, in the same
+    normalization; the block's sums come from :func:`_geom_sums`, so no
+    pmf is stored.
+    """
+    alpha, beta, alpha0 = local_params(r, eps_next, pb_next)
+    rising = alpha > beta
     with np.errstate(divide="ignore", invalid="ignore"):
-        w[1] = alpha0 / beta
-        x = alpha / beta
-        for k in range(2, w.shape[0]):
-            np.multiply(w[k - 1], x, out=w[k])
-            w[k] *= k <= m
-            big = w[k] > 1e280
-            if big.any():
-                w[:, big] /= w[k, big]
-        w /= w.sum(axis=0)
-    phi = w.T
+        g, h, top = _geom_sums(np.where(rising, beta / alpha, alpha / beta), m)
+        empty = np.where(rising, top, 1.0) * beta / alpha0
+        total = empty + g
+        phi0 = empty / total
+        phim = np.where(rising, 1.0, top) / total
+        # state k holds y^(k-1) when falling, y^(m-k) when rising
+        mean = np.where(rising, m * g - h, g + h) / total
     stuck = beta == 0.0
-    phi[stuck] = 0.0
-    phi[stuck, m[stuck]] = 1.0
+    if stuck.any():
+        phi0[stuck], phim[stuck], mean[stuck] = 0.0, 1.0, m[stuck]
     idle = alpha0 == 0.0
-    phi[idle] = 0.0
-    phi[idle, 0] = 1.0
-    return phi
-
-
-def occupancy_phi(r: float, eps_next: float, pb_next: float, m: int) -> np.ndarray:
-    """Steady-state occupancy distribution of the local birth-death walk."""
-    return _node_phi(
-        np.array([r], dtype=float), eps_next, np.array([pb_next], dtype=float), np.array([m])
-    )[0]
+    if idle.any():
+        phi0[idle], phim[idle], mean[idle] = 1.0, 0.0, 0.0
+    return phi0, phim, mean
 
 
 def _sweep(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -93,14 +130,12 @@ def _sweep(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray) -> np.ndarra
     sweep; it writes its emitted rate into ``r`` in place.  Returns the
     refreshed blocking probabilities (the destination's column is kept).
     """
-    rows = np.arange(r.shape[0])
     pb_new = pb.copy()
     for j in range(buffers.shape[1]):
-        e, q, m = eps[j + 1], pb[:, j + 1], buffers[:, j]
-        phi = _node_phi(r[:, j], e, q, m)
-        r[:, j + 1] = (1.0 - e) * (1.0 - phi[:, 0])
-        pb_new[:, j] = (e + (1.0 - e) * q) * phi[rows, m]
-        del phi  # free before the next node's pmfs: K rows of them are large
+        e, q = eps[j + 1], pb[:, j + 1]
+        phi0, phim, _ = _node_moments(r[:, j], e, q, buffers[:, j])
+        r[:, j + 1] = (1.0 - e) * (1.0 - phi0)
+        pb_new[:, j] = (e + (1.0 - e) * q) * phim
     return pb_new
 
 
@@ -138,12 +173,6 @@ def _fixed_point(eps, buffers: np.ndarray, max_iter: int, tol: float):
     return r, pb, it, float(residual.max())
 
 
-def _node_phis(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray):
-    """Each node's (K, max m_j + 1) occupancy pmfs at (r, pb), one node at a time."""
-    for j in range(buffers.shape[1]):
-        yield _node_phi(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])
-
-
 @dataclass
 class RateSolution:
     """Converged fixed point of the rate/blocking sweeps.
@@ -168,7 +197,9 @@ def solve(spec: NetworkSpec, max_iter: int = 10**5, tol: float = 1e-12) -> RateS
     """Run forward sweeps to the unique rate/blocking fixed point of one line."""
     buffers = np.array([spec.buffers])
     r, pb, it, residual = _fixed_point(spec.eps, buffers, max_iter, tol)
-    phi = [p[0] for p in _node_phis(spec.eps, buffers, r, pb)]
+    phi = [
+        occupancy_phi(r[0, j], spec.eps[j + 1], pb[0, j + 1], m) for j, m in enumerate(spec.buffers)
+    ]
     return RateSolution(r=r[0], pb=pb[0], phi=phi, iterations=it, residual=residual)
 
 
@@ -199,7 +230,11 @@ def solve_batch(
     buffers = np.asarray(buffers, dtype=np.int64)
     r, pb, it, _ = _fixed_point(eps, buffers, max_iter, tol)
     occupancy_mean = np.stack(
-        [p @ np.arange(p.shape[1]) for p in _node_phis(eps, buffers, r, pb)], axis=1
+        [
+            _node_moments(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])[2]
+            for j in range(buffers.shape[1])
+        ],
+        axis=1,
     )
     cap = r[:, -1] * (1.0 - pb[:, -1])
     return {

@@ -212,7 +212,10 @@ def test_options_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    # the usage line is the subcommand's, so it lists the options the command does take
+    assert f"usage: linenet {argv[0]} [-h]" in err
 
 
 def test_matrix_dump_flag(spec_file, tmp_path, capsys):

@@ -42,6 +42,31 @@ def test_occupancy_phi_equal_rates_uniformish():
     assert phi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps_next", [0.0, 0.5])
+def test_node_moments_match_occupancy_phi(eps_next):
+    # the sweep reads phi_0, phi_m and the mean from partial sums built by
+    # doubling; occupancy_phi sums the same geometric block term by term
+    rng = np.random.default_rng(5)
+    # never drains, never fed, both rates zero (eps_next = 0), one slot
+    cases = [(0.5, 1.0, 3), (0.0, 0.0, 3), (1.0, 0.0, 3), (0.5, 0.0, 1)]
+    cases += [(rng.uniform(0.01, 0.99), rng.uniform(0.0, 0.99), int(rng.integers(1, 2000))) for _ in range(200)]
+    # alpha / beta = 1 + d at r = 0.45, where closed forms cancel
+    for d in (1e-4, 1e-6, -1e-6, 1e-9, 0.0):
+        c = (1 + d) * 0.55 * (1 - eps_next)
+        for m in (5, 333, 10**5):
+            cases.append((0.45, (c - 0.45 * eps_next) / (0.45 * (1 - eps_next) + c), m))
+    r, q, m = (np.array(v) for v in zip(*cases))
+    phi0, phim, mean = rbie._node_moments(r, eps_next, q, m)
+    for i, (ri, qi, mi) in enumerate(cases):
+        phi = rbie.occupancy_phi(ri, eps_next, qi, mi)
+        assert phi0[i] == pytest.approx(phi[0], abs=1e-12)
+        assert phim[i] == pytest.approx(phi[mi], abs=1e-12)
+        assert mean[i] == pytest.approx(np.arange(mi + 1) @ phi, rel=1e-12, abs=1e-300)
+        # rows do not interact: the row alone gives the same bits
+        alone = rbie._node_moments(r[i : i + 1], eps_next, q[i : i + 1], m[i : i + 1])
+        assert (alone[0][0], alone[1][0], alone[2][0]) == (phi0[i], phim[i], mean[i])
+
+
 def test_step_pb_and_rate_examples():
     # one node's blocking and emitted rate, read off the solved two-hop line
     sol = rbie.solve(NetworkSpec((0.5, 0.5), (2,)))
