@@ -4,6 +4,10 @@ Supports GF(2), GF(2^4), GF(2^8) and GF(2^16) through exp/log tables
 over a primitive element; addition is bitwise xor in characteristic 2.
 Vector operations work elementwise on uint32 arrays so row updates and
 eliminations stay vectorized.
+
+The tables use the zero-sentinel layout: ``log[0]`` is 2(q-1), an index
+past every sum of two nonzero logs, and ``exp`` is zero from there on,
+so a product with a zero operand reads 0 without a mask.
 """
 
 from __future__ import annotations
@@ -31,8 +35,11 @@ class GF2m:
             raise ValueError(f"field size {q} not in supported set {SUPPORTED_FIELD_SIZES}")
         self.q = q
         poly = _PRIMITIVE_POLY[q]
-        exp = np.zeros(2 * (q - 1), dtype=np.uint32)
-        log = np.zeros(q, dtype=np.uint32)
+        zero = 2 * (q - 1)
+        # nonzero sums stay below ``zero``; any sum with a zero log lands in
+        # the zero tail, whose last index is log[0] + log[0]
+        exp = np.zeros(2 * zero + 1, dtype=np.uint32)
+        log = np.full(q, zero, dtype=np.intp)
         v = 1
         for i in range(q - 1):
             exp[i] = v
@@ -42,21 +49,18 @@ class GF2m:
                 v ^= poly
         if v != 1:
             raise ValueError(f"polynomial {poly:#x} is not primitive for q={q}")
-        exp[q - 1 :] = exp[: q - 1]
+        exp[q - 1 : zero] = exp[: q - 1]
         self._exp = exp
         self._log = log
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.uint32)
-        b = np.asarray(b, dtype=np.uint32)
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), np.uint32(0), out)
+        return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.uint32)
-        if np.any(a == 0):
+        if not a.all():
             raise ZeroDivisionError("zero has no inverse")
-        return self._exp[(self.q - 1) - self._log[a]]
+        return self._exp.take((self.q - 1) - self._log.take(a))
 
     def axpy(self, c, x, y):
         """y + c * x elementwise (xor accumulate)."""
@@ -66,19 +70,22 @@ class GF2m:
         return rng.integers(0, self.q, size=size, dtype=np.uint32)
 
 
-def rank(gf: GF2m, rows: np.ndarray) -> int:
-    """Row-space rank via destructive echelon reduction."""
-    work = [r.copy() for r in np.asarray(rows, dtype=np.uint32)]
-    pivots: dict[int, np.ndarray] = {}
-    r = 0
-    for v in work:
+def rank(gf: GF2m, rows: np.ndarray, pivots: dict[int, np.ndarray] | None = None) -> int:
+    """Rank of the span of ``rows`` and of the basis in ``pivots``.
+
+    Echelon reduction against ``pivots`` (leading column -> normalized
+    row), which grows in place by every row found independent, so a
+    caller can read the ranks of growing row sets in one pass.
+    """
+    if pivots is None:
+        pivots = {}
+    for v in np.asarray(rows, dtype=np.uint32):
         v = _reduce(gf, v, pivots)
         nz = np.nonzero(v)[0]
         if nz.size:
             c = int(nz[0])
             pivots[c] = gf.mul(gf.inv(v[c]), v)
-            r += 1
-    return r
+    return len(pivots)
 
 
 def _reduce(gf: GF2m, v: np.ndarray, pivots: dict[int, np.ndarray]) -> np.ndarray:

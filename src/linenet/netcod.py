@@ -28,7 +28,6 @@ from .model import NetworkSpec, make_rng, state_index
 
 __all__ = [
     "FieldSpec",
-    "CodedBuffer",
     "simulate_no_feedback",
     "eta_transition_comparison",
     "NoFeedbackStats",
@@ -52,46 +51,28 @@ class FieldSpec:
         return GF2m(self.q)
 
 
-class CodedBuffer:
-    """Fixed number of coded slots, each a coefficient row."""
-
-    def __init__(self, gf: GF2m, m: int, width: int = 16):
-        self.gf = gf
-        self.m = m
-        self.rows = np.zeros((m, width), dtype=np.uint32)
-
-    @property
-    def width(self) -> int:
-        return self.rows.shape[1]
-
-
-def _transmit(buf: CodedBuffer, w: np.ndarray) -> np.ndarray:
-    """The combination sum_i w[i] * slot i (zero slots allowed)."""
-    return np.bitwise_xor.reduce(buf.gf.mul(w[:, None], buf.rows), axis=0)
-
-
-def _fold(buf: CodedBuffer, pkt: np.ndarray, w: np.ndarray) -> None:
-    """Fold a received packet into every slot: slot i gains w[i] * pkt."""
-    if pkt.shape[0] != buf.width:
-        raise ValueError(f"packet width {pkt.shape[0]} != buffer width {buf.width}")
-    buf.rows ^= buf.gf.mul(w[:, None], pkt[None, :])
-
-
 class _DrawnWeights:
     """Weight rows drawn from ``rng`` at the moment an epoch reads them.
 
-    Stands in for a pre-drawn weight block: ``cf[row, :m]`` returns m
-    fresh field elements whatever the row, so the draws follow the order
-    in which the epoch transmits and folds, and a fold that an erasure
-    skips draws nothing.
+    Stands in for a pre-drawn weight block.  Rows are drawn in the order
+    the epoch reads them: the transmit rows of nodes 0..n-1, then the
+    fold rows of nodes n-1..1, then node 0's.  A fold that an erasure
+    skips draws nothing, and its row stays zero.
     """
 
     def __init__(self, gf: GF2m, rng: np.random.Generator):
         self.gf = gf
         self.rng = rng
 
-    def __getitem__(self, key) -> np.ndarray:
-        return self.gf.random_elements(self.rng, key[1].stop)
+    def block(self, x, buffers) -> np.ndarray:
+        n = len(buffers)
+        cf = np.zeros((2 * n, max(buffers)), dtype=np.uint32)
+        for i, m in enumerate(buffers):
+            cf[i, :m] = self.gf.random_elements(self.rng, m)
+        for a in (*range(n - 1, 0, -1), 0):
+            if x[a]:
+                cf[n + a, : buffers[a]] = self.gf.random_elements(self.rng, buffers[a])
+        return cf
 
 
 @dataclass
@@ -109,83 +90,87 @@ class NoFeedbackStats:
 class _Workspace:
     """Shared coordinate frame for all coefficient rows.
 
-    The destination's span is the zero subspace by construction: every
-    row is reduced against each innovative arrival the moment the
+    Every row lives in one ``(S + n + 1, width)`` array: the S buffer
+    slots in node order, then the packet each of the n nodes has in
+    flight this epoch, then the source's injection row.  The
+    destination's span is the zero subspace by construction: every row
+    is reduced against each innovative arrival the moment the
     destination stores it, so innovation testing is a nonzero check and
     coefficient width stays near the total buffer budget.
     """
 
     def __init__(self, gf: GF2m, buffers, capacity_hint: int = 96):
         self.gf = gf
-        self.bufs = [CodedBuffer(gf, m, capacity_hint) for m in buffers]
+        self.buffers = tuple(buffers)
+        n = len(self.buffers)
+        self.total_slots = S = sum(self.buffers)
         self.width_cap = capacity_hint
+        self.rows = np.zeros((S + n + 1, capacity_hint), dtype=np.uint32)
         self.active = 0
-        self.total_slots = sum(buffers)
-
-    def inject_column(self) -> np.ndarray:
-        """Fresh source packet: a brand-new unit coordinate."""
-        if self.active >= self.width_cap:
-            self._compact()
-        col = self.active
-        self.active += 1
-        pkt = np.zeros(self.width_cap, dtype=np.uint32)
-        pkt[col] = 1
-        return pkt
-
-    def absorb_at_destination(self, pkt: np.ndarray, in_flight: list[np.ndarray]) -> bool:
-        """Reduce buffers and in-flight packets by an innovative arrival.
-
-        Keeps every coefficient row reduced modulo the destination span,
-        so innovation testing stays a nonzero check.  Packets already
-        generated this epoch but not yet stored are reduced as well.
-        Returns True iff the arrival raised the destination's rank.
-        """
-        nz = np.nonzero(pkt)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        piv = self.gf.mul(self.gf.inv(pkt[c]), pkt)
-        for buf in self.bufs:
-            col = buf.rows[:, c]
-            mask = col != 0
-            if mask.any():
-                buf.rows[mask] ^= self.gf.mul(col[mask, None], piv[None, :])
-        for row in in_flight:
-            if row[c]:
-                row ^= self.gf.mul(np.uint32(row[c]), piv)
-        return True
+        node = np.repeat(np.arange(n), self.buffers)
+        self._offsets = np.concatenate(([0], np.cumsum(self.buffers)[:-1]))
+        within = np.arange(S) - self._offsets[node]
+        width = max(self.buffers)
+        # flat positions of slot weights in a (2n, max m) weight block
+        self._transmit_at = node * width + within
+        self._fold_at = (n + node) * width + within
+        # node a receives on link a: node a-1's packet, or for node 0 the
+        # injection row
+        self._node = node
+        self._upstream = np.where(node == 0, S + n, S + node - 1)
 
     def epoch(self, x, cf) -> bool:
         """One feedback-free epoch; True iff the destination's rank grew.
 
         Every node transmits a combination of its start-of-epoch slots,
-        then arrivals land in reverse-hop order: the destination absorbs,
-        interior nodes fold, and the source injects a fresh packet.
-        ``x[k]`` tells whether link k delivers.  With n nodes, node i
-        transmits with weights ``cf[i, :m_i]`` and folds with
-        ``cf[n + i, :m_i]``.
+        then arrivals land: the destination absorbs, and every node whose
+        link delivers folds the packet it hears into its slots (node 0
+        hears a fresh source packet).  ``x[k]`` tells whether link k
+        delivers.  With n nodes, node i transmits with weights
+        ``cf[i, :m_i]`` and folds with ``cf[n + i, :m_i]``; ``cf`` is a
+        pre-drawn block or a :class:`_DrawnWeights`.
         """
-        bufs = self.bufs
-        n = len(bufs)
-        outs = [_transmit(b, cf[i, : b.m]) for i, b in enumerate(bufs)]
-        grew = bool(x[n]) and self.absorb_at_destination(outs[n - 1], outs[: n - 1])
-        for a in range(n - 1, 0, -1):
-            if x[a]:
-                _fold(bufs[a], outs[a - 1], cf[n + a, : bufs[a].m])
+        if self.active >= self.width_cap:
+            self._compact()
+        if isinstance(cf, _DrawnWeights):
+            cf = cf.block(x, self.buffers)
+        gf = self.gf
+        rows = self.rows
+        S = self.total_slots
+        n = len(self.buffers)
+        flat = cf.ravel()
+        slots = rows[:S]
+        rows[S : S + n] = np.bitwise_xor.reduceat(
+            gf.mul(flat[self._transmit_at][:, None], slots), self._offsets, axis=0
+        )
+        grew = False
+        if x[n]:
+            pkt = rows[S + n - 1]
+            nz = pkt.nonzero()[0]
+            if nz.size:
+                c = nz[0]
+                piv = gf.mul(gf.inv(pkt[c]), pkt)
+                rows ^= gf.mul(rows[:, c, None], piv)
+                grew = True
         if x[0]:
-            _fold(bufs[0], self.inject_column(), cf[n, : bufs[0].m])
+            inject = rows[S + n]
+            inject[:] = 0
+            inject[self.active] = 1
+            self.active += 1
+        fold = np.where(x[self._node], flat[self._fold_at], 0)
+        slots ^= gf.mul(fold[:, None], rows[self._upstream])
         return grew
 
     def _compact(self) -> None:
         """Re-express every slot over a basis of the current buffer span."""
         gf = self.gf
-        stacked = np.concatenate([b.rows for b in self.bufs], axis=0)
+        S = self.total_slots
         pivots: dict[int, tuple[int, np.ndarray]] = {}
-        coords = np.zeros((stacked.shape[0], self.total_slots), dtype=np.uint32)
+        coords = np.zeros((S, S), dtype=np.uint32)
         nbasis = 0
-        for i, row in enumerate(stacked):
+        for i, row in enumerate(self.rows[:S]):
             v = row.copy()
-            expr = np.zeros(self.total_slots, dtype=np.uint32)
+            expr = coords[i]
             while True:
                 nz = np.nonzero(v)[0]
                 if nz.size == 0:
@@ -203,25 +188,22 @@ class _Workspace:
                 coeff = v[c]
                 v = gf.axpy(coeff, piv, v)
                 expr[idx] ^= coeff
-            coords[i] = expr
-        if nbasis > self.total_slots:
-            raise AssertionError("buffer span exceeded total slot count")
-        offset = 0
-        for buf in self.bufs:
-            fresh = np.zeros((buf.m, self.width_cap), dtype=np.uint32)
-            fresh[:, : self.total_slots] = coords[offset : offset + buf.m]
-            buf.rows = fresh
-            offset += buf.m
+        self.rows[:] = 0
+        self.rows[:S, :S] = coords
         self.active = nbasis
 
     def eta_vector(self) -> tuple[int, ...]:
-        """Useful occupancy per node: suffix-span rank differences."""
-        n = len(self.bufs)
+        """Useful occupancy per node: suffix-span rank differences.
+
+        One echelon basis grows from the last node backwards, and each
+        suffix's rank is read as that node's slots join it.
+        """
+        pivots: dict[int, np.ndarray] = {}
         out = []
         prev_rank = 0
-        for i in range(n - 1, -1, -1):
-            stacked = np.concatenate([b.rows for b in self.bufs[i:]], axis=0)
-            r = _span_rank(self.gf, stacked)
+        for i in range(len(self.buffers) - 1, -1, -1):
+            lo = self._offsets[i]
+            r = _span_rank(self.gf, self.rows[lo : lo + self.buffers[i]], pivots)
             out.append(r - prev_rank)
             prev_rank = r
         return tuple(reversed(out))
@@ -321,25 +303,32 @@ def eta_transition_comparison(
     gf = field.make()
     rng = make_rng(seed)
     ws = _Workspace(gf, spec.buffers, capacity_hint=max(96, 4 * sum(spec.buffers)))
-    n = spec.num_states
-    counts = np.zeros((n, n), dtype=np.int64)
     weights = _DrawnWeights(gf, rng)
-    prev = state_index(ws.eta_vector(), spec) - 1
-    for _ in range(epochs):
+    path = np.empty(epochs + 1, dtype=np.int64)
+    path[0] = state_index(ws.eta_vector(), spec) - 1
+    for t in range(epochs):
         ws.epoch(rng.random(h) >= eps, weights)
-        cur = state_index(ws.eta_vector(), spec) - 1
-        counts[prev, cur] += 1
-        prev = cur
+        path[t + 1] = state_index(ws.eta_vector(), spec) - 1
 
-    exact = build_emc(spec).dense()
-    visits = counts.sum(axis=1)
+    # transitions counted per visited (from, to) pair, sorted by row
+    n = spec.num_states
+    visits = np.bincount(path[:-1], minlength=n)
+    pairs, counts = np.unique(path[:-1] * n + path[1:], return_counts=True)
+    frm, to = np.divmod(pairs, n)
+    bounds = np.searchsorted(frm, np.arange(n + 1))
+    exact = build_emc(spec).probs
+    diff = np.zeros(n)
     dist = 0.0
     rows = 0
-    for i in range(n):
-        if visits[i] >= min_visits:
-            rows += 1
-            emp = counts[i] / visits[i]
-            dist = max(dist, float(np.max(np.abs(emp - exact[i]))))
+    for i in np.flatnonzero(visits >= min_visits):
+        rows += 1
+        held = slice(exact.indptr[i], exact.indptr[i + 1])
+        seen = slice(bounds[i], bounds[i + 1])
+        diff[exact.indices[held]] = exact.data[held]
+        diff[to[seen]] -= counts[seen] / visits[i]
+        support = np.r_[exact.indices[held], to[seen]]
+        dist = max(dist, float(np.abs(diff[support]).max()))
+        diff[support] = 0.0
     return EtaComparisonReport(
         q=field.q,
         epochs=epochs,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,46 @@ def test_field_spec_validation():
         netcod.FieldSpec(8)
 
 
+def one_node(gf, slots):
+    """A one-node workspace whose slots hold ``slots``."""
+    slots = np.asarray(slots, dtype=np.uint32)
+    ws = netcod._Workspace(gf, (slots.shape[0],), capacity_hint=slots.shape[1])
+    ws.rows[: slots.shape[0]] = slots
+    return ws
+
+
+def transmit(ws, w):
+    """Node 0's packet in one epoch of a one-node workspace, every link erased."""
+    m = ws.total_slots
+    cf = np.zeros((2, m), dtype=np.uint32)
+    cf[0] = w
+    ws.epoch(np.zeros(2, dtype=bool), cf)
+    return ws.rows[m].copy()
+
+
+def fold(gf, slots, pkt, w):
+    """Node 1's slots after it folds ``pkt`` with weights ``w``.
+
+    Node 0 holds ``pkt`` in its one slot and sends it with weight 1;
+    only the link from node 0 to node 1 delivers.
+    """
+    m, width = slots.shape
+    ws = netcod._Workspace(gf, (1, m), capacity_hint=width)
+    ws.rows[0] = pkt
+    ws.rows[1 : 1 + m] = slots
+    cf = np.zeros((4, m), dtype=np.uint32)
+    cf[0, 0] = 1
+    cf[3] = w
+    ws.epoch(np.array([False, True, False]), cf)
+    return ws.rows[1 : 1 + m]
+
+
 def test_transmit_zero_buffer_emits_zero():
     gf = GF2m(16)
-    buf = netcod.CodedBuffer(gf, 2, 8)
+    ws = one_node(gf, np.zeros((2, 8)))
     rng = make_rng(0)
     for _ in range(10):
-        assert not nc_any(netcod._transmit(buf, gf.random_elements(rng, buf.m)))
+        assert not nc_any(transmit(ws, gf.random_elements(rng, 2)))
 
 
 def nc_any(row):
@@ -28,14 +64,12 @@ def nc_any(row):
 def test_transmit_uniform_over_span():
     # rank-2 buffer: the output lies in a fixed 1-dim subspace with prob 1/q
     gf = GF2m(16)
-    buf = netcod.CodedBuffer(gf, 2, 4)
-    buf.rows[0, 0] = 1
-    buf.rows[1, 1] = 1
+    ws = one_node(gf, np.eye(2, 4))
     rng = make_rng(3)
     n = 40_000
     hits = 0
     for _ in range(n):
-        out = netcod._transmit(buf, gf.random_elements(rng, buf.m))
+        out = transmit(ws, gf.random_elements(rng, 2))
         if out[1] == 0:  # inside span(e0)
             hits += 1
     p = hits / n
@@ -45,22 +79,21 @@ def test_transmit_uniform_over_span():
 
 def test_transmit_single_slot_scalar_multiple():
     gf = GF2m(256)
-    buf = netcod.CodedBuffer(gf, 1, 4)
-    buf.rows[0] = np.array([3, 7, 0, 1], dtype=np.uint32)
+    slot = np.array([3, 7, 0, 1], dtype=np.uint32)
+    ws = one_node(gf, slot[None, :])
     rng = make_rng(5)
     for _ in range(50):
-        out = netcod._transmit(buf, gf.random_elements(rng, buf.m))
-        stacked = np.vstack([buf.rows[0], out])
+        out = transmit(ws, gf.random_elements(rng, 1))
+        stacked = np.vstack([slot, out])
         assert rank(gf, stacked) == 1
 
 
 def test_receive_zero_packet_noop():
     gf = GF2m(16)
-    buf = netcod.CodedBuffer(gf, 2, 4)
-    buf.rows[0, 0] = 5
-    before = buf.rows.copy()
-    netcod._fold(buf, np.zeros(4, dtype=np.uint32), gf.random_elements(make_rng(1), buf.m))
-    np.testing.assert_array_equal(buf.rows, before)
+    slots = np.zeros((2, 4), dtype=np.uint32)
+    slots[0, 0] = 5
+    after = fold(gf, slots, np.zeros(4, dtype=np.uint32), gf.random_elements(make_rng(1), 2))
+    np.testing.assert_array_equal(after, slots)
 
 
 def test_receive_innovative_raises_rank():
@@ -70,13 +103,12 @@ def test_receive_innovative_raises_rank():
     rng = make_rng(7)
     n = 20_000
     grew = 0
+    slots = np.zeros((2, 4), dtype=np.uint32)
+    slots[0, 0] = 1
+    pkt = np.zeros(4, dtype=np.uint32)
+    pkt[1] = 1
     for _ in range(n):
-        buf = netcod.CodedBuffer(gf, 2, 4)
-        buf.rows[0, 0] = 1
-        pkt = np.zeros(4, dtype=np.uint32)
-        pkt[1] = 1
-        netcod._fold(buf, pkt, gf.random_elements(rng, buf.m))
-        if rank(gf, buf.rows) == 2:
+        if rank(gf, fold(gf, slots, pkt, gf.random_elements(rng, 2))) == 2:
             grew += 1
     p = grew / n
     expect = 1 - 1 / 256
@@ -89,15 +121,12 @@ def test_receive_dependent_keeps_rank_whp():
     rng = make_rng(11)
     n = 5_000
     kept = 0
+    slots = np.eye(2, 4, dtype=np.uint32)
+    pkt = np.zeros(4, dtype=np.uint32)
+    pkt[0] = 2
+    pkt[1] = 9
     for _ in range(n):
-        buf = netcod.CodedBuffer(gf, 2, 4)
-        buf.rows[0, 0] = 1
-        buf.rows[1, 1] = 1
-        pkt = np.zeros(4, dtype=np.uint32)
-        pkt[0] = 2
-        pkt[1] = 9
-        netcod._fold(buf, pkt, gf.random_elements(rng, buf.m))
-        if rank(gf, buf.rows) == 2:
+        if rank(gf, fold(gf, slots, pkt, gf.random_elements(rng, 2))) == 2:
             kept += 1
     assert kept / n > 1 - 10 / 256
 
@@ -230,3 +259,39 @@ def test_eta_transition_distance_small():
     assert rep.max_distance < 0.015
     rep2 = netcod.eta_transition_comparison(spec, netcod.FieldSpec(2), 120_000, seed=9)
     assert rep2.max_distance > rep.max_distance
+
+
+@pytest.mark.parametrize(
+    "eps, buffers, q, rank_dest, rate, se",
+    [
+        ((0.5, 0.5, 0.5), (2, 2), 2, 3278, 0.16411111111111112, 0.001762879493256447),
+        ((0.5, 0.5, 0.5), (2, 2), 65536, 7263, 0.3637222222222222, 0.002575042813616233),
+        ((0.3, 0.45, 0.5, 0.2), (2, 3, 1), 16, 7698, 0.3852777777777778, 0.0025444973749512026),
+        ((0.3, 0.45, 0.5, 0.2), (2, 3, 1), 256, 8341, 0.4175, 0.002962305272123811),
+    ],
+)
+def test_simulate_no_feedback_matches_pinned_values(eps, buffers, q, rank_dest, rate, se):
+    """Exact GF(q) arithmetic and a fixed draw order pin every output bit."""
+    st = netcod.simulate_no_feedback(NetworkSpec(eps, buffers), netcod.FieldSpec(q), 20_000, seed=1)
+    assert (st.destination_rank, st.innovative_rate, st.innovative_rate_se) == (rank_dest, rate, se)
+
+
+def test_eta_transition_comparison_matches_pinned_values():
+    spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
+    rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(65536), 5_000, seed=9)
+    assert rep.max_distance == 0.04326923076923078
+    assert rep.min_row_visits == 184
+
+
+def test_eta_transition_comparison_memory_stays_below_dense_chain():
+    # a dense 9 261 x 9 261 count matrix alone would take 686 MB
+    spec = NetworkSpec((0.5, 0.5, 0.5, 0.5), (20, 20, 20))
+    assert spec.num_states == 9261
+    tracemalloc.start()
+    try:
+        rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(256), 300, seed=3, min_visits=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.rows_compared > 0
+    assert peak < 100 * 2**20
