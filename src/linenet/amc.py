@@ -50,12 +50,9 @@ def _drop(states: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray,
     receiver after its own departure; the others are dropped.
     """
     K, n = states.shape
-    h = n + 1
-    x = np.broadcast_to(x, (K, h))
-    m = np.broadcast_to(m, (K, n))
-    sent = np.empty((K, h), dtype=states.dtype)
-    sent[:, 0] = x[:, 0]
-    sent[:, 1:] = x[:, 1:] * (states > 0)
+    sent = np.empty((K, n + 1), dtype=states.dtype)
+    sent[:, 0] = x[..., 0]
+    sent[:, 1:] = x[..., 1:] * (states > 0)
     stored = sent[:, :-1] * ((m - states + sent[:, 1:]) > 0)
     return sent, stored
 

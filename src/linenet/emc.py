@@ -60,14 +60,12 @@ def transfer_indicators_batch(states: np.ndarray, x: np.ndarray, m: np.ndarray) 
     """
     K, n = states.shape
     h = n + 1
-    x = np.broadcast_to(x, (K, h))
-    m = np.broadcast_to(m, (K, n))
     y = np.zeros((K, h), dtype=states.dtype)
-    y[:, h - 1] = x[:, h - 1] * (states[:, h - 2] > 0)
+    y[:, h - 1] = x[..., h - 1] * (states[:, h - 2] > 0)
     for a in range(h - 2, 0, -1):
-        room = (m[:, a] - states[:, a] + y[:, a + 1]) > 0
-        y[:, a] = x[:, a] * (states[:, a - 1] > 0) * room
-    y[:, 0] = x[:, 0] * ((m[:, 0] - states[:, 0] + y[:, 1]) > 0)
+        room = (m[..., a] - states[:, a] + y[:, a + 1]) > 0
+        y[:, a] = x[..., a] * (states[:, a - 1] > 0) * room
+    y[:, 0] = x[..., 0] * ((m[..., 0] - states[:, 0] + y[:, 1]) > 0)
     return y
 
 

@@ -1,8 +1,11 @@
 """Monte-Carlo simulator of the exact feedback scheme.
 
-Drives the per-epoch update rules directly: transfers are resolved
-from the last intermediate node backwards, a packet leaves its sender
-only on acknowledged storage, and queues are first-come first-serve.
+Transfers are resolved from the last intermediate node backwards, a
+packet leaves its sender only on acknowledged storage, and queues are
+first-come first-serve.  The epoch rule itself is the batch kernel
+``emc.transfer_indicators_batch``: each run tabulates it once over the
+states and link bits of a few blocks of consecutive nodes, then walks
+those tables one epoch at a time, a chunk of epochs per channel draw.
 Throughput and delay statistics come with batch-means standard errors;
 runs are reproducible bit-for-bit from a counter-based seed.  A
 continuous-time network with exponential service rates is analyzed by
@@ -11,13 +14,13 @@ discretizing time into epochs of length tau.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import emc
 from .errors import SpecValidationError
-from .model import NetworkSpec, make_rng
+from .model import NetworkSpec, enumerate_states, make_rng
 
 __all__ = [
     "SimStats",
@@ -30,6 +33,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 10  # channel rows drawn at a time; any size gives the same draws
+_TABLE_CAP = 1 << 16  # entries of one block table (see _runs)
 
 
 @dataclass
@@ -88,38 +92,132 @@ def _batch_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _walk(spec: NetworkSpec, epochs: int, seed: int):
-    """Yield ``(t, x, y, n)`` for each epoch of the exact feedback scheme.
+class _Block:
+    """One run of consecutive nodes, its epoch tabulated by the batch kernel.
 
-    ``x`` is the epoch's channel row (True on success), ``y`` the
-    per-link transfer indicators and ``n`` the occupancies after the
-    epoch.  A transfer needs the sender non-empty (the source always
-    is), a channel success, and room at the receiver after its own
-    departure this epoch, so ``y`` is resolved from the last link
-    backwards.  ``y`` and ``n`` are updated in place; copy them to keep
-    them past the next epoch.  This is the scalar twin of
-    ``emc.transfer_indicators_batch``, kept in pure Python because one
-    trajectory pays a NumPy call's overhead every epoch.
+    Entry ``s * 2^(g+1) + c`` of the tables is the block of g nodes in
+    state ``s`` (mixed radix, first node fastest, as in
+    ``model.state_index``) under link bits ``c``: bit k is the channel bit
+    of the block's k-th link, counted from the link into its first node.
+    The first bit must already say whether the upstream node holds a
+    packet, and the last bit must be the transfer its downstream block
+    resolved; then ``emc.transfer_indicators_batch`` needs nothing
+    outside the block.  ``after`` gives the block state after the epoch,
+    ``y_first`` and ``y_last`` the transfers on its first and last link.
+    """
+
+    def __init__(self, spec: NetworkSpec, nodes: slice):
+        sub = NetworkSpec(spec.eps[nodes.start : nodes.stop + 1], spec.buffers[nodes])
+        g = sub.h - 1
+        m = np.asarray(sub.buffers, dtype=np.int64)
+        weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
+        self.nodes = nodes
+        self.g = g
+        self.width = 1 << (g + 1)
+        self.states = enumerate_states(sub)
+        after, y_first, y_last = (
+            np.empty((sub.num_states, self.width), dtype=np.int64) for _ in range(3)
+        )
+        # one link setting at a time, so the build needs little more memory than the tables
+        for c in range(self.width):
+            x = (c >> np.arange(g + 1)) & 1
+            y = emc.transfer_indicators_batch(self.states, x, m)
+            after[:, c] = emc.step_emc_batch(self.states, x, m) @ weights
+            y_first[:, c] = y[:, 0]
+            y_last[:, c] = y[:, g]
+        self.after = after.ravel()
+        self.y_first = y_first.ravel()
+        self.y_last = y_last.ravel()
+        # a state at or above this premultiplied index has a packet at its last node
+        self.last_full = int(weights[-1]) * self.width
+
+
+def _runs(buffers: tuple[int, ...]) -> list[slice]:
+    """Split the nodes into runs whose table fits under ``_TABLE_CAP``.
+
+    A run of nodes with buffers m_j has prod(m_j + 1) * 2^(g+1) entries;
+    a node whose own table is larger still forms a run by itself.
+    """
+    runs, start, size = [], 0, 2
+    for j, mj in enumerate(buffers):
+        size *= 2 * (mj + 1)
+        if j > start and size > _TABLE_CAP:
+            runs.append(slice(start, j))
+            start, size = j, 4 * (mj + 1)
+    runs.append(slice(start, len(buffers)))
+    return runs
+
+
+def _chunks(spec: NetworkSpec, epochs: int, seed: int):
+    """Yield ``(t0, x, n, admitted, delivered)`` for each chunk of the exact feedback scheme.
+
+    A chunk holds up to ``_BLOCK`` epochs from epoch ``t0`` on: ``x`` the
+    channel rows (True on success), ``n`` the occupancies after each
+    epoch, and ``admitted`` and ``delivered`` the transfers on the first
+    and the last link.  A transfer needs the sender non-empty (the source
+    always is), a channel success, and room at the receiver after its
+    own departure this epoch, so transfers resolve from the last link
+    backwards.  Each epoch walks the block tables (see ``_Block``) from
+    the last block to the first: a block's first link bit is its channel
+    bit and the upstream node non-empty, its last link bit is the
+    transfer its downstream block just resolved.
     """
     h = spec.h
-    m = spec.buffers
     eps = np.asarray(spec.eps)
+    blocks = [_Block(spec, nodes) for nodes in _runs(spec.buffers)][::-1]
+    # per block, last first: the step table, the first-link transfers as the upstream
+    # block's last link bit, and the upstream state from which the first link bit
+    # may stand (the source, upstream of the first block, always holds a packet)
+    ups = [b.y_first << up.g for b, up in zip(blocks, blocks[1:])] + [blocks[-1].y_first]
+    fulls = [up.last_full for up in blocks[1:]] + [0]
+    lanes = []
+    for b, up, full in zip(blocks, ups, fulls):
+        # entries share one int object per state, to keep the list small
+        premultiplied = (np.arange(len(b.states)) * b.width).tolist()
+        lanes.append(([premultiplied[a] for a in b.after], up.tolist(), full))
+    masks = []
+    for b in blocks:
+        bits = 1 << np.arange(b.g + 1)
+        if b.nodes.stop < h - 1:
+            bits[-1] = 0  # the downstream block supplies this bit
+        masks.append((slice(b.nodes.start, b.nodes.stop + 1), bits))
     rng = make_rng(seed)
-    n = [0] * (h - 1)
-    y = [0] * h
+    order = range(len(blocks))
+    s = [0] * (len(blocks) + 1)  # premultiplied block states; s[-1] is the source's
     done = 0
     while done < epochs:
         todo = min(_BLOCK, epochs - done)
-        xs = (rng.random((todo, h)) >= eps).tolist()
-        for row, x in enumerate(xs):
-            y_next = y[h - 1] = 1 if (x[h - 1] and n[h - 2] > 0) else 0
-            for a in range(h - 2, 0, -1):
-                ya = y[a] = 1 if (x[a] and n[a - 1] > 0 and m[a] - n[a] + y_next > 0) else 0
-                n[a] += ya - y_next
-                y_next = ya
-            y0 = y[0] = 1 if (x[0] and m[0] - n[0] + y_next > 0) else 0
-            n[0] += y0 - y_next
-            yield done + row, x, y, n
+        x = rng.random((todo, h)) >= eps
+        codes = [x[:, links] @ bits for links, bits in masks]
+        rec: list[int] = []
+        app = rec.append
+        if len(blocks) == 1:
+            # nothing crosses a block boundary: one lookup per epoch, and the
+            # table entries follow from the states visited
+            step = lanes[0][0]
+            i = s[0]
+            for c in codes[0].tolist():
+                i = step[i + c]
+                app(i)
+            idx = (np.asarray([s[0]] + rec[:-1]) + codes[0])[:, None]
+            s[0] = i
+        else:
+            for cs in zip(*(c.tolist() for c in codes)):
+                y = 0
+                for k in order:
+                    step, up, full = lanes[k]
+                    c = cs[k]
+                    if s[k + 1] < full:
+                        c &= -2
+                    i = s[k] + (c | y)
+                    s[k] = step[i]
+                    y = up[i]
+                    app(i)
+            idx = np.asarray(rec).reshape(todo, len(blocks))
+        n = np.empty((todo, h - 1), dtype=np.int64)
+        for k, b in enumerate(blocks):
+            n[:, b.nodes] = b.states[b.after[idx[:, k]]]
+        yield done, x, n, blocks[-1].y_first[idx[:, -1]], blocks[0].y_last[idx[:, 0]]
         done += todo
 
 
@@ -129,6 +227,13 @@ def _check_warmup(epochs: int, warmup: int | None) -> int:
     if not 0 <= warmup < epochs:
         raise SpecValidationError(f"need 0 <= warmup < epochs, got {warmup}, {epochs}")
     return warmup
+
+
+def _histogram(n: np.ndarray, width: int) -> np.ndarray:
+    """Occupancy counts of the rows of ``n``: one row per node, ``width`` levels."""
+    nodes = n.shape[1]
+    flat = (n + np.arange(nodes) * width).ravel()
+    return np.bincount(flat, minlength=nodes * width).reshape(nodes, width)
 
 
 def simulate_feedback(
@@ -146,38 +251,38 @@ def simulate_feedback(
     for goodness-of-fit testing).
     """
     warmup = _check_warmup(epochs, warmup)
-    h = spec.h
-    m = spec.buffers
-    occupancy = [[0] * (max(m) + 1) for _ in range(h - 1)]
-    weights = np.concatenate(([1], np.cumprod(np.asarray(m) + 1)[:-1])).tolist()
-    joint = [0] * spec.num_states if joint_stride > 0 else None
+    m = np.asarray(spec.buffers)
+    occupancy = np.zeros((spec.h - 1, max(m) + 1), dtype=np.int64)
+    weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
+    joint = np.zeros(spec.num_states, dtype=np.int64) if joint_stride > 0 else None
 
     measured = epochs - warmup
     batch_len = max(measured // batches, 1)
     # deliveries per batch of measured epochs; a partial last batch is dropped
-    per_batch = [0] * (measured // batch_len + 1)
-    for t, _, y, n in _walk(spec, epochs, seed):
-        if t < warmup:
+    per_batch = np.zeros(measured // batch_len + 1, dtype=np.int64)
+    for t0, _, n, _, delivered in _chunks(spec, epochs, seed):
+        lo = max(warmup - t0, 0)
+        if lo >= len(n):
             continue
-        if y[h - 1]:
-            per_batch[(t - warmup) // batch_len] += 1
-        for j in range(h - 1):
-            occupancy[j][n[j]] += 1
-        if joint is not None and (t - warmup) % joint_stride == 0:
-            joint[sum(nj * wj for nj, wj in zip(n, weights))] += 1
+        t = np.arange(t0 + lo - warmup, t0 + len(n) - warmup)
+        per_batch += np.bincount(t[delivered[lo:] > 0] // batch_len, minlength=per_batch.size)
+        occupancy += _histogram(n[lo:], occupancy.shape[1])
+        if joint is not None:
+            np.add.at(joint, n[lo:][t % joint_stride == 0] @ weights, 1)
 
     full = min(batches, measured // batch_len)
-    batch_tputs = np.asarray(per_batch[:full], dtype=float) / batch_len
+    batch_tputs = per_batch[:full] / batch_len
+    total = int(per_batch.sum())
     return SimStats(
         spec=spec,
         epochs=epochs,
         warmup=warmup,
         seed=seed,
-        packets_delivered=sum(per_batch),
-        throughput=sum(per_batch) / measured,
+        packets_delivered=total,
+        throughput=total / measured,
         throughput_se=_batch_se(batch_tputs),
-        occupancy_counts=np.asarray(occupancy, dtype=np.int64),
-        joint_counts=None if joint is None else np.asarray(joint, dtype=np.int64),
+        occupancy_counts=occupancy,
+        joint_counts=joint,
         joint_stride=joint_stride,
     )
 
@@ -193,30 +298,28 @@ def simulate_delay_fcfs(
 
     Under feedback every node is FIFO and drops nothing, so the k-th
     packet delivered is the k-th one admitted; delay is the delivery
-    epoch minus the admission epoch.  Packets admitted during warm-up
-    are kept in the FIFO as -1 and excluded.
+    epoch minus the admission epoch.  Admissions not yet delivered carry
+    over from one chunk to the next; those made during warm-up are kept
+    as -1 and excluded.
     """
     warmup = _check_warmup(epochs, warmup)
-    h = spec.h
-    m = spec.buffers
-    admitted: deque = deque()
-    occupancy = [[0] * (max(m) + 1) for _ in range(h - 1)]
-    delays: list[int] = []
+    occupancy = np.zeros((spec.h - 1, max(spec.buffers) + 1), dtype=np.int64)
+    waiting = np.empty(0, dtype=np.int64)
+    delays = []
     delivered = 0
-    for t, _, y, n in _walk(spec, epochs, seed):
-        if y[h - 1]:
-            tag = admitted.popleft()
-            if tag >= 0:
-                delays.append(t - tag)
-        if y[0]:
-            admitted.append(t if t >= warmup else -1)
-        if t >= warmup:
-            delivered += y[h - 1]
-            for j in range(h - 1):
-                occupancy[j][n[j]] += 1
+    for t0, _, n, y_in, y_out in _chunks(spec, epochs, seed):
+        t = np.arange(t0, t0 + len(n))
+        tin = t[y_in > 0]
+        tout = t[y_out > 0]
+        waiting = np.concatenate((waiting, np.where(tin >= warmup, tin, -1)))
+        tags, waiting = waiting[: tout.size], waiting[tout.size :]
+        delays.append(tout[tags >= 0] - tags[tags >= 0])
+        lo = max(warmup - t0, 0)
+        delivered += int(np.count_nonzero(y_out[lo:]))
+        occupancy += _histogram(n[lo:], occupancy.shape[1])
 
     measured = epochs - warmup
-    darr = np.asarray(delays, dtype=np.int64)
+    darr = np.concatenate(delays)
     if darr.size:
         counts = np.bincount(darr)
         nb = min(batches, max(darr.size // 50, 1))
@@ -235,7 +338,7 @@ def simulate_delay_fcfs(
         packets_delivered=delivered,
         throughput=delivered / measured,
         throughput_se=float("nan"),
-        occupancy_counts=np.asarray(occupancy, dtype=np.int64),
+        occupancy_counts=occupancy,
         delay_mean=delay_mean,
         delay_se=delay_se,
         delay_var=delay_var,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,25 +21,50 @@ def test_reproducible_bit_identical():
     assert c.packets_delivered != a.packets_delivered
 
 
+EIGHT_HOP_M5 = ((0.25,) * 8, (5,) * 7)
+EIGHT_HOP_M10 = ((0.25,) * 8, (10,) * 7)
+
+
 @pytest.mark.parametrize(
-    "eps,buffers",
-    [((0.4, 0.6, 0.3), (2, 2)), ((0.3, 0.5), (2,)), ((0.35, 0.5, 0.45, 0.3), (1, 2, 1))],
+    "eps,buffers,cap,blocks,epochs",
+    [
+        pytest.param((0.4, 0.6, 0.3), (2, 2), sim._TABLE_CAP, 1, 20_000, id="one-block"),
+        pytest.param((0.3, 0.5), (2,), sim._TABLE_CAP, 1, 20_000, id="h2"),
+        pytest.param(
+            (0.35, 0.5, 0.45, 0.3), (1, 2, 1), sim._TABLE_CAP, 1, 20_000, id="one-block-h4"
+        ),
+        # a lowered cap splits a small line, so every (state, channel) pair still occurs
+        pytest.param((0.35, 0.5, 0.45, 0.3), (1, 2, 1), 16, 3, 20_000, id="three-blocks-small"),
+        pytest.param((0.35, 0.5, 0.45, 0.3), (1, 2, 1), 8, 3, 20_000, id="node-over-cap-small"),
+        pytest.param(*EIGHT_HOP_M5, sim._TABLE_CAP, 2, 3_000, id="two-blocks"),
+        pytest.param(*EIGHT_HOP_M10, sim._TABLE_CAP, 3, 3_000, id="three-blocks"),
+        # node 1's own table, 4 * 20001 entries, exceeds the cap
+        pytest.param((0.3, 0.4, 0.6), (2, 20_000), sim._TABLE_CAP, 2, 3_000, id="node-over-cap"),
+    ],
 )
-def test_walk_couples_with_batch_kernels(eps, buffers):
-    # the walk's scalar transfer rule against the batch kernel the chains use
+def test_chunks_couple_with_batch_kernel(eps, buffers, cap, blocks, epochs, monkeypatch):
+    # the block tables against a K = 1 batch-kernel trajectory on the same draws
+    monkeypatch.setattr(sim, "_TABLE_CAP", cap)
     spec = NetworkSpec(eps, buffers)
+    assert len(sim._runs(spec.buffers)) == blocks
     m = np.asarray(buffers, dtype=np.int64)
     prev = np.zeros((1, spec.h - 1), dtype=np.int64)
     visited = set()
-    for t, x, y, n in sim._walk(spec, 20_000, seed=1):
-        xa = np.asarray(x, dtype=np.int64)
-        assert emc.transfer_indicators_batch(prev, xa, m)[0].tolist() == y, t
-        nxt = emc.step_emc_batch(prev, xa, m)
-        assert nxt[0].tolist() == n, t
-        visited.add((tuple(prev[0].tolist()), tuple(x)))
-        prev = nxt
-    assert t == 20_000 - 1
-    assert len(visited) == spec.num_states * 2 ** spec.h
+    t = 0
+    for t0, x, n, admitted, delivered in sim._chunks(spec, epochs, seed=1):
+        assert t0 == t
+        for row in range(len(x)):
+            xa = x[row].astype(np.int64)
+            y = emc.transfer_indicators_batch(prev, xa, m)[0]
+            assert (admitted[row], delivered[row]) == (y[0], y[-1]), t
+            nxt = emc.step_emc_batch(prev, xa, m)
+            assert nxt[0].tolist() == n[row].tolist(), t
+            visited.add((tuple(prev[0].tolist()), tuple(xa.tolist())))
+            prev = nxt
+            t += 1
+    assert t == epochs
+    if epochs == 20_000:
+        assert len(visited) == spec.num_states * 2**spec.h
 
 
 # fixed-seed outputs: a change to the channel draws or the transfer rule shows here
@@ -60,6 +87,38 @@ PINNED_DELAY = {
 }
 
 
+# the same on lines that split into two blocks, recorded from the per-link scalar walk
+PINNED_FEEDBACK_BLOCKS = {
+    "eps": (0.3, 0.45, 0.5, 0.2, 0.35), "buffers": (7, 7, 7, 7),
+    "packets_delivered": 8798,
+    "throughput_se": 0.0035629657629646636,
+    "occupancy_counts": [[2, 33, 87, 259, 637, 1700, 4491, 10791],
+                         [508, 1288, 1509, 1963, 2327, 2906, 3313, 4186],
+                         [7009, 8427, 1954, 500, 89, 20, 1, 0],
+                         [4417, 6673, 3552, 1726, 850, 443, 216, 123]],
+    # non-zero joint counts, state index: count
+    "joint_counts": {31: 1, 63: 2, 79: 1, 102: 1, 119: 2, 125: 1, 127: 2, 158: 1, 183: 1, 191: 1,
+                     527: 1, 550: 1, 565: 1, 574: 1, 575: 3, 606: 1, 607: 1, 622: 1, 623: 1,
+                     629: 1, 631: 1, 639: 1, 652: 1, 735: 1, 1037: 1, 1063: 2, 1071: 1, 1079: 1,
+                     1111: 1, 1142: 2, 1143: 1, 1551: 1, 1581: 1, 1582: 1, 1591: 1, 1599: 1,
+                     1655: 1, 1695: 1},
+}
+PINNED_DELAY_BLOCKS = {
+    "eps": EIGHT_HOP_M5[0], "buffers": EIGHT_HOP_M5[1],
+    "packets_delivered": 12107,
+    "occupancy_counts": [[454, 1929, 2500, 3390, 4162, 5565], [660, 2456, 2784, 3079, 4031, 4990],
+                         [883, 3120, 3132, 3381, 3635, 3849], [1063, 3618, 3246, 3269, 3405, 3399],
+                         [1232, 4007, 3478, 3266, 2904, 3113], [1437, 4534, 3504, 3159, 2830, 2536],
+                         [1850, 5301, 3970, 2871, 2225, 1783]],
+    "delay_counts": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 8, 17, 13, 26, 25, 68, 87, 179, 172, 272,
+                     389, 510, 601, 687, 677, 764, 755, 839, 820, 822, 800, 796, 642, 510, 367, 306,
+                     273, 165, 146, 107, 80, 55, 35, 31, 5, 3, 4, 7, 12, 5, 4],
+    "delay_mean": 29.45107122177186,
+    "delay_se": 0.39368870306985787,
+    "delay_var": 31.872874638292362,
+}
+
+
 def test_simulators_match_pinned_values():
     p = PINNED_FEEDBACK
     st_ = sim.simulate_feedback(
@@ -78,6 +137,47 @@ def test_simulators_match_pinned_values():
     assert (st_.delay_mean, st_.delay_se, st_.delay_var) == (
         p["delay_mean"], p["delay_se"], p["delay_var"]
     )
+
+    p = PINNED_FEEDBACK_BLOCKS
+    spec = NetworkSpec(p["eps"], p["buffers"])
+    assert len(sim._runs(spec.buffers)) == 2
+    st_ = sim.simulate_feedback(spec, 20_000, warmup=2_000, seed=4, joint_stride=401)
+    assert st_.packets_delivered == p["packets_delivered"]
+    assert st_.throughput_se == p["throughput_se"]
+    assert st_.occupancy_counts.tolist() == p["occupancy_counts"]
+    joint = st_.joint_counts
+    assert {int(k): int(joint[k]) for k in np.flatnonzero(joint)} == p["joint_counts"]
+
+    p = PINNED_DELAY_BLOCKS
+    spec = NetworkSpec(p["eps"], p["buffers"])
+    assert len(sim._runs(spec.buffers)) == 2
+    st_ = sim.simulate_delay_fcfs(spec, 20_000, warmup=2_000, seed=13)
+    assert st_.packets_delivered == p["packets_delivered"]
+    assert st_.occupancy_counts.tolist() == p["occupancy_counts"]
+    assert st_.delay_counts.tolist() == p["delay_counts"]
+    assert (st_.delay_mean, st_.delay_se, st_.delay_var) == (
+        p["delay_mean"], p["delay_se"], p["delay_var"]
+    )
+
+
+@pytest.mark.parametrize("cap,blocks,epochs", [(sim._TABLE_CAP, 1, 10**5), (16, 2, 10**4)])
+def test_feedback_memory_does_not_grow_with_epochs(cap, blocks, epochs, monkeypatch):
+    # per-epoch records live for one chunk, so ten times the epochs cost no more
+    # memory.  The line is small so that tracing stays cheap; a lowered cap
+    # splits it to reach the walk across blocks, which runs fewer epochs
+    # because tracing slows its inner loop about twentyfold.
+    monkeypatch.setattr(sim, "_TABLE_CAP", cap)
+    spec = NetworkSpec((0.3, 0.45, 0.5), (2, 2))
+    assert len(sim._runs(spec.buffers)) == blocks
+    peaks = []
+    for run in (epochs, 10 * epochs):
+        tracemalloc.start()
+        try:
+            sim.simulate_feedback(spec, run, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_throughput_matches_exact_within_3se():
