@@ -34,8 +34,6 @@ __all__ = [
     "capacity_upper",
     "bounds",
     "prefix_sum_buffers",
-    "coupled_boundedness_check",
-    "coupled_upper_check",
     "coupled_boundedness_batch",
     "coupled_upper_batch",
 ]
@@ -177,20 +175,6 @@ def coupled_boundedness_batch(
     return ok
 
 
-def coupled_boundedness_check(
-    spec: NetworkSpec, seed: int, epochs: int, swap_roles: bool = False
-) -> bool:
-    """Single-network wrapper around :func:`coupled_boundedness_batch`."""
-    out = coupled_boundedness_batch(
-        np.asarray(spec.eps)[None, :],
-        np.asarray(spec.buffers, dtype=np.int64)[None, :],
-        epochs,
-        seed,
-        swap_roles=swap_roles,
-    )
-    return bool(out[0])
-
-
 def coupled_upper_batch(
     eps: np.ndarray,
     buffers: np.ndarray,
@@ -234,17 +218,3 @@ def coupled_upper_batch(
         if not ok.any():
             break
     return ok
-
-
-def coupled_upper_check(
-    spec: NetworkSpec, seed: int, epochs: int, expand_buffers: bool = True
-) -> bool:
-    """Single-network wrapper around :func:`coupled_upper_batch`."""
-    out = coupled_upper_batch(
-        np.asarray(spec.eps)[None, :],
-        np.asarray(spec.buffers, dtype=np.int64)[None, :],
-        epochs,
-        seed,
-        expand_buffers=expand_buffers,
-    )
-    return bool(out[0])

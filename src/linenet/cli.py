@@ -80,7 +80,7 @@ def _emit(args, doc: dict) -> None:
     if getattr(args, "format", "json") == "csv":
         flat: dict = {}
         _flatten("", doc["result"], flat)
-        _emit_csv(args, list(flat), [list(flat.values())])
+        _write_csv(args.out, list(flat), [list(flat.values())])
         return
     text = json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
@@ -90,14 +90,15 @@ def _emit(args, doc: dict) -> None:
         print(text)
 
 
-def _emit_csv(args, header: list[str], rows: list[list]) -> None:
-    target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows as CSV to ``path``, or to stdout when it is None."""
+    target = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(target)
         writer.writerow(header)
         writer.writerows(rows)
     finally:
-        if args.out:
+        if path:
             target.close()
 
 
@@ -114,7 +115,9 @@ def cmd_exact(args) -> int:
         "min_cut": spec.min_cut,
     }
     if args.dump_matrix:
-        chain.to_csv(args.dump_matrix)
+        coo = chain.probs.tocoo()
+        _write_csv(args.dump_matrix, ["row", "col", "prob"],
+                   zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
     _emit(args, _report(args, "exact", result))
     return EXIT_OK
 
@@ -185,15 +188,18 @@ def cmd_delay(args) -> int:
             "little_mean": mean_l,
             "per_node_little": contrib.tolist(),
         }
-        if args.pmf_out:
-            prof.to_csv(args.pmf_out)
+        pmf_prof = prof
     if args.method in ("dbie", "both"):
         dsol = dbie.solve(spec)
         inputs = delay.psi_rho_from_dbie(dsol, spec)
         prof = delay.delay_profile(spec, inputs, include_source=args.include_source)
         result["dbie"] = {"mean": prof.mean, "variance": prof.variance}
-        if args.pmf_out and args.method == "dbie":
-            prof.to_csv(args.pmf_out)
+        if args.method == "dbie":
+            pmf_prof = prof
+    if args.pmf_out:
+        pmf = pmf_prof.pmf.tolist()
+        _write_csv(args.pmf_out, ["delay_epochs", "probability", "cumulative"],
+                   zip(range(len(pmf)), pmf, pmf_prof.cdf().tolist()))
     _emit(args, _report(args, "delay", result))
     return EXIT_OK
 
@@ -206,15 +212,12 @@ def cmd_simulate(args) -> int:
         stats = sim.simulate_feedback(spec, args.epochs, warmup=args.warmup, seed=args.seed)
     result = stats.to_obj()
     if args.hist_out:
-        with open(args.hist_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if args.mode == "delay" and stats.delay_counts is not None:
-                writer.writerow(["delay_epochs", "count"])
-                writer.writerows(enumerate(stats.delay_counts.tolist()))
-            else:
-                writer.writerow(["node", "occupancy", "count"])
-                for j, row in enumerate(stats.occupancy_counts):
-                    writer.writerows([j, k, int(c)] for k, c in enumerate(row))
+        if args.mode == "delay" and stats.delay_counts is not None:
+            _write_csv(args.hist_out, ["delay_epochs", "count"], enumerate(stats.delay_counts.tolist()))
+        else:
+            _write_csv(args.hist_out, ["node", "occupancy", "count"], (
+                [j, k, int(c)] for j, row in enumerate(stats.occupancy_counts) for k, c in enumerate(row)
+            ))
     _emit(args, _report(args, "simulate", result))
     return EXIT_OK
 
@@ -230,7 +233,7 @@ def cmd_netcod(args) -> int:
                 spec, netcod_mod.FieldSpec(q), args.epochs, warmup=args.warmup, seed=args.seed
             )
             rows.append([q, st.innovative_rate, st.innovative_rate_se, exact])
-        _emit_csv(args, ["q", "innovative_rate", "se", "exact_capacity"], rows)
+        _write_csv(args.out, ["q", "innovative_rate", "se", "exact_capacity"], rows)
         return EXIT_OK
     stats = netcod_mod.simulate_no_feedback(
         spec,
@@ -361,7 +364,7 @@ def cmd_reproduce(args) -> int:
             ])
     else:
         raise SpecValidationError(f"unknown figure id {fig!r}; known: {', '.join(FIGURES)}")
-    _emit_csv(args, header, rows)
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 

@@ -153,13 +153,6 @@ class DelayProfile:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.pmf)
 
-    def to_csv(self, path) -> None:
-        cdf = self.cdf()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("delay_epochs,probability,cumulative\n")
-            for t, (p, c) in enumerate(zip(self.pmf, cdf)):
-                fh.write(f"{t},{float(p)!r},{float(c)!r}\n")
-
 
 def delay_profile(
     spec: NetworkSpec,

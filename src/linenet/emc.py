@@ -90,23 +90,6 @@ class SparseStochasticMatrix:
     n: int
     probs: sparse.csr_matrix = field(repr=False)
 
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.probs.sum(axis=1)).ravel()
-
-    def max_row_nnz(self) -> int:
-        return int(np.diff(self.probs.indptr).max())
-
-    def dense(self) -> np.ndarray:
-        return self.probs.toarray()
-
-    def to_csv(self, path) -> None:
-        """Dump (row, col, prob) triplets, 0-based indices."""
-        coo = self.probs.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("row,col,prob\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{int(r)},{int(c)},{float(v)!r}\n")
-
 
 def _build_chain(
     spec: NetworkSpec,
@@ -149,11 +132,11 @@ def build_emc(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> SparseStochast
     non-zeros because every component moves by at most one per epoch.
     """
     mat = _build_chain(spec, step_emc_batch, cap)
-    sums = mat.row_sums()
+    sums = np.asarray(mat.probs.sum(axis=1)).ravel()
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         raise ConsistencyError("transition rows do not sum to 1")
     bound = min(3 ** (spec.h - 1), spec.num_states)
-    if mat.max_row_nnz() > bound:
+    if np.diff(mat.probs.indptr).max() > bound:
         raise ConsistencyError("row support exceeds the single-step movement bound")
     return mat
 
@@ -276,113 +259,111 @@ def capacity_flow_crosscheck(
 
 
 # ---------------------------------------------------------------------------
-# block structure of the transition matrix
+# level blocks of the transition matrix
 # ---------------------------------------------------------------------------
 
-def _blocks(spec: NetworkSpec, chain: SparseStochasticMatrix):
-    """Dense blocks (down, stay, up) of the last-component partition.
+def _levels(spec: NetworkSpec, chain: SparseStochasticMatrix):
+    """Level blocks (down, stay, up) of the chain, sliced from its CSR matrix.
 
-    States are grouped by the occupancy of the last intermediate node;
-    each group is contiguous in the canonical ordering.  Returns
-    ``(gam_minus, omega, gam_plus)`` where ``gam_minus[i]`` maps group i
-    to group i-1 (None for i = 0), ``omega[i]`` within group i, and
-    ``gam_plus[i]`` group i to group i+1 (None for the last group).
+    A level is the set of states sharing one occupancy of the last
+    intermediate node; each is contiguous in the canonical ordering.
+    Every component moves by at most one per epoch, so the matrix is
+    block-tridiagonal over levels.  Returns ``(down, stay, up)`` where
+    ``down[i]`` maps level i to level i-1 (None for i = 0), ``stay[i]``
+    level i to itself, and ``up[i]`` level i to level i+1 (None for the
+    top level).
     """
-    mlast = spec.buffers[-1]
-    block = _tail_block_size(spec)
-    dense = chain.dense()
-    gam_minus: list[np.ndarray | None] = [None]
-    omega: list[np.ndarray] = []
-    gam_plus: list[np.ndarray | None] = []
-    for i in range(mlast + 1):
-        rows = slice(i * block, (i + 1) * block)
-        omega.append(dense[rows, rows])
-        if i > 0:
-            gam_minus.append(dense[rows, (i - 1) * block : i * block])
-        if i < mlast:
-            gam_plus.append(dense[rows, (i + 1) * block : (i + 2) * block])
-    gam_plus.append(None)
-    return gam_minus, omega, gam_plus
+    top = spec.buffers[-1]
+    b = _tail_block_size(spec)
+    down: list[sparse.csr_matrix | None] = []
+    stay: list[sparse.csr_matrix] = []
+    up: list[sparse.csr_matrix | None] = []
+    for i in range(top + 1):
+        band = chain.probs[i * b : (i + 1) * b]
+        down.append(band[:, (i - 1) * b : i * b] if i > 0 else None)
+        stay.append(band[:, i * b : (i + 1) * b])
+        up.append(band[:, (i + 1) * b : (i + 2) * b] if i < top else None)
+    return down, stay, up
 
 
 @dataclass(frozen=True)
 class BlockStructureReport:
-    """Outcome of the structural checks on the partitioned chain."""
+    """Outcome of the structural checks on the level blocks."""
 
     h: int
     last_buffer: int
     block_size: int
     interior_blocks_equal: bool
     down_blocks_upper_triangular: bool
-    down_block_det: float
-    down_block_det_lower_bound: float
+    down_block_min_diagonal: float
+    down_block_diagonal_bound: float
     up_blocks_lower_triangular: bool
     up_block_singular: bool | None
     stay_blocks_invertible: bool
 
 
 def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> BlockStructureReport:
-    """Check the algebraic structure of the last-component block partition.
+    """Check the algebraic structure of the level blocks.
 
-    Verifies that (a) all interior groups share the same three blocks,
-    (b) every down-block is upper triangular with determinant at least
-    ((1-eps_h) * prod_{k<h} eps_k) ** block_size > 0, (c) for h > 2 the
-    up-blocks are lower triangular and singular, with the all-empty
-    diagonal entry exactly zero, and (d) I minus each stay-block is
-    invertible.  Raises on the first violated property.
+    Verifies that (a) all interior levels share the same three blocks,
+    (b) every down-block is upper triangular and each of its diagonal
+    entries is at least (1-eps_h) * prod_{k<h} eps_k > 0, the probability
+    of the one realization where only the last link delivers, (c) for
+    h > 2 the up-blocks are lower triangular with the all-empty diagonal
+    entry exactly zero, hence singular, and (d) I minus each stay-block
+    is invertible.  Raises on the first violated property.  The checks
+    run on the sparse blocks; only I minus one stay-block at a time is
+    made dense.
     """
-    chain = build_emc(spec, cap=cap)
-    gam_minus, omega, gam_plus = _blocks(spec, chain)
-    mlast = spec.buffers[-1]
+    down, stay, up = _levels(spec, build_emc(spec, cap=cap))
+    top = spec.buffers[-1]
     block = _tail_block_size(spec)
 
-    for i in range(2, mlast):
-        for name, seq in (("down", gam_minus), ("stay", omega), ("up", gam_plus)):
-            if not np.array_equal(seq[i], seq[1]):
+    for i in range(2, top):
+        for name, seq in (("down", down), ("stay", stay), ("up", up)):
+            if (seq[i] != seq[1]).nnz:
                 raise StructureViolationError(
                     f"interior {name}-block {i} differs from block 1"
                 )
 
-    det_bound = ((1.0 - spec.eps[-1]) * float(np.prod(spec.eps[:-1]))) ** block
-    min_det = np.inf
-    for i in range(1, mlast + 1):
-        g = gam_minus[i]
-        if np.any(np.tril(g, -1) != 0.0):
+    diag_bound = (1.0 - spec.eps[-1]) * float(np.prod(spec.eps[:-1]))
+    min_diag = np.inf
+    for i in range(1, top + 1):
+        g = down[i]
+        if sparse.tril(g, -1).count_nonzero():
             raise StructureViolationError(f"down-block {i} is not upper triangular")
-        det = float(np.prod(np.diag(g)))
-        min_det = min(min_det, det)
-        if det < det_bound * (1 - 1e-9):
+        diag = float(g.diagonal().min())
+        min_diag = min(min_diag, diag)
+        if diag < diag_bound * (1 - 1e-9):
             raise StructureViolationError(
-                f"down-block {i} determinant {det:.3e} below bound {det_bound:.3e}"
+                f"down-block {i} diagonal entry {diag:.3e} below bound {diag_bound:.3e}"
             )
 
     up_singular: bool | None = None
     if spec.h > 2:
         up_singular = True
-        for i in range(0, mlast):
-            g = gam_plus[i]
-            if np.any(np.triu(g, 1) != 0.0):
+        for i in range(0, top):
+            g = up[i]
+            if sparse.triu(g, 1).count_nonzero():
                 raise StructureViolationError(f"up-block {i} is not lower triangular")
             if g[0, 0] != 0.0:
                 raise StructureViolationError(
                     f"up-block {i} has a feasible all-empty diagonal transition"
                 )
-            if abs(float(np.linalg.det(g))) > 1e-12:
-                raise StructureViolationError(f"up-block {i} is not singular")
 
-    for i in range(0, mlast + 1):
-        mat = np.eye(block) - omega[i]
-        if abs(float(np.linalg.det(mat))) < 1e-300:
+    eye = np.eye(block)
+    for i in range(0, top + 1):
+        if abs(float(np.linalg.det(eye - stay[i].toarray()))) < 1e-300:
             raise StructureViolationError(f"I - stay-block {i} is singular")
 
     return BlockStructureReport(
         h=spec.h,
-        last_buffer=mlast,
+        last_buffer=top,
         block_size=block,
         interior_blocks_equal=True,
         down_blocks_upper_triangular=True,
-        down_block_det=min_det,
-        down_block_det_lower_bound=det_bound,
+        down_block_min_diagonal=min_diag,
+        down_block_diagonal_bound=diag_bound,
         up_blocks_lower_triangular=spec.h > 2,
         up_block_singular=up_singular,
         stay_blocks_invertible=True,
@@ -390,41 +371,43 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
 
 
 def _h_matrices(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP):
-    """Recursion relating the per-group stationary blocks to group 0.
+    """Recursion relating the per-level stationary blocks to level 0.
 
     Works in the column convention (blocks transposed), so that the
-    stationary sub-vectors satisfy pi_i = H_i @ pi_0.  Returns the list
-    of H matrices plus the worst relation residual against the exact
+    stationary sub-vectors satisfy pi_i = H_i @ pi_0.  Each H is dense
+    b x b, built from one level's blocks at a time.  Returns the list of
+    H matrices plus the worst relation residual against the exact
     stationary solve.
     """
     chain = build_emc(spec, cap=cap)
-    gm, om, gp = _blocks(spec, chain)
-    mlast = spec.buffers[-1]
-    block = _tail_block_size(spec)
-    eye = np.eye(block)
+    down, stay, up = _levels(spec, chain)
+    top = spec.buffers[-1]
+    eye = np.eye(_tail_block_size(spec))
 
-    H = [eye]
-    if mlast >= 1:
-        H.append(np.linalg.solve(gm[1].T, eye - om[0].T))
-    for i in range(2, mlast + 1):
-        rhs = (eye - om[i - 1].T) @ H[i - 1] - gp[i - 2].T @ H[i - 2]
-        H.append(np.linalg.solve(gm[i].T, rhs))
+    H = [eye, np.linalg.solve(down[1].toarray().T, eye - stay[0].toarray().T)]
+    for i in range(2, top + 1):
+        rhs = (eye - stay[i - 1].toarray().T) @ H[i - 1] - up[i - 2].toarray().T @ H[i - 2]
+        H.append(np.linalg.solve(down[i].toarray().T, rhs))
 
-    pi = stationary(chain)
-    pi0 = pi[:block]
+    pi = np.split(stationary(chain), top + 1)
     residual = 0.0
-    for i in range(mlast + 1):
-        pred = H[i] @ pi0
-        residual = max(residual, float(np.max(np.abs(pred - pi[i * block : (i + 1) * block]))))
+    for Hi, pi_i in zip(H, pi):
+        residual = max(residual, float(np.max(np.abs(Hi @ pi[0] - pi_i))))
     return H, residual
 
 
 def h_matrix_bound(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> float:
-    """Capacity upper bound from the group-relation matrices.
+    """Capacity upper bound from the level-relation matrices.
 
     Computes (1-eps_h) * (1 - 1/||sum_i H_i||_1).  Also verifies the
-    relation pi_i = H_i pi_0 against the exact stationary solve; a
-    residual above 1e-8 signals a structural problem.
+    relation pi_i = H_i pi_0 against the exact stationary solve and
+    raises ConsistencyError when the residual exceeds 1e-8.
+
+    The forward H recursion loses accuracy geometrically in the number
+    of levels (the last buffer plus one): with eps (0.3, 0.5, 0.7) the
+    residual is 1.6e3 at buffers (3, 12), 4.8e30 at (4, 30) and 1.6e277
+    at (4, 200), and each of those raises.  The bound is usable only on
+    chains with a short last buffer.
     """
     H, residual = _h_matrices(spec, cap=cap)
     if residual > 1e-8:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "state_index",
     "index_state",
     "enumerate_states",
-    "sample_channels",
-    "channel_generator",
 ]
 
 
@@ -174,22 +172,6 @@ def enumerate_states(spec: NetworkSpec) -> np.ndarray:
         out[:, j] = rem % (m + 1)
         rem //= m + 1
     return out
-
-
-def sample_channels(spec: NetworkSpec, rng: np.random.Generator) -> tuple[int, ...]:
-    """One epoch of link outcomes; entry i is 1 iff link i delivers.
-
-    Links are independent Bernoulli(1 - eps[i]) draws.
-    """
-    u = rng.random(spec.h)
-    return tuple(int(ui >= e) for ui, e in zip(u, spec.eps))
-
-
-def channel_generator(spec: NetworkSpec, seed: int) -> Iterator[tuple[int, ...]]:
-    """Endless stream of channel realizations from a counter-based RNG."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    while True:
-        yield sample_channels(spec, rng)
 
 
 def make_rng(seed: int) -> np.random.Generator:

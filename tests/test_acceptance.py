@@ -114,7 +114,7 @@ def test_criterion_4_coupling():
 
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     mutated_fails = sum(
-        not amc.coupled_upper_check(spec, seed=s, epochs=5000, expand_buffers=False)
+        not amc.coupled_upper_batch([spec.eps], [spec.buffers], 5000, seed=s, expand_buffers=False)[0]
         for s in range(10)
     )
     assert mutated_fails >= 1

@@ -35,7 +35,7 @@ def test_exhaustive_pointwise_domination_after_one_step():
 def test_two_hop_chains_identical():
     spec = NetworkSpec((0.37, 0.71), (3,))
     np.testing.assert_allclose(
-        emc.build_emc(spec).dense(), amc.build_amc(spec).dense(), atol=1e-15
+        emc.build_emc(spec).probs.toarray(), amc.build_amc(spec).probs.toarray(), atol=1e-15
     )
     assert amc.capacity_lower(spec) == pytest.approx(emc.capacity_exact(spec), abs=1e-10)
     assert amc.capacity_upper(spec) == pytest.approx(emc.capacity_exact(spec), abs=1e-10)
@@ -83,23 +83,26 @@ def test_monotone_gap_in_buffer_size():
 
 def test_coupled_boundedness():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    assert amc.coupled_boundedness_check(spec, seed=1, epochs=30_000)
-    assert not amc.coupled_boundedness_check(spec, seed=1, epochs=30_000, swap_roles=True)
+    assert amc.coupled_boundedness_batch([spec.eps], [spec.buffers], 30_000, seed=1)[0]
+    assert not amc.coupled_boundedness_batch(
+        [spec.eps], [spec.buffers], 30_000, seed=1, swap_roles=True
+    )[0]
 
 
 def test_coupled_boundedness_two_hop_trivial():
     spec = NetworkSpec((0.5, 0.5), (2,))
-    assert amc.coupled_boundedness_check(spec, seed=3, epochs=5_000)
+    assert amc.coupled_boundedness_batch([spec.eps], [spec.buffers], 5_000, seed=3)[0]
 
 
 def test_coupled_upper(paper_four_hop):
-    assert amc.coupled_upper_check(paper_four_hop, seed=2, epochs=30_000)
+    spec = paper_four_hop
+    assert amc.coupled_upper_batch([spec.eps], [spec.buffers], 30_000, seed=2)[0]
 
 
 def test_coupled_upper_mutation_fails():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     failed = any(
-        not amc.coupled_upper_check(spec, seed=s, epochs=5_000, expand_buffers=False)
+        not amc.coupled_upper_batch([spec.eps], [spec.buffers], 5_000, seed=s, expand_buffers=False)[0]
         for s in range(8)
     )
     assert failed

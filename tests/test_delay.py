@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linenet import dbie, delay, rbie
+from linenet import cli, dbie, delay, rbie
 from linenet.model import NetworkSpec
 
 
@@ -152,11 +152,12 @@ def test_monotone_mean_and_variance_in_buffers(eight_hop_solutions):
     assert variances[0] < variances[1] < variances[2]
 
 
-def test_profile_csv(tmp_path, paper_four_hop):
-    sol = rbie.solve(paper_four_hop)
-    prof = delay.delay_profile(paper_four_hop, delay.psi_rho_from_rbie(sol, paper_four_hop))
+def test_profile_csv(tmp_path, paper_four_hop, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(paper_four_hop.to_json())
     path = tmp_path / "delay.csv"
-    prof.to_csv(path)
+    argv = ["delay", "--method", "rbie", "--spec", str(spec_path), "--pmf-out", str(path)]
+    assert cli.main(argv) == 0
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "delay_epochs,probability,cumulative"
     last = rows[-1].split(",")

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from linenet import emc
+from linenet import cli, emc
 from linenet.errors import ConvergenceError, StateSpaceCapError
 from linenet.model import NetworkSpec, enumerate_states
 from conftest import line_specs, random_spec, step1
@@ -58,7 +59,7 @@ def test_step_bounded_movement_exhaustive():
 
 def test_build_emc_birth_death():
     spec = NetworkSpec((0.5, 0.5), (2,))
-    mat = emc.build_emc(spec).dense()
+    mat = emc.build_emc(spec).probs.toarray()
     expected = np.array(
         [
             [0.5, 0.5, 0.0],
@@ -71,7 +72,7 @@ def test_build_emc_birth_death():
 
 def test_build_emc_matches_brute_force():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    dense = emc.build_emc(spec).dense()
+    dense = emc.build_emc(spec).probs.toarray()
     from linenet.model import state_index
 
     for s in map(tuple, enumerate_states(spec)):
@@ -85,7 +86,7 @@ def test_build_emc_matches_brute_force():
 def test_build_emc_figure_edge_weight():
     # from the all-empty state only the first link matters
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    dense = emc.build_emc(spec).dense()
+    dense = emc.build_emc(spec).probs.toarray()
     from linenet.model import state_index
 
     i = state_index((0, 0), spec) - 1
@@ -98,8 +99,8 @@ def test_rows_sum_to_one_and_support_bound():
     for _ in range(10):
         spec = random_spec(rng)
         mat = emc.build_emc(spec)
-        np.testing.assert_allclose(mat.row_sums(), 1.0, atol=1e-12)
-        assert mat.max_row_nnz() <= min(3 ** (spec.h - 1), spec.num_states)
+        np.testing.assert_allclose(mat.probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.diff(mat.probs.indptr).max() <= min(3 ** (spec.h - 1), spec.num_states)
 
 
 def test_state_cap():
@@ -142,7 +143,7 @@ def test_stationary_residual_contract(spec):
     assert resid <= 1e-12
     assert pi.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(pi >= 0)
-    system = mat.dense().T - np.eye(mat.n)
+    system = mat.probs.toarray().T - np.eye(mat.n)
     system[-1, :] = 1.0
     rhs = np.zeros(mat.n)
     rhs[-1] = 1.0
@@ -202,13 +203,20 @@ def test_block_structure_three_hop():
     assert report.interior_blocks_equal
     assert report.down_blocks_upper_triangular
     assert report.up_block_singular
-    assert report.down_block_det >= report.down_block_det_lower_bound
+    assert report.down_block_min_diagonal >= report.down_block_diagonal_bound > 0
+
+
+def test_block_structure_down_diagonal_bound_does_not_underflow():
+    # 343-state levels: the product of a down-block's diagonal underflows to 0
+    report = emc.verify_block_structure(NetworkSpec((0.3, 0.4, 0.5, 0.6, 0.35), (6, 6, 6, 6)))
+    assert report.block_size == 343
+    assert report.down_block_min_diagonal >= report.down_block_diagonal_bound > 0
 
 
 def test_block_structure_two_hop_scalar_blocks():
     spec = NetworkSpec((0.5, 0.5), (4,))
     chain = emc.build_emc(spec)
-    gm, om, gp = emc._blocks(spec, chain)
+    gm, _, _ = emc._levels(spec, chain)
     for i in range(1, 5):
         assert gm[i].shape == (1, 1)
         assert gm[i][0, 0] == pytest.approx(0.5 * 0.5, abs=1e-15)  # success * loss
@@ -217,7 +225,7 @@ def test_block_structure_two_hop_scalar_blocks():
 def test_block_structure_up_block_corner_zero():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     chain = emc.build_emc(spec)
-    _, _, gp = emc._blocks(spec, chain)
+    _, _, gp = emc._levels(spec, chain)
     assert gp[0][0, 0] == 0.0
 
 
@@ -226,6 +234,40 @@ def test_block_structure_randomized():
     for _ in range(50):
         spec = random_spec(rng, h_choices=(2, 3, 4), m_max=4)
         emc.verify_block_structure(spec)
+
+
+def test_levels_rebuild_the_chain():
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        spec = random_spec(rng, h_choices=(2, 3, 4, 5), m_max=4)
+        chain = emc.build_emc(spec)
+        P = chain.probs
+        down, stay, up = emc._levels(spec, chain)
+        L = len(stay)
+        grid = [[None] * L for _ in range(L)]
+        for i in range(L):
+            grid[i][i] = stay[i]
+            if i > 0:
+                grid[i][i - 1] = down[i]
+            if i < L - 1:
+                grid[i][i + 1] = up[i]
+        rebuilt = sparse.bmat(grid, format="csr")
+        assert rebuilt.shape == P.shape
+        assert abs(rebuilt - P).max() == 0.0
+        # no non-zero outside the three block diagonals
+        assert sum(g.count_nonzero() for g in (*down[1:], *stay, *up[:-1])) == P.count_nonzero()
+
+
+def test_block_structure_allocates_no_dense_chain():
+    # 1 005 states: a dense copy of the chain alone would take 8.1 MB
+    spec = NetworkSpec((0.3, 0.5, 0.7), (4, 200))
+    tracemalloc.start()
+    try:
+        emc.verify_block_structure(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_h_matrix_bound_three_hop():
@@ -254,10 +296,12 @@ def test_h_matrix_two_hop_birth_death_ratios():
     assert emc.h_matrix_bound(spec) == pytest.approx(emc.capacity_exact(spec), abs=1e-10)
 
 
-def test_matrix_csv_dump(tmp_path):
+def test_matrix_csv_dump(tmp_path, capsys):
     spec = NetworkSpec((0.5, 0.5), (2,))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec.to_json())
     path = tmp_path / "mat.csv"
-    emc.build_emc(spec).to_csv(path)
+    assert cli.main(["exact", "--spec", str(spec_path), "--dump-matrix", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "row,col,prob"
     total = sum(float(l.split(",")[2]) for l in lines[1:])

@@ -10,9 +10,9 @@ from linenet.model import (
     enumerate_states,
     index_state,
     make_rng,
-    sample_channels,
     state_index,
 )
+from linenet.amc import _sample_x
 
 
 def test_validation_rejects_bad_specs():
@@ -83,9 +83,8 @@ def test_index_bijection_property(hm):
 
 def test_sample_channels_bernoulli_law():
     spec = NetworkSpec((0.3, 0.7), (2,))
-    rng = make_rng(1)
     n = 200_000
-    draws = np.array([sample_channels(spec, rng) for _ in range(n)])
+    draws = _sample_x(make_rng(1), np.asarray(spec.eps), n)
     for i, e in enumerate(spec.eps):
         p_hat = draws[:, i].mean()
         sigma = np.sqrt(e * (1 - e) / n)
@@ -94,20 +93,17 @@ def test_sample_channels_bernoulli_law():
 
 def test_sample_channels_independent_links():
     spec = NetworkSpec((0.5, 0.5), (2,))
-    rng = make_rng(7)
     n = 200_000
-    draws = np.array([sample_channels(spec, rng) for _ in range(n)])
+    draws = _sample_x(make_rng(7), np.asarray(spec.eps), n)
     corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
     assert abs(corr) < 3 / np.sqrt(n)
 
 
 def test_sample_channels_deterministic_replay():
     spec = NetworkSpec((0.4, 0.6, 0.2), (1, 3))
-    rng = make_rng(123)
-    first = [sample_channels(spec, rng) for _ in range(50)]
-    rng = make_rng(123)
-    second = [sample_channels(spec, rng) for _ in range(50)]
-    assert first == second
+    first = _sample_x(make_rng(123), np.asarray(spec.eps), 50)
+    second = _sample_x(make_rng(123), np.asarray(spec.eps), 50)
+    assert np.array_equal(first, second)
 
 
 def test_json_round_trip(tmp_path):
