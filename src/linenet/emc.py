@@ -91,37 +91,93 @@ class SparseStochasticMatrix:
     probs: sparse.csr_matrix = field(repr=False)
 
 
+def _channel_outcomes(eps) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^h channel realizations and their probabilities.
+
+    Row ``bits`` of the (2^h, h) 0/1 array has link a's outcome in bit
+    a of ``bits``.
+    """
+    eps = np.asarray(eps)
+    h = eps.size
+    x = (np.arange(2**h)[:, None] >> np.arange(h)) & 1
+    probs = np.array([float(np.prod(np.where(row == 1, 1.0 - eps, eps))) for row in x])
+    return x, probs
+
+
+# array elements handled per chunk: kernel rows times h, or CSR entries
+_CHUNK = 1 << 16
+
+
 def _build_chain(
     spec: NetworkSpec,
     step_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     cap: int,
 ) -> SparseStochasticMatrix:
-    """Enumerate every (state, channel realization) pair exactly."""
+    """Assemble the chain from one transition pattern per occupancy class.
+
+    Both step kernels read a state only through which nodes are empty
+    and which are full, so all states with the same {empty, middle,
+    full} pattern over the nodes move by the same index offsets with the
+    same probabilities.  The kernel runs on one representative state per
+    class and every channel realization.  Per class, the probabilities
+    are summed per distinct offset in realization order (bits 0 to
+    2^h - 1), which is the order in which adding one matrix per
+    realization would sum them, so the arrays are the same to the bit.
+    The CSR arrays are then filled row chunk by row chunk; their size
+    follows from the class counts before anything is allocated.
+    """
     n = spec.num_states
     if n > cap:
         raise StateSpaceCapError(
             f"state space has {n} states, above the cap of {cap}; "
             "use bounds or the iterative estimates instead"
         )
-    h = spec.h
     m = np.asarray(spec.buffers, dtype=np.int64)
     weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
     states = enumerate_states(spec)
-    eps = np.asarray(spec.eps)
+    # node pattern 0 empty, 1 middle, 2 full (buffers are at least 1)
+    code = ((states > 0).astype(np.int64) + (states == m)) @ (3 ** np.arange(m.size))
+    _, first, cls = np.unique(code, return_index=True, return_inverse=True)
+    reps = states[first]
+    del states, code
 
-    rows = np.arange(n, dtype=np.int64)
-    acc = None
-    for bits in range(2 ** h):
-        x = np.array([(bits >> a) & 1 for a in range(h)], dtype=np.int64)
-        p = float(np.prod(np.where(x == 1, 1.0 - eps, eps)))
-        nxt = step_batch(states, x, m)
-        cols = nxt @ weights
-        part = sparse.coo_matrix(
-            (np.full(n, p), (rows, cols)), shape=(n, n)
-        ).tocsr()
-        acc = part if acc is None else acc + part
-    acc.sum_duplicates()
-    return SparseStochasticMatrix(n=n, probs=acc)
+    x, probs = _channel_outcomes(spec.eps)
+    k = len(probs)
+    step = max(1, _CHUNK // (k * spec.h))
+    chunks = []
+    for a in range(0, len(reps), step):
+        start = np.repeat(reps[a : a + step], k, axis=0)
+        c = len(start) // k
+        moved = (step_batch(start, np.tile(x, (c, 1)), m) - start) @ weights
+        # one key per (class, offset): unique sorts by class, then offset
+        key, slot = np.unique(np.repeat(np.arange(c) * (2 * n), k) + (moved + n), return_inverse=True)
+        chunks.append((
+            np.bincount(key // (2 * n), minlength=c),
+            (key % (2 * n) - n).astype(np.min_scalar_type(-n)),
+            np.bincount(slot, weights=np.tile(probs, c)),
+        ))
+    class_nnz, pat_off, pat_prob = (np.concatenate(part) for part in zip(*chunks))
+    del chunks
+    pat_start = np.cumsum(class_nnz) - class_nnz
+
+    row_nnz = class_nnz[cls]
+    nnz = int(row_nnz.sum())
+    idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(row_nnz, out=indptr[1:])
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    step = max(1, _CHUNK // int(class_nnz.max()))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        lo, hi = int(indptr[a]), int(indptr[b])
+        cnt = row_nnz[a:b]
+        src = np.repeat(pat_start[cls[a:b]] - indptr[a:b], cnt) + np.arange(lo, hi)
+        indices[lo:hi] = np.repeat(np.arange(a, b), cnt) + pat_off[src]
+        data[lo:hi] = pat_prob[src]
+    return SparseStochasticMatrix(
+        n=n, probs=sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    )
 
 
 def build_emc(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> SparseStochasticMatrix:
@@ -243,11 +299,8 @@ def capacity_flow_crosscheck(
     states = enumerate_states(spec)
     ref = capacity_exact(spec, tol=tol, cap=cap, pi=pi)
     m = np.asarray(spec.buffers, dtype=np.int64)
-    eps = np.asarray(spec.eps)
     rates = np.zeros(spec.h)
-    for bits in range(2 ** spec.h):
-        x = np.array([(bits >> a) & 1 for a in range(spec.h)], dtype=np.int64)
-        p = float(np.prod(np.where(x == 1, 1.0 - eps, eps)))
+    for x, p in zip(*_channel_outcomes(spec.eps)):
         rates += p * (pi @ transfer_indicators_batch(states, x, m))
     out = rates[1 : spec.h - 1]
     # slack floor absorbs accumulation error in the stationary solve
@@ -311,49 +364,63 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
     of the one realization where only the last link delivers, (c) for
     h > 2 the up-blocks are lower triangular with the all-empty diagonal
     entry exactly zero, hence singular, and (d) I minus each stay-block
-    is invertible.  Raises on the first violated property.  The checks
-    run on the sparse blocks; only I minus one stay-block at a time is
-    made dense.
+    is invertible.  Raises at the first level with a violated property.
+    Each level is checked in one pass over its row band of the CSR
+    arrays; only I minus one stay-block at a time is made dense.
     """
-    down, stay, up = _levels(spec, build_emc(spec, cap=cap))
+    P = build_emc(spec, cap=cap).probs
     top = spec.buffers[-1]
     block = _tail_block_size(spec)
-
-    for i in range(2, top):
-        for name, seq in (("down", down), ("stay", stay), ("up", up)):
-            if (seq[i] != seq[1]).nnz:
-                raise StructureViolationError(
-                    f"interior {name}-block {i} differs from block 1"
-                )
-
     diag_bound = (1.0 - spec.eps[-1]) * float(np.prod(spec.eps[:-1]))
     min_diag = np.inf
-    for i in range(1, top + 1):
-        g = down[i]
-        if sparse.tril(g, -1).count_nonzero():
-            raise StructureViolationError(f"down-block {i} is not upper triangular")
-        diag = float(g.diagonal().min())
-        min_diag = min(min_diag, diag)
-        if diag < diag_bound * (1 - 1e-9):
-            raise StructureViolationError(
-                f"down-block {i} diagonal entry {diag:.3e} below bound {diag_bound:.3e}"
-            )
+    eye = np.eye(block)
+    local = np.arange(block)
+    first = None
+    for i in range(top + 1):
+        lo, hi = P.indptr[i * block], P.indptr[(i + 1) * block]
+        row = np.repeat(local, np.diff(P.indptr[i * block : (i + 1) * block + 1]))
+        col = P.indices[lo:hi] - i * block  # -block..-1 down, 0..block-1 stay, then up
+        val = P.data[lo:hi]
+        step = col // block
+        col = col - step * block
+        band = (row, step, col, val)
+        if i == 1:
+            first = band
+        elif 1 < i < top and not all(map(np.array_equal, band, first)):
+            for name, s in (("down", -1), ("stay", 0), ("up", 1)):
+                mine, ref = band[1] == s, first[1] == s
+                if not all(np.array_equal(a[mine], r[ref]) for a, r in zip(band, first)):
+                    raise StructureViolationError(
+                        f"interior {name}-block {i} differs from block 1"
+                    )
 
-    up_singular: bool | None = None
-    if spec.h > 2:
-        up_singular = True
-        for i in range(0, top):
-            g = up[i]
-            if sparse.triu(g, 1).count_nonzero():
+        if i > 0:
+            down = step == -1
+            if np.any(col[down] < row[down]):
+                raise StructureViolationError(f"down-block {i} is not upper triangular")
+            diagonal = np.zeros(block)
+            on = down & (col == row)
+            diagonal[row[on]] = val[on]
+            diag = float(diagonal.min())
+            min_diag = min(min_diag, diag)
+            if diag < diag_bound * (1 - 1e-9):
+                raise StructureViolationError(
+                    f"down-block {i} diagonal entry {diag:.3e} below bound {diag_bound:.3e}"
+                )
+
+        if spec.h > 2 and i < top:
+            up = step == 1
+            if np.any(col[up] > row[up]):
                 raise StructureViolationError(f"up-block {i} is not lower triangular")
-            if g[0, 0] != 0.0:
+            if np.any(val[up & (row == 0) & (col == 0)] != 0.0):
                 raise StructureViolationError(
                     f"up-block {i} has a feasible all-empty diagonal transition"
                 )
 
-    eye = np.eye(block)
-    for i in range(0, top + 1):
-        if abs(float(np.linalg.det(eye - stay[i].toarray()))) < 1e-300:
+        stay = step == 0
+        dense = np.zeros((block, block))
+        dense[row[stay], col[stay]] = val[stay]
+        if abs(float(np.linalg.det(eye - dense))) < 1e-300:
             raise StructureViolationError(f"I - stay-block {i} is singular")
 
     return BlockStructureReport(
@@ -365,7 +432,7 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
         down_block_min_diagonal=min_diag,
         down_block_diagonal_bound=diag_bound,
         up_blocks_lower_triangular=spec.h > 2,
-        up_block_singular=up_singular,
+        up_block_singular=True if spec.h > 2 else None,
         stay_blocks_invertible=True,
     )
 

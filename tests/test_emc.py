@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linenet import cli, emc
-from linenet.errors import ConvergenceError, StateSpaceCapError
+from linenet import amc, cli, emc
+from linenet.errors import ConvergenceError, StateSpaceCapError, StructureViolationError
 from linenet.model import NetworkSpec, enumerate_states
 from conftest import line_specs, random_spec, step1
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 
@@ -103,6 +104,74 @@ def test_rows_sum_to_one_and_support_bound():
         assert np.diff(mat.probs.indptr).max() <= min(3 ** (spec.h - 1), spec.num_states)
 
 
+def per_outcome_chain(spec, step_batch):
+    """Reference build: one CSR matrix per channel realization, added in bit order."""
+    n, h = spec.num_states, spec.h
+    m = np.asarray(spec.buffers, dtype=np.int64)
+    weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
+    states = enumerate_states(spec)
+    eps = np.asarray(spec.eps)
+    rows = np.arange(n, dtype=np.int64)
+    acc = None
+    for bits in range(2**h):
+        x = np.array([(bits >> a) & 1 for a in range(h)], dtype=np.int64)
+        p = float(np.prod(np.where(x == 1, 1.0 - eps, eps)))
+        cols = step_batch(states, x, m) @ weights
+        part = sparse.coo_matrix((np.full(n, p), (rows, cols)), shape=(n, n)).tocsr()
+        acc = part if acc is None else acc + part
+    acc.sum_duplicates()
+    return acc
+
+
+def bit_identity_specs():
+    rng = np.random.default_rng(12)
+    m_max = {2: 9, 3: 6, 4: 4, 5: 3, 6: 2}
+    specs = [NetworkSpec((0.5, 0.5), (2,)), NetworkSpec((0.3, 0.5, 0.7), (1, 1))]
+    for h in (2, 3, 4, 5, 6):
+        for _ in range(7):
+            eps = tuple(float(e) for e in rng.uniform(0.05, 0.95, size=h))
+            specs.append(NetworkSpec(eps, tuple(int(v) for v in rng.integers(1, m_max[h] + 1, h - 1))))
+    return specs
+
+
+@pytest.mark.parametrize(
+    "build, kernel",
+    [(emc.build_emc, emc.step_emc_batch), (amc.build_amc, amc.step_amc_batch)],
+    ids=["emc", "amc"],
+)
+def test_class_assembly_matches_per_outcome_build(build, kernel):
+    specs = bit_identity_specs()
+    assert len(specs) >= 30 and any(1 in s.buffers for s in specs)
+    for spec in specs:
+        got, ref = build(spec).probs, per_outcome_chain(spec, kernel)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (spec, name)
+
+
+def test_class_assembly_needs_kernels_that_read_only_empty_and_full():
+    # a kernel that also reads "exactly one packet" breaks the class invariant
+    def reads_middle(states, x, m):
+        return emc.step_emc_batch(states, x * (states[:, :1] != 1), m)
+
+    spec = NetworkSpec((0.3, 0.5, 0.7), (3, 3))
+    got = emc._build_chain(spec, reads_middle, emc.DEFAULT_STATE_CAP).probs
+    ref = per_outcome_chain(spec, reads_middle)
+    assert abs(got - ref).max() > 0.1
+
+
+def test_build_emc_memory_near_matrix_size():
+    spec = NetworkSpec((0.25,) * 6, (8,) * 5)
+    tracemalloc.start()
+    try:
+        P = emc.build_emc(spec).probs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert P.shape == (59049, 59049)
+    assert peak <= 1.6 * (P.data.nbytes + P.indices.nbytes + P.indptr.nbytes)
+
+
 def test_state_cap():
     spec = NetworkSpec((0.5, 0.5, 0.5), (100, 100))
     with pytest.raises(StateSpaceCapError):
@@ -178,6 +247,16 @@ def test_capacity_nondecreasing_in_each_buffer(spec):
         assert emc.capacity_exact(spec.with_buffers(tuple(grown))) >= base - 1e-9
 
 
+@given(line_specs(), st.integers(0, 3), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_capacity_nonincreasing_in_each_eps(spec, link, frac):
+    j = link % spec.h
+    eps = list(spec.eps)
+    eps[j] += frac * (0.95 - eps[j])
+    base = emc.capacity_exact(spec)
+    assert emc.capacity_exact(spec.with_eps(eps)) <= base + 5e-12
+
+
 def test_capacity_approaches_min_cut():
     small = emc.capacity_exact(NetworkSpec((0.5, 0.5, 0.5), (5, 5)))
     big = emc.capacity_exact(NetworkSpec((0.5, 0.5, 0.5), (25, 25)))
@@ -233,6 +312,30 @@ def test_block_structure_randomized():
     rng = np.random.default_rng(42)
     for _ in range(50):
         spec = random_spec(rng, h_choices=(2, 3, 4), m_max=4)
+        emc.verify_block_structure(spec)
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([(7, 7, 0.5)], "interior stay-block 2 differs"),
+        ([(14, 9, 0.1)], "down-block 4 is not upper triangular"),
+        ([(13, 10, 1e-6)], "down-block 4 diagonal entry"),
+        ([(0, 5, 0.1)], "up-block 0 is not lower triangular"),
+        ([(0, 3, 0.1)], "up-block 0 has a feasible all-empty"),
+        ([(2, j, 0.0) for j in range(6)] + [(2, 2, 1.0)], "I - stay-block 0 is singular"),
+    ],
+    ids=["interior", "down-triangular", "down-diagonal", "up-triangular", "up-corner", "stay"],
+)
+def test_block_structure_rejects_corrupted_blocks(monkeypatch, edits, message):
+    # five levels of three states; levels 0 and 4 are not interior
+    spec = NetworkSpec((0.3, 0.5, 0.7), (2, 4))
+    dense = emc.build_emc(spec).probs.toarray()
+    for r, c, v in edits:
+        dense[r, c] = v
+    bad = emc.SparseStochasticMatrix(n=15, probs=sparse.csr_matrix(dense))
+    monkeypatch.setattr(emc, "build_emc", lambda spec, cap: bad)
+    with pytest.raises(StructureViolationError, match=message):
         emc.verify_block_structure(spec)
 
 
