@@ -3,9 +3,13 @@
 Scores candidate buffer vectors with the fast rate-based estimate
 (vectorized across candidates), either exhaustively over all
 compositions of the budget or by a neighborhood descent seeded at the
-balanced split when the composition count is too large.  The winners
-are re-scored with the scalar solver; optionally also with the
-distribution-based estimate and, at feasible sizes, the exact solve.
+balanced split when the composition count is too large.  Each
+candidate is swept once, and all are ranked by one total order:
+capacity to a resolution of 1e-10, then mean delay, then the buffer
+vector (``min-delay`` puts reaching the floor first and capacity after
+delay).  The winners are reported with those scores; optionally also
+with the distribution-based estimate and, at feasible sizes, the exact
+solve.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from .model import NetworkSpec
 __all__ = ["AllocationResult", "Candidate", "allocate", "compositions_at_most"]
 
 EXHAUSTIVE_LIMIT = 10**5
+# Every candidate is swept to this tolerance once; its capacity is the one reported.
+_SWEEP_TOL = 1e-12
+# Capacities that round to the same multiple of this rank as equal.  It
+# is coarser than the error of a sweep at tol 1e-10, so neither solver
+# error nor float rounding picks among saturated ties (notes/decisions.md).
+_CAPACITY_RESOLUTION = 1e-10
 
 
 @dataclass
@@ -60,24 +70,28 @@ def compositions_at_most(total: int, parts: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _count_compositions(total: int, parts: int) -> int:
-    # positive vectors with sum <= total
-    return comb(total, parts)
+def _ranking(objective, cands, caps, delays, floor) -> np.ndarray:
+    """Row indices of ``cands`` from best to worst, in one total order.
 
-
-def _objective_order(objective, caps, delays, floor):
+    Capacities are compared on a grid of ``_CAPACITY_RESOLUTION``: two
+    rows whose capacities round to the same multiple count as equal.
+    ``max-throughput`` ranks higher capacity first, then lower delay;
+    ``min-delay`` ranks rows that reach ``floor`` first, then lower
+    delay among those, then higher capacity.  Remaining ties go to the
+    lexicographically smaller buffer vector, so the order depends only
+    on the rows, not on where they stand.
+    """
+    grid = -np.round(caps / _CAPACITY_RESOLUTION)
     if objective == "max-throughput":
-        keys = np.lexsort((delays, -caps))
-        feasible = np.ones(caps.shape, dtype=bool)
+        keys = (delays, grid)
     elif objective == "min-delay":
         if floor is None:
             raise SpecValidationError("min-delay objective needs a throughput floor")
         feasible = caps >= floor
-        big = np.where(feasible, delays, np.inf)
-        keys = np.lexsort((-caps, big))
+        keys = (grid, np.where(feasible, delays, np.inf), ~feasible)
     else:
         raise SpecValidationError(f"unknown objective {objective!r}")
-    return keys, feasible
+    return np.lexsort((*cands.T[::-1], *keys))
 
 
 def allocate(
@@ -85,7 +99,6 @@ def allocate(
     budget: int,
     objective: str = "max-throughput",
     floor: float | None = None,
-    tol: float = 1e-10,
     method: str = "auto",
     top: int = 10,
     rescore_dbie: int = 3,
@@ -95,10 +108,10 @@ def allocate(
 
     ``max-throughput`` maximizes the rate-based capacity estimate;
     ``min-delay`` minimizes the estimated mean delay among vectors
-    whose capacity estimate reaches ``floor``.  The top vectors are
-    re-scored with the scalar sweeps; the best ``rescore_dbie`` also
-    get distribution-based estimates, and exact capacities are attached
-    when the state space is small enough.
+    whose capacity estimate reaches ``floor``.  Candidates are ranked
+    by :func:`_ranking` and the first ``top`` reported; the best
+    ``rescore_dbie`` also get distribution-based estimates, and exact
+    capacities are attached when the state space is small enough.
     """
     eps = tuple(float(e) for e in eps)
     parts = len(eps) - 1
@@ -111,34 +124,30 @@ def allocate(
 
     if method == "auto":
         method = (
-            "exhaustive" if _count_compositions(budget, parts) <= EXHAUSTIVE_LIMIT
+            # comb(budget, parts) positive vectors have sum <= budget
+            "exhaustive" if comb(budget, parts) <= EXHAUSTIVE_LIMIT
             else "neighborhood"
         )
 
     if method == "exhaustive":
         cands = compositions_at_most(budget, parts)
-        out = rbie.solve_batch(eps, cands, tol=tol)
-        caps, delays = out["capacity"], out["mean_delay"]
-        evaluated = cands.shape[0]
+        scores = _scores(eps, cands)
     elif method == "neighborhood":
-        cands, caps, delays = _neighborhood_search(eps, budget, objective, floor, tol)
-        evaluated = cands.shape[0]
+        cands, scores = _neighborhood_search(eps, budget, objective, floor)
     else:
         raise SpecValidationError(f"unknown method {method!r}")
 
-    order, feasible = _objective_order(objective, caps, delays, floor)
-    if objective == "min-delay" and not feasible.any():
+    caps, delays = scores["capacity"], scores["mean_delay"]
+    picked = _ranking(objective, cands, caps, delays, floor)[: max(top, 1)]
+    if objective == "min-delay" and not caps[picked[0]] >= floor:
         raise SpecValidationError(
             f"no allocation within budget reaches the floor {floor}"
         )
-    picked = order[: max(top, 1)]
-    ranked = []
-    for idx in picked:
-        buffers = tuple(int(v) for v in cands[idx])
-        sol = rbie.solve(NetworkSpec(eps, buffers), tol=1e-12)
-        cap = rbie.capacity(sol)
-        mean = float(sol.occupancy_means().sum()) / cap
-        ranked.append(Candidate(buffers=buffers, capacity=cap, mean_delay=mean))
+    flows = rbie._conserved_flow(scores["r"][picked], scores["pb"][picked])
+    ranked = [
+        Candidate(buffers=tuple(int(v) for v in cands[i]), capacity=float(c), mean_delay=float(delays[i]))
+        for i, c in zip(picked, flows)
+    ]
 
     for i, cand in enumerate(ranked):
         spec = NetworkSpec(eps, cand.buffers)
@@ -154,68 +163,49 @@ def allocate(
         method=method,
         best=ranked[0],
         runners_up=ranked[1:],
-        evaluated=evaluated,
+        evaluated=cands.shape[0],
     )
 
 
-def _neighborhood_search(eps, budget, objective, floor, tol):
-    """Coordinate-transfer descent from the balanced split."""
+def _neighborhood_search(eps, budget, objective, floor):
+    """Coordinate-transfer descent from the balanced split.
+
+    Each step scores the unseen transfers of 1, 2, 4 or 8 slots from one
+    node to another and moves to whichever of them and the current
+    vector ranks first; it stops when the current vector stays first.
+    Returns every scored row with its scores.
+    """
     parts = len(eps) - 1
-    base = np.full(parts, budget // parts, dtype=np.int64)
-    for i in range(budget - int(base.sum())):
-        base[i % parts] += 1
-
-    def better(c_new, d_new, c_old, d_old):
-        if objective == "max-throughput":
-            return c_new > c_old + 1e-15
-        ok_new = c_new >= floor
-        ok_old = c_old >= floor
-        if ok_new != ok_old:
-            return ok_new
-        if ok_new:
-            return d_new < d_old - 1e-12
-        return c_new > c_old + 1e-15
-
-    seen: dict[tuple, tuple[float, float]] = {}
-
-    def eval_many(arr):
-        out = rbie.solve_batch(eps, arr, tol=tol)
-        for row, c, d in zip(arr, out["capacity"], out["mean_delay"]):
-            seen[tuple(int(v) for v in row)] = (float(c), float(d))
-        return out
-
-    current = base.copy()
-    eval_many(current[None, :])
-    cur_cap, cur_delay = seen[tuple(current)]
-    improved = True
-    while improved:
-        improved = False
+    current = np.full(parts, budget // parts, dtype=np.int64)
+    current[: budget - int(current.sum())] += 1
+    cands = current[None, :]
+    scores = _scores(eps, cands)
+    seen = {tuple(current)}
+    at = 0  # row of the current vector
+    while True:
         moves = []
         for i in range(parts):
             for j in range(parts):
-                if i == j:
-                    continue
                 for step in (1, 2, 4, 8):
-                    if current[i] - step >= 1:
-                        cand = current.copy()
-                        cand[i] -= step
-                        cand[j] += step
-                        moves.append(cand)
-        moves = [m for m in moves if tuple(m) not in seen]
-        if moves:
-            eval_many(np.stack(moves))
-        best_move = None
-        for m in moves:
-            c, d = seen[tuple(m)]
-            if better(c, d, cur_cap, cur_delay):
-                if best_move is None or better(c, d, *seen[tuple(best_move)]):
-                    best_move = m
-        if best_move is not None:
-            current = best_move
-            cur_cap, cur_delay = seen[tuple(current)]
-            improved = True
+                    move = cands[at].copy()
+                    move[i] -= step
+                    move[j] += step
+                    if i != j and move[i] >= 1 and tuple(move) not in seen:
+                        seen.add(tuple(move))
+                        moves.append(move)
+        if not moves:
+            return cands, scores
+        n, new = cands.shape[0], _scores(eps, moves)
+        cands = np.concatenate([cands, moves])
+        scores = {k: np.concatenate([scores[k], new[k]]) for k in scores}
+        rows = np.r_[at, n : n + len(moves)]
+        first = rows[_ranking(objective, cands[rows], scores["capacity"][rows], scores["mean_delay"][rows], floor)[0]]
+        if first == at:
+            return cands, scores
+        at = first
 
-    all_cands = np.asarray(sorted(seen.keys()), dtype=np.int64)
-    caps = np.array([seen[tuple(r)][0] for r in all_cands])
-    delays = np.array([seen[tuple(r)][1] for r in all_cands])
-    return all_cands, caps, delays
+
+def _scores(eps, cands) -> dict:
+    """Rate-based capacity, mean delay, rates and blocking of each row."""
+    out = rbie.solve_batch(eps, np.asarray(cands), tol=_SWEEP_TOL)
+    return {k: out[k] for k in ("capacity", "mean_delay", "r", "pb")}

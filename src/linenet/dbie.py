@@ -52,6 +52,8 @@ __all__ = [
 
 DEFAULT_DPS = 50
 _DJ_HARD_CAP = 100_000
+# a starvation fraction this far outside [0, 1] is rounding; beyond it, inconsistent
+_ALPHA_SLACK = 1e-9
 
 
 def effective_failure(theta, q):
@@ -68,7 +70,6 @@ def effective_failure(theta, q):
 def dj_distribution(
     g_in: GeometricMixture,
     theta_tilde,
-    j_max: int | None = None,
     tail: float = 1e-12,
 ) -> list[mpf]:
     """Distribution of potential departures during one inter-arrival gap.
@@ -97,9 +98,8 @@ def dj_distribution(
         step.append(ratio * x / (1 - x))
     out = [sum((c * (r - 1) for c, r in zip(coef, power)), mpf(0))]
     cum = out[0]
-    limit = j_max if j_max is not None else _DJ_HARD_CAP
-    for _ in range(limit):
-        if j_max is None and 1 - cum < tail:
+    for _ in range(_DJ_HARD_CAP):
+        if 1 - cum < tail:
             return out
         acc = mpf(0)
         for k, c in enumerate(coef):
@@ -107,7 +107,7 @@ def dj_distribution(
             acc += c * power[k]
         out.append(acc)
         cum += acc
-    if j_max is not None or 1 - cum < tail:
+    if 1 - cum < tail:
         return out
     raise TruncationError(
         f"departure-count series did not reach tail {tail} within {_DJ_HARD_CAP} terms"
@@ -212,7 +212,7 @@ class _NodeAnalysis:
     g_out: GeometricMixture
 
 
-def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q, alpha_slack=1e-9) -> _NodeAnalysis:
+def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q) -> _NodeAnalysis:
     theta_N = mpf(theta_N)
     q = mpf(q)
     tt = effective_failure(theta_N, q)
@@ -225,7 +225,7 @@ def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q, alpha_slack=1e-9) 
     mean_out = g_in.mean() * (1 - q) / (1 - blocking)
     fx = _starvation_from_pi(g_in, pi, tt)
     alpha = (mean_out - 1 / (1 - theta_N)) / fx.mean()
-    if alpha < -alpha_slack or alpha > 1 + alpha_slack:
+    if alpha < -_ALPHA_SLACK or alpha > 1 + _ALPHA_SLACK:
         raise ConsistencyError(
             f"starvation fraction {float(alpha)} outside [0, 1]"
         )
@@ -354,24 +354,20 @@ def solve(
     spec: NetworkSpec,
     max_iter: int = 10**4,
     tol: float = 1e-10,
-    dps: int | None = None,
     perturb_delta: float = 1e-6,
 ) -> DistSolution:
     """Run distribution sweeps to convergence of the blocking vector.
 
     Equal erasure probabilities are auto-perturbed (the mixture family
-    needs distinct parameters).  The working precision defaults to
+    needs distinct parameters).  The working precision is
     ``DEFAULT_DPS`` digits, deepened for long chains of near-equal
     parameters, and escalates automatically if weight sums drift.
     """
     eps_used, perturbed = perturb_equal_eps(spec.eps, delta=perturb_delta)
     gaps = np.diff(np.sort(np.asarray(eps_used)))
-    if dps is not None:
-        work_dps = dps
-    else:
-        # each hop can amplify weights by roughly the reciprocal parameter gap
-        needed = 25 + int((spec.h - 1) * max(0.0, -np.log10(max(gaps.min(), 1e-300))))
-        work_dps = max(DEFAULT_DPS, needed)
+    # each hop can amplify weights by roughly the reciprocal parameter gap
+    needed = 25 + int((spec.h - 1) * max(0.0, -np.log10(max(gaps.min(), 1e-300))))
+    work_dps = max(DEFAULT_DPS, needed)
     attempts = 0
     while True:
         attempts += 1

@@ -32,6 +32,11 @@ __all__ = [
     "mean_delay_little",
 ]
 
+# the profile may drop at most _TAIL_BUDGET of mass; each factor's support
+# is cut where its own tail falls below _FACTOR_TAIL
+_TAIL_BUDGET = 1e-6
+_FACTOR_TAIL = 1e-9
+
 
 @dataclass(frozen=True)
 class NodeDelayInputs:
@@ -158,8 +163,6 @@ def delay_profile(
     spec: NetworkSpec,
     inputs: NodeDelayInputs,
     include_source: bool = False,
-    tail_budget: float = 1e-6,
-    per_factor_tail: float = 1e-9,
 ) -> DelayProfile:
     """Convolve the per-node waiting pmfs into the end-to-end profile.
 
@@ -169,12 +172,12 @@ def delay_profile(
     """
     inputs.validate()
     factors = [
-        node_delay(inputs.psi[j], inputs.eps_eff[j], spec.buffers[j], tail=per_factor_tail)
+        node_delay(inputs.psi[j], inputs.eps_eff[j], spec.buffers[j], tail=_FACTOR_TAIL)
         for j in range(spec.h - 1)
     ]
     if include_source:
         e1 = spec.eps[0] + inputs.rho[0] * (1.0 - spec.eps[0])
-        t_max = int(np.ceil(np.log(per_factor_tail) / np.log(e1))) + 2
+        t_max = int(np.ceil(np.log(_FACTOR_TAIL) / np.log(e1))) + 2
         g = np.zeros(t_max + 1)
         g[1:] = (1.0 - e1) * e1 ** (np.arange(1, t_max + 1) - 1.0)
         factors.insert(0, g)
@@ -182,9 +185,9 @@ def delay_profile(
     for f in factors[1:]:
         pmf = np.convolve(pmf, f)
     dropped = 1.0 - float(pmf.sum())
-    if dropped > tail_budget:
+    if dropped > _TAIL_BUDGET:
         raise TruncationError(
-            f"delay profile dropped {dropped:.3e} of mass, over budget {tail_budget}"
+            f"delay profile dropped {dropped:.3e} of mass, over budget {_TAIL_BUDGET}"
         )
     ts = np.arange(pmf.size)
     mean = float(ts @ pmf) / float(pmf.sum())

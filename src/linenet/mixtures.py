@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DistinctParamError
@@ -54,10 +53,6 @@ class GeometricMixture:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def params(self) -> tuple[mpf, ...]:
-        return tuple(t for _, t in self.terms)
-
     def weight_sum(self) -> mpf:
         return self.atom0 + sum((p for p, _ in self.terms), mpf(0))
 
@@ -70,13 +65,6 @@ class GeometricMixture:
         if k < 0:
             return mpf(0)
         return sum((p * (1 - t) * t ** (k - 1) for p, t in self.terms), mpf(0))
-
-    def pmf_array(self, kmax: int, kmin: int = 1) -> np.ndarray:
-        """Float pmf values on kmin..kmax (inclusive)."""
-        out = np.empty(kmax - kmin + 1)
-        for i, k in enumerate(range(kmin, kmax + 1)):
-            out[i] = float(self.pmf(k))
-        return out
 
     def cdf_tail(self, k: int) -> mpf:
         """P[value > k] for k >= 0."""

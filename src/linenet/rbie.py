@@ -203,14 +203,22 @@ def solve(spec: NetworkSpec, max_iter: int = 10**5, tol: float = 1e-12) -> RateS
     return RateSolution(r=r[0], pb=pb[0], phi=phi, iterations=it, residual=residual)
 
 
+def _conserved_flow(r: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Storage rate r (1 - pb) at the destination of each line, along the last axis.
+
+    The fixed point conserves flow, so every node stores at the same rate;
+    a spread above 1e-6 along any line raises :class:`ConsistencyError`.
+    """
+    flows = r * (1.0 - pb)
+    spread = float(np.max(flows.max(axis=-1) - flows.min(axis=-1)))
+    if spread > 1e-6:
+        raise ConsistencyError(f"flow conservation violated in rate solution: spread {spread:.3e}")
+    return flows[..., -1]
+
+
 def capacity(sol: RateSolution) -> float:
     """Conserved storage rate r_i (1 - pb_i); any node gives the same value."""
-    flows = sol.r * (1.0 - sol.pb)
-    if float(flows.max() - flows.min()) > 1e-6:
-        raise ConsistencyError(
-            f"flow conservation violated in rate solution: spread {flows.max() - flows.min():.3e}"
-        )
-    return float(flows[-1])
+    return float(_conserved_flow(sol.r, sol.pb))
 
 
 def solve_batch(

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linenet import allocate, rbie
 from linenet.errors import SpecValidationError
@@ -57,3 +60,109 @@ def test_neighborhood_matches_exhaustive_small():
     b = allocate.allocate(eps, 10, "max-throughput", method="neighborhood", rescore_dbie=0)
     assert a.best.buffers == b.best.buffers
     assert b.evaluated < a.evaluated
+
+
+EPS_30 = (0.3, 0.5, 0.5, 0.2)
+BUDGET_30_TOP = {
+    "max-throughput": [(5, 21, 4), (6, 20, 4), (5, 20, 5), (6, 19, 5), (7, 19, 4),
+                       (5, 22, 3), (6, 21, 3), (5, 20, 4), (6, 19, 4), (7, 20, 3)],
+    "min-delay": [(4, 20, 6), (4, 20, 5), (4, 20, 4), (5, 18, 7), (5, 18, 6),
+                  (5, 18, 5), (4, 21, 5), (5, 18, 4), (4, 21, 4), (5, 19, 6)],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BUDGET_30_TOP))
+def budget_30(request):
+    floor = 0.485 if request.param == "min-delay" else None
+    return allocate.allocate(EPS_30, 30, request.param, floor=floor, rescore_dbie=0)
+
+
+def test_budget_30_winners_and_top_10_are_pinned(budget_30):
+    ranked = [budget_30.best, *budget_30.runners_up]
+    assert [c.buffers for c in ranked] == BUDGET_30_TOP[budget_30.objective]
+    assert budget_30.evaluated == 4060
+
+
+def test_reported_scores_are_the_single_line_solves_to_the_bit(budget_30):
+    for cand in [budget_30.best, *budget_30.runners_up]:
+        sol = rbie.solve(NetworkSpec(EPS_30, cand.buffers), tol=1e-12)
+        cap = rbie.capacity(sol)
+        assert cand.capacity == cap
+        assert cand.mean_delay == pytest.approx(float(sol.occupancy_means().sum()) / cap, rel=1e-14, abs=0)
+
+
+def _winner(cands, caps, delays):
+    return tuple(int(v) for v in cands[allocate._ranking("max-throughput", cands, caps, delays, None)[0]])
+
+
+def test_saturated_winner_is_pinned_and_stable():
+    """Budget 447 on eps (0.3, 0.5, 0.2): some 72 000 rows reach capacity 0.5.
+
+    Compared as raw floats, rounding in the last bits picks among those
+    ties, so a 1e-13 change to the capacities moves the winner.  At the
+    1e-10 resolution the ties rank by delay, and the winner (26, 18) is
+    the same under +-1e-13 noise on every capacity and at sweep
+    tolerances 1e-10, 1e-12 and 1e-13.
+    """
+    eps = (0.3, 0.5, 0.2)
+    res = allocate.allocate(eps, 447, rescore_dbie=0, rescore_exact_cap=0)
+    assert res.best.buffers == (26, 18)
+    cands = allocate.compositions_at_most(447, 2)
+    for tol in (1e-10, 1e-12, 1e-13):
+        out = rbie.solve_batch(eps, cands, tol=tol)
+        assert _winner(cands, out["capacity"], out["mean_delay"]) == (26, 18), tol
+    assert int(np.sum(out["capacity"] == 0.5)) > 70_000
+    for seed in range(6):
+        noise = np.random.default_rng(seed).choice([-1e-13, 1e-13], size=cands.shape[0])
+        assert _winner(cands, out["capacity"] + noise, out["mean_delay"]) == (26, 18), seed
+
+
+@pytest.mark.parametrize(
+    "eps, budget, objective, floor",
+    [
+        (EPS_30, 30, "max-throughput", None),
+        (EPS_30, 30, "min-delay", 0.485),
+        ((0.2, 0.4, 0.3, 0.5, 0.1), 200, "max-throughput", None),
+    ],
+)
+def test_neighborhood_result_is_a_local_optimum(eps, budget, objective, floor):
+    res = allocate.allocate(eps, budget, objective, floor=floor, method="neighborhood",
+                            rescore_dbie=0, rescore_exact_cap=0)
+    best = np.array(res.best.buffers)
+    rows = [best]
+    for i in range(best.size):
+        for j in range(best.size):
+            for step in (1, 2, 4, 8):
+                move = best.copy()
+                move[i] -= step
+                move[j] += step
+                if i != j and move[i] >= 1:
+                    rows.append(move)
+    cands = np.array(rows)
+    out = rbie.solve_batch(eps, cands, tol=allocate._SWEEP_TOL)
+    assert allocate._ranking(objective, cands, out["capacity"], out["mean_delay"], floor)[0] == 0
+
+
+@st.composite
+def ranking_inputs(draw):
+    """Scored candidates of a small line, a floor among their capacities, and a row permutation."""
+    h = draw(st.integers(2, 4))
+    eps = draw(st.lists(st.floats(0.05, 0.95), min_size=h, max_size=h))
+    cands = allocate.compositions_at_most(draw(st.integers(h - 1, h + 5)), h - 1)
+    out = rbie.solve_batch(eps, cands, tol=1e-12)
+    caps, delays = out["capacity"], out["mean_delay"]
+    if draw(st.booleans()):
+        # coarse ties, so the later keys and the buffer vectors decide
+        caps, delays = np.round(caps, 2), np.round(delays, 0)
+    floor = float(caps[draw(st.integers(0, caps.size - 1))])
+    perm = np.array(draw(st.permutations(range(cands.shape[0]))))
+    return cands, caps, delays, floor, perm
+
+
+@given(ranking_inputs(), st.sampled_from(["max-throughput", "min-delay"]))
+@settings(max_examples=60, deadline=None)
+def test_ranking_does_not_depend_on_row_order(case, objective):
+    cands, caps, delays, floor, perm = case
+    ranked = cands[allocate._ranking(objective, cands, caps, delays, floor)]
+    shuffled = cands[perm][allocate._ranking(objective, cands[perm], caps[perm], delays[perm], floor)]
+    np.testing.assert_array_equal(ranked, shuffled)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from linenet import emc, rbie
 from linenet.allocate import compositions_at_most
+from linenet.errors import ConsistencyError
 from linenet.model import NetworkSpec
 from conftest import line_specs, random_spec
 
@@ -206,3 +209,18 @@ def test_batch_mean_delay_matches_phi_near_equal_rates():
         sol = rbie.solve(NetworkSpec(eps, row))
         expected = float(sol.occupancy_means().sum()) / rbie.capacity(sol)
         assert out["mean_delay"][k] == pytest.approx(expected, rel=1e-12)
+
+
+def test_capacity_raises_when_flow_is_not_conserved(paper_four_hop):
+    sol = rbie.solve(paper_four_hop)
+    assert rbie.capacity(sol) == float(sol.r[-1] * (1.0 - sol.pb[-1]))
+    r = sol.r.copy()
+    r[1] += 1e-5
+    with pytest.raises(ConsistencyError, match="flow conservation"):
+        rbie.capacity(dataclasses.replace(sol, r=r))
+    # the same rule holds row by row for batches
+    out = rbie.solve_batch(paper_four_hop.eps, np.array([[2, 2, 2], [3, 1, 2]]), tol=1e-12)
+    np.testing.assert_array_equal(rbie._conserved_flow(out["r"], out["pb"]), out["capacity"])
+    out["r"][1, 1] += 1e-5
+    with pytest.raises(ConsistencyError, match="flow conservation"):
+        rbie._conserved_flow(out["r"], out["pb"])
