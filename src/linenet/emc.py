@@ -7,13 +7,17 @@ node backwards.  The joint occupancy vector then evolves as a Markov
 chain; throughput capacity is the delivery rate of the last link under
 its stationary distribution.
 
-Stationary distributions come from one GMRES solve of the normalized
-balance equations; the ``tol`` callers pass bounds max |pi P - pi| of
-the result and is not a solver setting.
+A chain built here is block-tridiagonal over the occupancy levels of
+any one node.  Its stationary distribution comes from block elimination
+over the levels of the node with the largest buffer when those levels
+are small, and from one GMRES solve of the normalized balance equations
+otherwise; the ``tol`` callers pass bounds max |pi P - pi| of the result
+and is not a solver setting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -84,11 +88,14 @@ class SparseStochasticMatrix:
     """Row-stochastic transition matrix in CSR form.
 
     Row ``i`` holds the one-step distribution out of the state with
-    0-based index ``i`` under the canonical state ordering.
+    0-based index ``i`` under the canonical state ordering.  ``buffers``
+    are the buffer sizes of the spec the chain was built from, which fix
+    its level structure; () when they are not known.
     """
 
     n: int
     probs: sparse.csr_matrix = field(repr=False)
+    buffers: tuple[int, ...] = ()
 
 
 def _channel_outcomes(eps) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +183,7 @@ def _build_chain(
         indices[lo:hi] = np.repeat(np.arange(a, b), cnt) + pat_off[src]
         data[lo:hi] = pat_prob[src]
     return SparseStochasticMatrix(
-        n=n, probs=sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        n=n, probs=sparse.csr_matrix((data, indices, indptr), shape=(n, n)), buffers=spec.buffers
     )
 
 
@@ -207,16 +214,120 @@ _GMRES_RTOL = 1e-14
 _GMRES_RESTART = 50
 _GMRES_MAX_CYCLES = 100  # at most 5 000 operator applications
 
+# Level elimination costs O(n b^2) for levels of b states and GMRES about
+# O(n 3^(h-1)) per operator application; measured crossover in
+# notes/decisions.md.  The stored factors take about n b doubles.
+_LEVEL_BLOCK_MAX = 256
+_LEVEL_FACTOR_BYTES = 1 << 25
+
+
+def _level_plan(buffers: tuple[int, ...]) -> tuple[int, int] | None:
+    """Level node and states per level of the level solve; None for GMRES.
+
+    The level node is the one with the largest buffer, the last one on
+    ties.  Decided from the buffer sizes alone, before anything is
+    allocated.
+    """
+    if not buffers:
+        return None
+    k = max(range(len(buffers)), key=lambda j: (buffers[j], j))
+    n = math.prod(m + 1 for m in buffers)
+    b = n // (buffers[k] + 1)
+    if b > _LEVEL_BLOCK_MAX or 8 * n * b > _LEVEL_FACTOR_BYTES:
+        return None
+    return k, b
+
+
+def _level_band(P: sparse.csr_matrix, i: int, b: int) -> np.ndarray:
+    """Dense (b, 3b) row band of level i: its down, stay and up blocks.
+
+    A level is a run of b consecutive states; every component moves by at
+    most one per epoch, so level i reaches only levels i-1 to i+1.  The
+    band is read straight from the CSR arrays; the down block of level 0
+    and the up block of the top level are zero.
+    """
+    start = P.indptr[i * b : (i + 1) * b + 1]
+    lo, hi = start[0], start[-1]
+    band = np.zeros((b, 3 * b))
+    band[np.repeat(np.arange(b), np.diff(start)), P.indices[lo:hi] - (i - 1) * b] = P.data[lo:hi]
+    return band
+
+
+def _eliminate_levels(P: sparse.csr_matrix, b: int) -> np.ndarray:
+    """Unnormalized stationary vector of a chain block-tridiagonal over levels of b states.
+
+    Block Gaussian elimination from the top level down (Gaver, Jacobs &
+    Latouche 1984).  With D_i, A_i, U_i the down, stay and up blocks of
+    level i, S_top = A_top - I and S_i = A_i - I + R_i D_{i+1}, where
+    R_i = U_i (-S_{i+1})^-1 is kept.  -S_i is a nonsingular M-matrix
+    whose row sums are level i's down mass, so its diagonal is set from
+    the off-diagonal entries and that mass without a subtraction
+    (Grassmann, Taksar & Heyman 1985).  pi_0 solves pi_0 S_0 = 0 with
+    sum 1, and pi_{i+1} = pi_i R_i; each level is rescaled to sum 1 and
+    its scale carried as a logarithm, so that pi does not overflow.
+    """
+    levels = P.shape[0] // b
+    diag = np.arange(b)
+    factors = np.empty((levels - 1, b, b))
+    band = _level_band(P, levels - 1, b)
+    stay = band[:, b : 2 * b]  # stay block of the chain censored to levels 0..i
+    for i in range(levels - 1, -1, -1):
+        stay[diag, diag] = 0.0
+        neg_s = -stay
+        neg_s[diag, diag] = stay.sum(axis=1) + band[:, :b].sum(axis=1)
+        if i == 0:
+            break
+        down = band[:, :b]
+        band = _level_band(P, i - 1, b)
+        # R_{i-1} (-S_i) = U_{i-1}
+        factors[i - 1] = np.linalg.solve(neg_s.T, band[:, 2 * b :].T).T
+        stay = band[:, b : 2 * b] + factors[i - 1] @ down
+
+    neg_s[:, -1] = 1.0
+    x = np.linalg.solve(neg_s.T, np.eye(b)[-1])
+    pi = np.empty(levels * b)
+    pi[:b] = x
+    log_scale = np.zeros(levels)
+    for i in range(levels - 1):
+        x = x @ factors[i]
+        total = x.sum()
+        x /= total
+        log_scale[i + 1] = log_scale[i] + np.log(total)
+        pi[(i + 1) * b : (i + 2) * b] = x
+    pi *= np.repeat(np.exp(log_scale - log_scale.max()), b)
+    return pi
+
+
+def _solve_levels(P: sparse.csr_matrix, buffers: tuple[int, ...], k: int, b: int) -> np.ndarray:
+    """Level elimination over node k's occupancy, reordering the states if needed.
+
+    The canonical order has the last node most significant; when k is
+    another node the states are reordered so that k is, and the result
+    is mapped back.
+    """
+    if k == len(buffers) - 1:
+        return _eliminate_levels(P, b)
+    dims = [m + 1 for m in reversed(buffers)]  # axis 0 is the last node
+    order = np.moveaxis(np.arange(P.shape[0]).reshape(dims), len(buffers) - 1 - k, 0).ravel()
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size)
+    permuted = sparse.csr_matrix((P.data, inv[P.indices], P.indptr), shape=P.shape)[order]
+    return _eliminate_levels(permuted, b)[inv]
+
 
 def stationary(P: SparseStochasticMatrix | sparse.csr_matrix, tol: float = 1e-12) -> np.ndarray:
     """Stationary distribution of an irreducible row-stochastic matrix.
 
-    One restarted GMRES run from the uniform vector solves pi (P - I) = 0,
-    the last equation replaced by sum(pi) = 1, applying P^T without forming
-    the system matrix.  It stops at a fixed relative residual near double
-    precision or after a fixed number of restart cycles.  ``tol`` bounds
-    max |pi P - pi| of the clipped, normalized result; ConvergenceError is
-    raised above it, or when the chain is not irreducible.
+    A chain from ``build_emc`` or ``amc.build_amc`` whose levels (states
+    sharing one occupancy of the node with the largest buffer) are small
+    is solved by block elimination over those levels.  Any other matrix,
+    a raw CSR one included, gets one restarted GMRES run from the
+    uniform vector on pi (P - I) = 0, the last equation replaced by
+    sum(pi) = 1, applying P^T without forming the system matrix; it
+    stops at a fixed relative residual near double precision or after a
+    fixed number of restart cycles.  ``tol`` bounds max |pi P - pi| of
+    the clipped, normalized result; ConvergenceError, naming the path,
+    is raised above it, or when the chain is not irreducible.
     """
     mat = P.probs if isinstance(P, SparseStochasticMatrix) else sparse.csr_matrix(P)
     n = mat.shape[0]
@@ -226,26 +337,38 @@ def stationary(P: SparseStochasticMatrix | sparse.csr_matrix, tol: float = 1e-12
             f"chain is not irreducible ({ncomp} strongly connected components)"
         )
     mat_t = mat.T
+    plan = _level_plan(P.buffers) if isinstance(P, SparseStochasticMatrix) else None
+    if plan is not None:
+        pi = _solve_levels(mat, P.buffers, *plan)
+        iterations = n // plan[1]
+        path = f"level-elimination stationary solve ({iterations} levels of {plan[1]} states)"
+    else:
+        applied = 0
 
-    def balance(v: np.ndarray) -> np.ndarray:
-        out = mat_t @ v - v
-        out[-1] = v.sum()
-        return out
+        def balance(v: np.ndarray) -> np.ndarray:
+            nonlocal applied
+            applied += 1
+            out = mat_t @ v - v
+            out[-1] = v.sum()
+            return out
 
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi, _ = gmres(
-        LinearOperator((n, n), matvec=balance, dtype=float), b, x0=np.full(n, 1.0 / n),
-        rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART, maxiter=_GMRES_MAX_CYCLES,
-    )
+        b = np.zeros(n)
+        b[-1] = 1.0
+        pi, info = gmres(
+            LinearOperator((n, n), matvec=balance, dtype=float), b, x0=np.full(n, 1.0 / n),
+            rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART, maxiter=_GMRES_MAX_CYCLES,
+        )
+        iterations = applied
+        path = f"GMRES stationary solve ({applied} operator applications, info {info})"
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     residual = float(np.max(np.abs(mat_t @ pi - pi)))
     # written so that a NaN residual is rejected too
     if not residual <= tol:
         raise ConvergenceError(
-            f"stationary solve stalled at residual {residual:.3e}",
+            f"{path} stalled at residual {residual:.3e}",
             residual=residual,
+            iterations=iterations,
         )
     return pi
 
@@ -315,30 +438,6 @@ def capacity_flow_crosscheck(
 # level blocks of the transition matrix
 # ---------------------------------------------------------------------------
 
-def _levels(spec: NetworkSpec, chain: SparseStochasticMatrix):
-    """Level blocks (down, stay, up) of the chain, sliced from its CSR matrix.
-
-    A level is the set of states sharing one occupancy of the last
-    intermediate node; each is contiguous in the canonical ordering.
-    Every component moves by at most one per epoch, so the matrix is
-    block-tridiagonal over levels.  Returns ``(down, stay, up)`` where
-    ``down[i]`` maps level i to level i-1 (None for i = 0), ``stay[i]``
-    level i to itself, and ``up[i]`` level i to level i+1 (None for the
-    top level).
-    """
-    top = spec.buffers[-1]
-    b = _tail_block_size(spec)
-    down: list[sparse.csr_matrix | None] = []
-    stay: list[sparse.csr_matrix] = []
-    up: list[sparse.csr_matrix | None] = []
-    for i in range(top + 1):
-        band = chain.probs[i * b : (i + 1) * b]
-        down.append(band[:, (i - 1) * b : i * b] if i > 0 else None)
-        stay.append(band[:, i * b : (i + 1) * b])
-        up.append(band[:, (i + 1) * b : (i + 2) * b] if i < top else None)
-    return down, stay, up
-
-
 @dataclass(frozen=True)
 class BlockStructureReport:
     """Outcome of the structural checks on the level blocks."""
@@ -365,8 +464,8 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
     h > 2 the up-blocks are lower triangular with the all-empty diagonal
     entry exactly zero, hence singular, and (d) I minus each stay-block
     is invertible.  Raises at the first level with a violated property.
-    Each level is checked in one pass over its row band of the CSR
-    arrays; only I minus one stay-block at a time is made dense.
+    Each level is checked on its dense row band (``_level_band``), one
+    level at a time.
     """
     P = build_emc(spec, cap=cap).probs
     top = spec.buffers[-1]
@@ -374,34 +473,23 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
     diag_bound = (1.0 - spec.eps[-1]) * float(np.prod(spec.eps[:-1]))
     min_diag = np.inf
     eye = np.eye(block)
-    local = np.arange(block)
     first = None
     for i in range(top + 1):
-        lo, hi = P.indptr[i * block], P.indptr[(i + 1) * block]
-        row = np.repeat(local, np.diff(P.indptr[i * block : (i + 1) * block + 1]))
-        col = P.indices[lo:hi] - i * block  # -block..-1 down, 0..block-1 stay, then up
-        val = P.data[lo:hi]
-        step = col // block
-        col = col - step * block
-        band = (row, step, col, val)
+        band = _level_band(P, i, block)
+        down, stay, up = np.hsplit(band, 3)
         if i == 1:
-            first = band
-        elif 1 < i < top and not all(map(np.array_equal, band, first)):
-            for name, s in (("down", -1), ("stay", 0), ("up", 1)):
-                mine, ref = band[1] == s, first[1] == s
-                if not all(np.array_equal(a[mine], r[ref]) for a, r in zip(band, first)):
+            first = (down, stay, up)
+        elif 1 < i < top:
+            for name, mine, ref in zip(("down", "stay", "up"), (down, stay, up), first):
+                if not np.array_equal(mine, ref):
                     raise StructureViolationError(
                         f"interior {name}-block {i} differs from block 1"
                     )
 
         if i > 0:
-            down = step == -1
-            if np.any(col[down] < row[down]):
+            if np.tril(down, -1).any():
                 raise StructureViolationError(f"down-block {i} is not upper triangular")
-            diagonal = np.zeros(block)
-            on = down & (col == row)
-            diagonal[row[on]] = val[on]
-            diag = float(diagonal.min())
+            diag = float(np.diag(down).min())
             min_diag = min(min_diag, diag)
             if diag < diag_bound * (1 - 1e-9):
                 raise StructureViolationError(
@@ -409,18 +497,14 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
                 )
 
         if spec.h > 2 and i < top:
-            up = step == 1
-            if np.any(col[up] > row[up]):
+            if np.triu(up, 1).any():
                 raise StructureViolationError(f"up-block {i} is not lower triangular")
-            if np.any(val[up & (row == 0) & (col == 0)] != 0.0):
+            if up[0, 0] != 0.0:
                 raise StructureViolationError(
                     f"up-block {i} has a feasible all-empty diagonal transition"
                 )
 
-        stay = step == 0
-        dense = np.zeros((block, block))
-        dense[row[stay], col[stay]] = val[stay]
-        if abs(float(np.linalg.det(eye - dense))) < 1e-300:
+        if abs(float(np.linalg.det(eye - stay))) < 1e-300:
             raise StructureViolationError(f"I - stay-block {i} is singular")
 
     return BlockStructureReport(
@@ -442,19 +526,25 @@ def _h_matrices(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP):
 
     Works in the column convention (blocks transposed), so that the
     stationary sub-vectors satisfy pi_i = H_i @ pi_0.  Each H is dense
-    b x b, built from one level's blocks at a time.  Returns the list of
+    b x b, built from the bands of three levels at a time.  Returns the list of
     H matrices plus the worst relation residual against the exact
     stationary solve.
     """
     chain = build_emc(spec, cap=cap)
-    down, stay, up = _levels(spec, chain)
     top = spec.buffers[-1]
-    eye = np.eye(_tail_block_size(spec))
+    b = _tail_block_size(spec)
+    eye = np.eye(b)
 
-    H = [eye, np.linalg.solve(down[1].toarray().T, eye - stay[0].toarray().T)]
-    for i in range(2, top + 1):
-        rhs = (eye - stay[i - 1].toarray().T) @ H[i - 1] - up[i - 2].toarray().T @ H[i - 2]
-        H.append(np.linalg.solve(down[i].toarray().T, rhs))
+    # the bands of levels i-2, i-1 and i
+    older, prev = None, _level_band(chain.probs, 0, b)
+    H = [eye]
+    for i in range(1, top + 1):
+        band = _level_band(chain.probs, i, b)
+        rhs = eye - prev[:, b : 2 * b].T
+        if i > 1:
+            rhs = rhs @ H[i - 1] - older[:, 2 * b :].T @ H[i - 2]
+        H.append(np.linalg.solve(band[:, :b].T, rhs))
+        older, prev = prev, band
 
     pi = np.split(stationary(chain), top + 1)
     residual = 0.0
@@ -472,7 +562,7 @@ def h_matrix_bound(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> float:
 
     The forward H recursion loses accuracy geometrically in the number
     of levels (the last buffer plus one): with eps (0.3, 0.5, 0.7) the
-    residual is 1.6e3 at buffers (3, 12), 4.8e30 at (4, 30) and 1.6e277
+    residual is 4.9e-4 at buffers (3, 12), 5.4e18 at (4, 30) and 6.5e211
     at (4, 200), and each of those raises.  The bound is usable only on
     chains with a short last buffer.
     """

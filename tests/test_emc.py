@@ -1,5 +1,7 @@
 import itertools
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,9 +193,88 @@ def test_stationary_rejects_reducible():
 
 
 def test_stationary_rejects_residual_above_tol(paper_four_hop):
-    with pytest.raises(ConvergenceError) as err:
+    # six levels of 36 states: the level path
+    with pytest.raises(ConvergenceError, match="level-elimination") as err:
         emc.stationary(emc.build_emc(paper_four_hop), tol=1e-30)
     assert err.value.residual > 1e-30
+    assert err.value.iterations == 6
+
+
+def test_stationary_gmres_failure_names_its_path(paper_four_hop):
+    # a raw CSR matrix carries no levels: the GMRES path
+    with pytest.raises(ConvergenceError, match="GMRES") as err:
+        emc.stationary(emc.build_emc(paper_four_hop).probs, tol=1e-30)
+    assert err.value.residual > 1e-30
+    assert err.value.iterations > 0
+    assert f"{err.value.iterations} operator applications" in str(err.value)
+
+
+def two_hop_closed_form(e1: float, e2: float, m: int) -> float:
+    """Capacity of the two-hop birth-death walk, summed in exact rationals.
+
+    From occupancy 0 the walk rises with a0 = 1 - e1; inside it rises
+    with (1 - e1) e2 and falls with d = e1 (1 - e2), so pi_k = pi_0 (a0/d)
+    rho^(k-1) for k >= 1 with rho = (1 - e1) e2 / d.
+    """
+    e1, e2 = Fraction(e1), Fraction(e2)
+    d = e1 * (1 - e2)
+    rho = (1 - e1) * e2 / d
+    mass = (rho**m - 1) / (rho - 1) if rho != 1 else Fraction(m)
+    return float((1 - e2) * (1 - 1 / (1 + (1 - e1) / d * mass)))
+
+
+@pytest.mark.parametrize("m", [200, 1000, 5000])
+def test_capacity_exact_long_two_hop_symmetric(m):
+    assert abs(emc.capacity_exact(NetworkSpec((0.5, 0.5), (m,))) - 0.5 * (1 - 1 / (2 * m + 1))) <= 1e-10
+
+
+def test_capacity_exact_long_two_hop_general():
+    # the level ratio is 7/3: unscaled, pi would overflow over 1 000 levels
+    got = emc.capacity_exact(NetworkSpec((0.3, 0.5), (1000,)))
+    assert two_hop_closed_form(0.5, 0.5, 7) == pytest.approx(0.5 * (1 - 1 / 15), abs=1e-15)
+    assert abs(got - two_hop_closed_form(0.3, 0.5, 1000)) <= 1e-10
+
+
+def test_bounds_sandwich_long_three_hop():
+    spec = NetworkSpec((0.3, 0.5, 0.5), (100, 100))
+    start = time.perf_counter()
+    res = amc.bounds(spec, with_exact=True)
+    assert time.perf_counter() - start < 5.0
+    assert res.lower <= res.exact <= res.upper <= spec.min_cut
+
+
+def test_capacity_exact_reversal_on_the_permuted_path():
+    # levels follow the largest buffer: the first node here, the last in the reversal
+    spec = NetworkSpec((0.3, 0.5, 0.5), (1000, 2))
+    rev = NetworkSpec((0.5, 0.5, 0.3), (2, 1000))
+    assert emc._level_plan(spec.buffers) == (0, 3)
+    assert emc._level_plan(rev.buffers) == (1, 3)
+    assert abs(emc.capacity_exact(spec) - emc.capacity_exact(rev)) <= 1e-10
+
+
+@pytest.mark.parametrize("build", [emc.build_emc, amc.build_amc], ids=["emc", "amc"])
+@given(spec=line_specs(h_values=(2, 3, 4, 5), m_max=5))
+@settings(max_examples=40, deadline=None)
+def test_level_and_gmres_paths_agree(build, spec):
+    chain = build(spec)
+    assert emc._level_plan(chain.buffers) is not None
+    levels, gmres = emc.stationary(chain), emc.stationary(chain.probs)
+    assert np.max(np.abs(levels - gmres)) <= 1e-12
+    for pi in (levels, gmres):
+        assert np.max(np.abs(pi @ chain.probs - pi)) <= 1e-12
+        assert np.all(pi >= 0) and pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_level_plan_refuses_factors_over_the_budget():
+    # 256-state levels, but 2.56 M states: the factors would take 5.2 GB
+    n = 256 * 10_001
+    assert 8 * n * 256 > emc._LEVEL_FACTOR_BYTES
+    assert emc._level_plan((255, 10_000)) is None
+    # 16 384 states in 256-state levels fill the budget exactly; one level more does not fit
+    assert emc._level_plan((15, 15, 63)) == (2, 256)
+    assert emc._level_plan((15, 15, 64)) is None
+    assert emc._level_plan((16, 16, 16)) is None  # 289-state levels
+    assert emc._level_plan(()) is None
 
 
 @pytest.mark.parametrize(
@@ -293,19 +374,16 @@ def test_block_structure_down_diagonal_bound_does_not_underflow():
 
 
 def test_block_structure_two_hop_scalar_blocks():
-    spec = NetworkSpec((0.5, 0.5), (4,))
-    chain = emc.build_emc(spec)
-    gm, _, _ = emc._levels(spec, chain)
+    P = emc.build_emc(NetworkSpec((0.5, 0.5), (4,))).probs
     for i in range(1, 5):
-        assert gm[i].shape == (1, 1)
-        assert gm[i][0, 0] == pytest.approx(0.5 * 0.5, abs=1e-15)  # success * loss
+        band = emc._level_band(P, i, 1)
+        assert band.shape == (1, 3)
+        assert band[0, 0] == pytest.approx(0.5 * 0.5, abs=1e-15)  # success * loss
 
 
 def test_block_structure_up_block_corner_zero():
-    spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    chain = emc.build_emc(spec)
-    _, _, gp = emc._levels(spec, chain)
-    assert gp[0][0, 0] == 0.0
+    P = emc.build_emc(NetworkSpec((0.3, 0.5, 0.7), (2, 2))).probs
+    assert emc._level_band(P, 0, 3)[0, 6] == 0.0
 
 
 def test_block_structure_randomized():
@@ -343,22 +421,14 @@ def test_levels_rebuild_the_chain():
     rng = np.random.default_rng(2024)
     for _ in range(20):
         spec = random_spec(rng, h_choices=(2, 3, 4, 5), m_max=4)
-        chain = emc.build_emc(spec)
-        P = chain.probs
-        down, stay, up = emc._levels(spec, chain)
-        L = len(stay)
-        grid = [[None] * L for _ in range(L)]
-        for i in range(L):
-            grid[i][i] = stay[i]
-            if i > 0:
-                grid[i][i - 1] = down[i]
-            if i < L - 1:
-                grid[i][i + 1] = up[i]
-        rebuilt = sparse.bmat(grid, format="csr")
-        assert rebuilt.shape == P.shape
-        assert abs(rebuilt - P).max() == 0.0
-        # no non-zero outside the three block diagonals
-        assert sum(g.count_nonzero() for g in (*down[1:], *stay, *up[:-1])) == P.count_nonzero()
+        P = emc.build_emc(spec).probs
+        n, b = P.shape[0], emc._tail_block_size(spec)
+        # one empty level of padding on each side
+        rebuilt = np.zeros((n, n + 2 * b))
+        for i in range(n // b):
+            rebuilt[i * b : (i + 1) * b, i * b : (i + 3) * b] = emc._level_band(P, i, b)
+        assert np.array_equal(rebuilt[:, b : n + b], P.toarray())
+        assert not rebuilt[:, :b].any() and not rebuilt[:, n + b :].any()
 
 
 def test_block_structure_allocates_no_dense_chain():
