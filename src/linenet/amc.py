@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emc import (
-    DEFAULT_STATE_CAP,
     SparseStochasticMatrix,
     _build_chain,
     capacity_exact,
@@ -61,16 +60,14 @@ def step_amc_batch(states: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarr
     return states + stored - sent[:, 1:]
 
 
-def build_amc(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> SparseStochasticMatrix:
+def build_amc(spec: NetworkSpec) -> SparseStochasticMatrix:
     """Transition matrix of the drop-on-full chain (same state ordering)."""
-    return _build_chain(spec, step_amc_batch, cap)
+    return _build_chain(spec, step_amc_batch)
 
 
-def capacity_lower(
-    spec: NetworkSpec, tol: float = 1e-12, cap: int = DEFAULT_STATE_CAP
-) -> float:
+def capacity_lower(spec: NetworkSpec, tol: float = 1e-12) -> float:
     """Capacity lower bound: delivery rate of the drop-on-full chain."""
-    pi = stationary(build_amc(spec, cap=cap), tol=tol)
+    pi = stationary(build_amc(spec), tol=tol)
     return capacity_exact(spec, pi=pi)
 
 
@@ -84,11 +81,13 @@ def prefix_sum_buffers(buffers) -> tuple[int, ...]:
     return tuple(out)
 
 
-def capacity_upper(
-    spec: NetworkSpec, tol: float = 1e-12, cap: int = DEFAULT_STATE_CAP
-) -> float:
+def capacity_upper(spec: NetworkSpec, tol: float = 1e-12) -> float:
     """Capacity upper bound: drop-on-full chain with prefix-summed buffers."""
-    return capacity_lower(spec.with_buffers(prefix_sum_buffers(spec.buffers)), tol=tol, cap=cap)
+    return capacity_lower(spec.with_buffers(prefix_sum_buffers(spec.buffers)), tol=tol)
+
+
+# the three capacities come from separate stationary solves; this absorbs their error
+_SANDWICH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,9 @@ class BoundsResult:
     exact: float | None = None
     distinct_eps: bool = True
 
-    def sandwich_ok(self, slack: float = 1e-9) -> bool:
+    def sandwich_ok(self) -> bool:
+        """lower <= exact <= upper, each up to ``_SANDWICH_SLACK``."""
+        slack = _SANDWICH_SLACK
         if self.lower > self.upper + slack:
             return False
         if self.exact is None:
@@ -116,13 +117,12 @@ class BoundsResult:
 def bounds(
     spec: NetworkSpec,
     tol: float = 1e-12,
-    cap: int = DEFAULT_STATE_CAP,
     with_exact: bool = False,
 ) -> BoundsResult:
     """Compute both bounds, and the exact capacity when requested."""
-    lo = capacity_lower(spec, tol=tol, cap=cap)
-    hi = capacity_upper(spec, tol=tol, cap=cap)
-    exact = capacity_exact(spec, tol=tol, cap=cap) if with_exact else None
+    lo = capacity_lower(spec, tol=tol)
+    hi = capacity_upper(spec, tol=tol)
+    exact = capacity_exact(spec, tol=tol) if with_exact else None
     return BoundsResult(
         lower=lo,
         upper=hi,

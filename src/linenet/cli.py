@@ -4,7 +4,7 @@ Subcommands: exact | bounds | rbie | dbie | delay | simulate | netcod |
 continuous | allocate | reproduce.  Single results are emitted as JSON
 documents carrying the resolved configuration; sweeps land in CSV.
 Exit codes: 0 success, 2 validation error, 3 convergence failure,
-4 state-space cap exceeded.
+4 state-space cap (``emc.STATE_CAP`` states) exceeded.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 def cmd_exact(args) -> int:
     spec = _load_spec(args)
-    chain = emc.build_emc(spec, cap=args.state_cap)
+    chain = emc.build_emc(spec)
     pi = emc.stationary(chain, tol=args.tol)
     cap = emc.capacity_exact(spec, pi=pi)
     cross = emc.capacity_flow_crosscheck(spec, tol=args.tol, pi=pi)
@@ -124,7 +124,7 @@ def cmd_exact(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _load_spec(args)
-    res = amc.bounds(spec, tol=args.tol, cap=args.state_cap, with_exact=args.with_exact)
+    res = amc.bounds(spec, tol=args.tol, with_exact=args.with_exact)
     notes = []
     if not res.distinct_eps:
         notes.append("erasure probabilities are not pairwise distinct")
@@ -224,9 +224,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_netcod(args) -> int:
     spec = _load_spec(args)
+    # before any simulation, so that a spec over the state cap fails at once
+    exact = emc.capacity_exact(spec) if args.compare_exact else None
     if args.q_sweep:
         qs = [int(v) for v in args.q_sweep.split(",")]
-        exact = emc.capacity_exact(spec, cap=args.state_cap) if args.compare_exact else None
         rows = []
         for q in qs:
             st = netcod_mod.simulate_no_feedback(
@@ -249,7 +250,7 @@ def cmd_netcod(args) -> int:
         "destination_rank": stats.destination_rank,
     }
     if args.compare_exact:
-        result["exact_capacity"] = emc.capacity_exact(spec, cap=args.state_cap)
+        result["exact_capacity"] = exact
     _emit(args, _report(args, "netcod", result))
     return EXIT_OK
 
@@ -266,9 +267,7 @@ def cmd_continuous(args) -> int:
     }
     scale = disc.rate_scale
     if args.method in ("exact", "all"):
-        result["packets_per_second"]["exact"] = scale * emc.capacity_exact(
-            disc.network, cap=args.state_cap
-        )
+        result["packets_per_second"]["exact"] = scale * emc.capacity_exact(disc.network)
     if args.method in ("rbie", "all"):
         result["packets_per_second"]["rbie"] = scale * rbie.capacity(rbie.solve(disc.network))
     if args.method in ("dbie", "all"):
@@ -296,16 +295,16 @@ def cmd_allocate(args) -> int:
 # figure-style dataset reproduction
 # ---------------------------------------------------------------------------
 
-def _sweep_row(spec: NetworkSpec, epochs: int, seed: int, state_cap: int, build_cap: float):
+def _sweep_row(spec: NetworkSpec, epochs: int, seed: int, build_cap: float):
     lo = hi = ex = None
     try:
         if spec.num_states * 2 ** spec.h <= build_cap:
-            ex = emc.capacity_exact(spec, cap=state_cap)
+            ex = emc.capacity_exact(spec)
         expanded = spec.with_buffers(amc.prefix_sum_buffers(spec.buffers))
         if spec.num_states * 2 ** spec.h <= build_cap:
-            lo = amc.capacity_lower(spec, cap=state_cap)
+            lo = amc.capacity_lower(spec)
         if expanded.num_states * 2 ** spec.h <= build_cap:
-            hi = amc.capacity_upper(spec, cap=state_cap)
+            hi = amc.capacity_upper(spec)
     except StateSpaceCapError:
         pass
     rb = rbie.capacity(rbie.solve(spec))
@@ -325,18 +324,18 @@ def cmd_reproduce(args) -> int:
         for e in (0.25, 0.5):
             for h in range(2, args.max_hops + 1):
                 spec = NetworkSpec((e,) * h, (5,) * (h - 1))
-                rows.append([h, e, *_sweep_row(spec, args.epochs, args.seed, args.state_cap, args.build_cap)])
+                rows.append([h, e, *_sweep_row(spec, args.epochs, args.seed, args.build_cap)])
     elif fig == "capacity-vs-memory":
         header = ["m", "eps", "exact", "lower", "upper", "rbie", "dbie", "sim"]
         for e in (0.25, 0.5):
             for m in range(1, args.max_memory + 1):
                 spec = NetworkSpec((e,) * 5, (m,) * 4)
-                rows.append([m, e, *_sweep_row(spec, args.epochs, args.seed, args.state_cap, args.build_cap)])
+                rows.append([m, e, *_sweep_row(spec, args.epochs, args.seed, args.build_cap)])
     elif fig == "capacity-vs-eps":
         header = ["eps", "exact", "lower", "upper", "rbie", "dbie", "sim", "min_cut"]
         for e in np.linspace(0.05, 0.5, 10):
             spec = NetworkSpec((float(e),) * 5, (5,) * 4)
-            rows.append([float(e), *_sweep_row(spec, args.epochs, args.seed, args.state_cap, args.build_cap), 1 - float(e)])
+            rows.append([float(e), *_sweep_row(spec, args.epochs, args.seed, args.build_cap), 1 - float(e)])
     elif fig == "delay-profile":
         header = ["m", "method", "mean", "variance"]
         for m in (5, 10, 15):
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": ("--seed", dict(type=int, default=0)),
         "epochs": ("--epochs", dict(type=int, default=10**5)),
         "warmup": ("--warmup", dict(type=int, default=None)),
-        "state_cap": ("--state-cap", dict(type=int, default=emc.DEFAULT_STATE_CAP)),
         "format": ("--format", dict(choices=("json", "csv"), default="json")),
     }
 
@@ -404,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    sp = command("exact", cmd_exact, "spec tol state_cap format", "exact capacity from the occupancy chain")
+    sp = command("exact", cmd_exact, "spec tol format", "exact capacity from the occupancy chain")
     sp.add_argument("--dump-matrix", help="write the transition matrix as CSV triplets")
 
-    sp = command("bounds", cmd_bounds, "spec tol state_cap format", "capacity lower/upper bounds")
+    sp = command("bounds", cmd_bounds, "spec tol format", "capacity lower/upper bounds")
     sp.add_argument("--with-exact", action="store_true")
 
     command("rbie", cmd_rbie, "spec tol max_iter format", "rate-based iterative estimate")
@@ -426,15 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hist-out", help="write histogram CSV")
 
     sp = command(
-        "netcod", cmd_netcod, "spec epochs warmup seed state_cap format", "no-feedback coded simulation"
+        "netcod", cmd_netcod, "spec epochs warmup seed format", "no-feedback coded simulation"
     )
     sp.add_argument("--q", type=int, default=65536, choices=netcod_mod.SUPPORTED_FIELD_SIZES)
     sp.add_argument("--q-sweep", dest="q_sweep", help="comma-separated field sizes; emits a rate-vs-q CSV")
     sp.add_argument("--compare-exact", action="store_true")
 
-    sp = command(
-        "continuous", cmd_continuous, "state_cap format", "continuous-time tandem via discretization"
-    )
+    sp = command("continuous", cmd_continuous, "format", "continuous-time tandem via discretization")
     sp.add_argument("--lambdas", required=True, help="comma-separated service rates (1/s)")
     sp.add_argument("--buffers", required=True, help="comma-separated buffer sizes")
     sp.add_argument("--tau", type=float, required=True, help="epoch length (s)")
@@ -450,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("auto", "exhaustive", "neighborhood"), default="auto")
     sp.add_argument("--top", type=int, default=10)
 
-    sp = command("reproduce", cmd_reproduce, "epochs seed state_cap", "emit plot-ready sweep datasets")
+    sp = command("reproduce", cmd_reproduce, "epochs seed", "emit plot-ready sweep datasets")
     sp.add_argument("--figure", required=True, help=f"one of: {', '.join(FIGURES)}")
     sp.add_argument("--max-hops", type=int, default=8, dest="max_hops")
     sp.add_argument("--max-memory", type=int, default=8, dest="max_memory")

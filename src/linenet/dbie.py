@@ -52,6 +52,10 @@ __all__ = [
 
 DEFAULT_DPS = 50
 _DJ_HARD_CAP = 100_000
+# the D_j series stops once its mass is within _DJ_TAIL of 1
+_DJ_TAIL = 1e-12
+# tied erasure probabilities are separated by multiples of _PERTURB_DELTA
+_PERTURB_DELTA = 1e-6
 # a starvation fraction this far outside [0, 1] is rounding; beyond it, inconsistent
 _ALPHA_SLACK = 1e-9
 
@@ -67,11 +71,7 @@ def effective_failure(theta, q):
     return theta + (1 - theta) * q
 
 
-def dj_distribution(
-    g_in: GeometricMixture,
-    theta_tilde,
-    tail: float = 1e-12,
-) -> list[mpf]:
+def dj_distribution(g_in: GeometricMixture, theta_tilde) -> list[mpf]:
     """Distribution of potential departures during one inter-arrival gap.
 
     With per-epoch departure probability 1 - theta_tilde and an
@@ -81,7 +81,7 @@ def dj_distribution(
         D_j = ((1-tt)/tt)^j * sum_l p_l (1-t_l)/t_l *
               ((t_l tt)^j / (1 - t_l tt)^(j+1) - [j == 0])
 
-    Truncated once the accumulated mass is within ``tail`` of 1.
+    Truncated once the accumulated mass is within ``_DJ_TAIL`` of 1.
     """
     tt = mpf(theta_tilde)
     if not 0 < tt < 1:
@@ -99,7 +99,7 @@ def dj_distribution(
     out = [sum((c * (r - 1) for c, r in zip(coef, power)), mpf(0))]
     cum = out[0]
     for _ in range(_DJ_HARD_CAP):
-        if 1 - cum < tail:
+        if 1 - cum < _DJ_TAIL:
             return out
         acc = mpf(0)
         for k, c in enumerate(coef):
@@ -107,10 +107,10 @@ def dj_distribution(
             acc += c * power[k]
         out.append(acc)
         cum += acc
-    if 1 - cum < tail:
+    if 1 - cum < _DJ_TAIL:
         return out
     raise TruncationError(
-        f"departure-count series did not reach tail {tail} within {_DJ_HARD_CAP} terms"
+        f"departure-count series did not reach tail {_DJ_TAIL} within {_DJ_HARD_CAP} terms"
     )
 
 
@@ -273,12 +273,12 @@ class DistSolution:
     capacity_value: float = field(repr=False, default=float("nan"))
 
 
-def perturb_equal_eps(eps, delta: float = 1e-6) -> tuple[tuple[float, ...], bool]:
+def perturb_equal_eps(eps) -> tuple[tuple[float, ...], bool]:
     """Separate coincident erasure probabilities by rank-ordered offsets.
 
     Capacity is continuous in the erasure vector, so a network with
     ties is approximated by one with each tied entry shifted by its
-    occurrence rank times ``delta`` (downward when near 1).
+    occurrence rank times ``_PERTURB_DELTA`` (downward when near 1).
     """
     eps = list(float(e) for e in eps)
     seen: dict[float, int] = {}
@@ -289,9 +289,9 @@ def perturb_equal_eps(eps, delta: float = 1e-6) -> tuple[tuple[float, ...], bool
         seen[e] = k + 1
         if k > 0:
             perturbed = True
-            shifted = e + k * delta
+            shifted = e + k * _PERTURB_DELTA
             if shifted >= 1.0:
-                shifted = e - k * delta
+                shifted = e - k * _PERTURB_DELTA
             out[i] = shifted
     if len(set(out)) != len(out):
         raise SpecValidationError("could not separate equal erasure probabilities")
@@ -354,7 +354,6 @@ def solve(
     spec: NetworkSpec,
     max_iter: int = 10**4,
     tol: float = 1e-10,
-    perturb_delta: float = 1e-6,
 ) -> DistSolution:
     """Run distribution sweeps to convergence of the blocking vector.
 
@@ -363,7 +362,7 @@ def solve(
     ``DEFAULT_DPS`` digits, deepened for long chains of near-equal
     parameters, and escalates automatically if weight sums drift.
     """
-    eps_used, perturbed = perturb_equal_eps(spec.eps, delta=perturb_delta)
+    eps_used, perturbed = perturb_equal_eps(spec.eps)
     gaps = np.diff(np.sort(np.asarray(eps_used)))
     # each hop can amplify weights by roughly the reciprocal parameter gap
     needed = 25 + int((spec.h - 1) * max(0.0, -np.log10(max(gaps.min(), 1e-300))))

@@ -36,6 +36,8 @@ __all__ = [
 # is cut where its own tail falls below _FACTOR_TAIL
 _TAIL_BUDGET = 1e-6
 _FACTOR_TAIL = 1e-9
+# a waiting distribution may miss unit mass, or dip below zero, by this much
+_PSI_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,11 @@ class NodeDelayInputs:
     rho: np.ndarray
     eps_eff: np.ndarray
 
-    def validate(self, slack: float = 1e-9) -> None:
+    def validate(self) -> None:
         for j, p in enumerate(self.psi):
-            if abs(float(p.sum()) - 1.0) > slack:
+            if abs(float(p.sum()) - 1.0) > _PSI_SLACK:
                 raise ConsistencyError(f"waiting distribution {j} sums to {p.sum()}")
-            if float(p.min()) < -slack:
+            if float(p.min()) < -_PSI_SLACK:
                 raise ConsistencyError(f"waiting distribution {j} has negative mass")
 
 
@@ -126,14 +128,12 @@ def _nbinom_pmf(k: int, failure: float, t_max: int) -> np.ndarray:
     return out
 
 
-def node_delay(
-    psi_j: np.ndarray, eps_eff_j: float, m_j: int, tail: float = 1e-9
-) -> np.ndarray:
+def node_delay(psi_j: np.ndarray, eps_eff_j: float, m_j: int) -> np.ndarray:
     """Waiting pmf of one node: a psi-mixture of negative binomials.
 
-    The support is sized so the dropped tail is below ``tail``.
+    The support is sized so the dropped tail is below ``_FACTOR_TAIL``.
     """
-    worst = int(stats.nbinom.ppf(1.0 - tail / (m_j + 1), m_j, 1.0 - eps_eff_j)) + m_j + 2
+    worst = int(stats.nbinom.ppf(1.0 - _FACTOR_TAIL / (m_j + 1), m_j, 1.0 - eps_eff_j)) + m_j + 2
     out = np.zeros(worst + 1)
     for i in range(m_j):
         if psi_j[i] == 0.0:
@@ -172,8 +172,7 @@ def delay_profile(
     """
     inputs.validate()
     factors = [
-        node_delay(inputs.psi[j], inputs.eps_eff[j], spec.buffers[j], tail=_FACTOR_TAIL)
-        for j in range(spec.h - 1)
+        node_delay(inputs.psi[j], inputs.eps_eff[j], spec.buffers[j]) for j in range(spec.h - 1)
     ]
     if include_source:
         e1 = spec.eps[0] + inputs.rho[0] * (1.0 - spec.eps[0])

@@ -43,10 +43,12 @@ __all__ = [
     "capacity_flow_crosscheck",
     "verify_block_structure",
     "h_matrix_bound",
-    "DEFAULT_STATE_CAP",
+    "STATE_CAP",
 ]
 
-DEFAULT_STATE_CAP = 10**7
+# states above which no chain is built: every exact entry point (the chain,
+# its capacity, the bounds, the block checks) refuses larger specs
+STATE_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +120,6 @@ _CHUNK = 1 << 16
 def _build_chain(
     spec: NetworkSpec,
     step_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    cap: int,
 ) -> SparseStochasticMatrix:
     """Assemble the chain from one transition pattern per occupancy class.
 
@@ -131,13 +132,14 @@ def _build_chain(
     2^h - 1), which is the order in which adding one matrix per
     realization would sum them, so the arrays are the same to the bit.
     The CSR arrays are then filled row chunk by row chunk; their size
-    follows from the class counts before anything is allocated.
+    follows from the class counts before anything is allocated.  A spec
+    over ``STATE_CAP`` states raises StateSpaceCapError first.
     """
     n = spec.num_states
-    if n > cap:
+    if n > STATE_CAP:
         raise StateSpaceCapError(
-            f"state space has {n} states, above the cap of {cap}; "
-            "use bounds or the iterative estimates instead"
+            f"state space has {n} states, above the cap of {STATE_CAP}; the exact "
+            "chain and the bounds cannot be built, use rbie, dbie or the simulator instead"
         )
     m = np.asarray(spec.buffers, dtype=np.int64)
     weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
@@ -187,14 +189,14 @@ def _build_chain(
     )
 
 
-def build_emc(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> SparseStochasticMatrix:
+def build_emc(spec: NetworkSpec) -> SparseStochasticMatrix:
     """Transition matrix of the exact chain.
 
     Entry (s, s') sums the probabilities of the channel realizations
     that move s to s'.  Each row has at most min(3^(h-1), num_states)
     non-zeros because every component moves by at most one per epoch.
     """
-    mat = _build_chain(spec, step_emc_batch, cap)
+    mat = _build_chain(spec, step_emc_batch)
     sums = np.asarray(mat.probs.sum(axis=1)).ravel()
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         raise ConsistencyError("transition rows do not sum to 1")
@@ -381,18 +383,17 @@ def _tail_block_size(spec: NetworkSpec) -> int:
 def capacity_exact(
     spec: NetworkSpec,
     tol: float = 1e-12,
-    cap: int = DEFAULT_STATE_CAP,
-    chain: SparseStochasticMatrix | None = None,
     pi: np.ndarray | None = None,
 ) -> float:
     """Exact throughput capacity in packets/epoch.
 
     Equals (1 - eps[h-1]) times the stationary probability that the
-    last intermediate node is non-empty.
+    last intermediate node is non-empty.  ``pi`` is a stationary vector
+    already solved for the spec's chain; without it the chain is built
+    and solved here.
     """
     if pi is None:
-        chain = chain if chain is not None else build_emc(spec, cap=cap)
-        pi = stationary(chain, tol=tol)
+        pi = stationary(build_emc(spec), tol=tol)
     block = _tail_block_size(spec)
     p_empty_last = float(pi[:block].sum())
     return (1.0 - spec.eps[-1]) * (1.0 - p_empty_last)
@@ -401,7 +402,6 @@ def capacity_exact(
 def capacity_flow_crosscheck(
     spec: NetworkSpec,
     tol: float = 1e-12,
-    cap: int = DEFAULT_STATE_CAP,
     pi: np.ndarray | None = None,
 ) -> np.ndarray:
     """Capacity recomputed at every interior link; conservation check.
@@ -417,10 +417,9 @@ def capacity_flow_crosscheck(
     if spec.h == 2:
         return np.empty(0)
     if pi is None:
-        chain = build_emc(spec, cap=cap)
-        pi = stationary(chain, tol=tol)
+        pi = stationary(build_emc(spec), tol=tol)
     states = enumerate_states(spec)
-    ref = capacity_exact(spec, tol=tol, cap=cap, pi=pi)
+    ref = capacity_exact(spec, tol=tol, pi=pi)
     m = np.asarray(spec.buffers, dtype=np.int64)
     rates = np.zeros(spec.h)
     for x, p in zip(*_channel_outcomes(spec.eps)):
@@ -440,21 +439,20 @@ def capacity_flow_crosscheck(
 
 @dataclass(frozen=True)
 class BlockStructureReport:
-    """Outcome of the structural checks on the level blocks."""
+    """Sizes and down-block diagonal margin of a chain that passed the checks.
+
+    ``verify_block_structure`` raises on any violated property, so a
+    report exists only for a chain that has them all.
+    """
 
     h: int
     last_buffer: int
     block_size: int
-    interior_blocks_equal: bool
-    down_blocks_upper_triangular: bool
     down_block_min_diagonal: float
     down_block_diagonal_bound: float
-    up_blocks_lower_triangular: bool
-    up_block_singular: bool | None
-    stay_blocks_invertible: bool
 
 
-def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> BlockStructureReport:
+def verify_block_structure(spec: NetworkSpec) -> BlockStructureReport:
     """Check the algebraic structure of the level blocks.
 
     Verifies that (a) all interior levels share the same three blocks,
@@ -467,7 +465,7 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
     Each level is checked on its dense row band (``_level_band``), one
     level at a time.
     """
-    P = build_emc(spec, cap=cap).probs
+    P = build_emc(spec).probs
     top = spec.buffers[-1]
     block = _tail_block_size(spec)
     diag_bound = (1.0 - spec.eps[-1]) * float(np.prod(spec.eps[:-1]))
@@ -511,17 +509,12 @@ def verify_block_structure(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> B
         h=spec.h,
         last_buffer=top,
         block_size=block,
-        interior_blocks_equal=True,
-        down_blocks_upper_triangular=True,
         down_block_min_diagonal=min_diag,
         down_block_diagonal_bound=diag_bound,
-        up_blocks_lower_triangular=spec.h > 2,
-        up_block_singular=True if spec.h > 2 else None,
-        stay_blocks_invertible=True,
     )
 
 
-def _h_matrices(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP):
+def _h_matrices(spec: NetworkSpec):
     """Recursion relating the per-level stationary blocks to level 0.
 
     Works in the column convention (blocks transposed), so that the
@@ -530,7 +523,7 @@ def _h_matrices(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP):
     H matrices plus the worst relation residual against the exact
     stationary solve.
     """
-    chain = build_emc(spec, cap=cap)
+    chain = build_emc(spec)
     top = spec.buffers[-1]
     b = _tail_block_size(spec)
     eye = np.eye(b)
@@ -553,7 +546,7 @@ def _h_matrices(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP):
     return H, residual
 
 
-def h_matrix_bound(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> float:
+def h_matrix_bound(spec: NetworkSpec) -> float:
     """Capacity upper bound from the level-relation matrices.
 
     Computes (1-eps_h) * (1 - 1/||sum_i H_i||_1).  Also verifies the
@@ -566,7 +559,7 @@ def h_matrix_bound(spec: NetworkSpec, cap: int = DEFAULT_STATE_CAP) -> float:
     at (4, 200), and each of those raises.  The bound is usable only on
     chains with a short last buffer.
     """
-    H, residual = _h_matrices(spec, cap=cap)
+    H, residual = _h_matrices(spec)
     if residual > 1e-8:
         raise ConsistencyError(
             f"group-relation residual {residual:.3e} exceeds 1e-8"

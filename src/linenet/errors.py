@@ -14,9 +14,10 @@ class InvalidStateError(LineNetError, ValueError):
 
 
 class StateSpaceCapError(LineNetError):
-    """The chain would exceed the configured state-space cap.
+    """The chain would exceed the fixed state-space cap, ``emc.STATE_CAP``.
 
-    Bounds or iterative estimates should be used instead of the exact solve.
+    The exact solve and both bounds build such a chain; rbie, dbie or the
+    simulator should be used instead.
     """
 
 

@@ -14,15 +14,21 @@ the working precision with ``mpmath.mp.workdps``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from mpmath import mp, mpf
 
 from .errors import DistinctParamError
 
 __all__ = ["GeometricMixture"]
+
+# compact() drops terms whose mean contribution is below this share of the mean
+_COMPACT_FLOOR = 1e-20
+# validate() samples the pmf up to k = _VALIDATE_K; rounding may leave it at
+# -_VALIDATE_SLACK
+_VALIDATE_K = 10**4
+_VALIDATE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,6 @@ class GeometricMixture:
             return mpf(0)
         return sum((p * (1 - t) * t ** (k - 1) for p, t in self.terms), mpf(0))
 
-    def cdf_tail(self, k: int) -> mpf:
-        """P[value > k] for k >= 0."""
-        return sum((p * t ** k for p, t in self.terms), mpf(0))
-
     # -- algebra -----------------------------------------------------------
 
     def scaled(self, c) -> "GeometricMixture":
@@ -111,18 +113,18 @@ class GeometricMixture:
             atom0=self.atom0 * other.atom0,
         )
 
-    def compact(self, rel_floor: float = 1e-20) -> "GeometricMixture":
+    def compact(self) -> "GeometricMixture":
         """Drop terms contributing negligibly to the mean, re-unitize weights.
 
         A term's contribution scale is |p|/(1-theta); terms below
-        ``rel_floor`` times the mixture mean magnitude are removed and
-        the weight sum is rescaled back to exactly 1.
+        ``_COMPACT_FLOOR`` times the mixture mean magnitude are removed
+        and the weight sum is rescaled back to exactly 1.
         """
         scale = abs(self.mean())
         if scale == 0:
             return self
         kept = tuple(
-            (p, t) for p, t in self.terms if abs(p) / (1 - t) >= rel_floor * scale
+            (p, t) for p, t in self.terms if abs(p) / (1 - t) >= _COMPACT_FLOOR * scale
         )
         out = GeometricMixture(terms=kept, atom0=self.atom0)
         total = out.weight_sum()
@@ -130,9 +132,9 @@ class GeometricMixture:
             return out
         return out.scaled(1 / total)
 
-    # -- validation / serialization ----------------------------------------
+    # -- validation / report ------------------------------------------------
 
-    def validate(self, k_check: int = 10**4, slack: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Assert unit weight, nonnegative pmf and a positive finite mean."""
         if abs(float(self.weight_sum()) - 1.0) > 1e-9:
             raise ValueError(f"mixture weights sum to {self.weight_sum()}")
@@ -140,38 +142,14 @@ class GeometricMixture:
         if not mp.isfinite(mean) or mean <= 0:
             raise ValueError(f"mixture mean {mean} not positive and finite")
         k = 1
-        while k <= k_check:
-            if self.pmf(k) < -slack:
+        while k <= _VALIDATE_K:
+            if self.pmf(k) < -_VALIDATE_SLACK:
                 raise ValueError(f"mixture pmf negative at k={k}: {self.pmf(k)}")
             k = k * 2 if k >= 64 else k + 1
 
     def to_obj(self) -> list[dict]:
+        """The terms as JSON-ready dicts; the zero atom has ``theta`` None."""
         out = [{"p": float(p), "theta": float(t)} for p, t in self.terms]
         if self.atom0 != 0:
             out.append({"p": float(self.atom0), "theta": None})
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
-
-    @staticmethod
-    def from_obj(obj: Sequence[dict]) -> "GeometricMixture":
-        terms = []
-        atom0 = mpf(0)
-        for entry in obj:
-            if entry["theta"] is None:
-                atom0 += mpf(entry["p"])
-            else:
-                terms.append((mpf(entry["p"]), mpf(entry["theta"])))
-        return GeometricMixture(terms=tuple(terms), atom0=atom0)
-
-    def pmf_csv(self, path, tail: float = 1e-9) -> None:
-        """Dump (k, mass) rows until the remaining tail is below ``tail``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,mass\n")
-            if self.atom0 != 0:
-                fh.write(f"0,{float(self.atom0)!r}\n")
-            k = 1
-            while float(self.cdf_tail(k - 1)) > tail:
-                fh.write(f"{k},{float(self.pmf(k))!r}\n")
-                k += 1

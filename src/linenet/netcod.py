@@ -25,6 +25,7 @@ from .emc import build_emc
 from .errors import SpecValidationError
 from .gf import GF2m, SUPPORTED_FIELD_SIZES, rank as _span_rank
 from .model import NetworkSpec, make_rng, state_index
+from .sim import BATCHES
 
 __all__ = [
     "FieldSpec",
@@ -215,7 +216,6 @@ def simulate_no_feedback(
     epochs: int,
     warmup: int | None = None,
     seed: int = 0,
-    batches: int = 100,
 ) -> NoFeedbackStats:
     """Run the coding scheme; measure the destination's innovative rate.
 
@@ -234,7 +234,7 @@ def simulate_no_feedback(
     ws = _Workspace(gf, spec.buffers, capacity_hint=max(96, 4 * sum(spec.buffers)))
 
     measured = epochs - warmup
-    batch_len = max(measured // batches, 1)
+    batch_len = max(measured // BATCHES, 1)
     batch_counts: list[int] = []
     in_batch = 0
     rank_dest = 0
@@ -256,7 +256,7 @@ def simulate_no_feedback(
             if t == warmup - 1:
                 rank_at_warmup = rank_dest
             if t >= warmup:
-                if (t - warmup + 1) % batch_len == 0 and len(batch_counts) < batches:
+                if (t - warmup + 1) % batch_len == 0 and len(batch_counts) < BATCHES:
                     batch_counts.append(in_batch)
                     in_batch = 0
         done += todo

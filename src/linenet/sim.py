@@ -34,6 +34,7 @@ __all__ = [
 
 _BLOCK = 1 << 10  # channel rows drawn at a time; any size gives the same draws
 _TABLE_CAP = 1 << 16  # entries of one block table (see _runs)
+BATCHES = 100  # batch means behind each standard error
 
 
 @dataclass
@@ -55,9 +56,6 @@ class SimStats:
     delay_var: float | None = None
     delay_counts: np.ndarray | None = field(repr=False, default=None)
     delay_samples: int = 0
-
-    def occupancy_frequencies(self) -> np.ndarray:
-        return self.occupancy_counts / self.occupancy_counts.sum(axis=1, keepdims=True)
 
     def to_obj(self) -> dict:
         out = {
@@ -241,7 +239,6 @@ def simulate_feedback(
     epochs: int,
     warmup: int | None = None,
     seed: int = 0,
-    batches: int = 100,
     joint_stride: int = 0,
 ) -> SimStats:
     """Occupancy-level simulation; counts destination receipts.
@@ -257,7 +254,7 @@ def simulate_feedback(
     joint = np.zeros(spec.num_states, dtype=np.int64) if joint_stride > 0 else None
 
     measured = epochs - warmup
-    batch_len = max(measured // batches, 1)
+    batch_len = max(measured // BATCHES, 1)
     # deliveries per batch of measured epochs; a partial last batch is dropped
     per_batch = np.zeros(measured // batch_len + 1, dtype=np.int64)
     for t0, _, n, _, delivered in _chunks(spec, epochs, seed):
@@ -270,7 +267,7 @@ def simulate_feedback(
         if joint is not None:
             np.add.at(joint, n[lo:][t % joint_stride == 0] @ weights, 1)
 
-    full = min(batches, measured // batch_len)
+    full = min(BATCHES, measured // batch_len)
     batch_tputs = per_batch[:full] / batch_len
     total = int(per_batch.sum())
     return SimStats(
@@ -292,7 +289,6 @@ def simulate_delay_fcfs(
     epochs: int,
     warmup: int | None = None,
     seed: int = 0,
-    batches: int = 100,
 ) -> SimStats:
     """First-come first-serve delay from an end-to-end FIFO of admissions.
 
@@ -322,7 +318,7 @@ def simulate_delay_fcfs(
     darr = np.concatenate(delays)
     if darr.size:
         counts = np.bincount(darr)
-        nb = min(batches, max(darr.size // 50, 1))
+        nb = min(BATCHES, max(darr.size // 50, 1))
         batch_means = np.array([b.mean() for b in np.array_split(darr, nb)])
         delay_mean = float(darr.mean())
         delay_se = _batch_se(batch_means)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from linenet import cli
+from linenet import netcod as netcod_mod
 
 
 @pytest.fixture()
@@ -25,6 +26,7 @@ def test_exact_command(spec_file, capsys):
     assert doc["tool"] == "linenet"
     assert doc["result"]["capacity"] == pytest.approx(0.4350, abs=2e-3)
     assert doc["config"]["spec"] == spec_file
+    assert "state_cap" not in doc["config"]
 
 
 def test_exact_command_flow_conservation_on_4096_states(tmp_path, capsys):
@@ -192,13 +194,57 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     big = tmp_path / "big.json"
-    big.write_text(json.dumps({"eps": [0.5] * 4, "buffers": [40, 40, 40]}))
-    assert cli.main(["exact", "--spec", str(big), "--state-cap", "1000"]) == cli.EXIT_CAP
+    big.write_text(json.dumps({"eps": [0.5] * 25, "buffers": [1] * 24}))  # 2^24 states
+    assert cli.main(["exact", "--spec", str(big)]) == cli.EXIT_CAP
     capsys.readouterr()
 
     eq = tmp_path / "unknown_fig"
     assert cli.main(["reproduce", "--figure", "nope"]) == cli.EXIT_VALIDATION
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--spec", "{spec}", "--with-exact"],
+        ["netcod", "--spec", "{spec}", "--compare-exact", "--epochs", "20000"],
+        ["netcod", "--spec", "{spec}", "--compare-exact", "--q-sweep", "2,256"],
+        ["continuous", "--lambdas", ",".join(["1"] * 25), "--buffers", ",".join(["1"] * 24),
+         "--tau", "0.1"],
+    ],
+    ids=["bounds", "netcod", "netcod-q-sweep", "continuous"],
+)
+def test_spec_over_the_state_cap_exits_4_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    # 2^24 states from buffers of 1, so that a simulation run by mistake
+    # before the cap check stays small
+    path = tmp_path / "over_cap.json"
+    path.write_text(json.dumps({"eps": [0.5] * 25, "buffers": [1] * 24}))
+
+    def no_simulation(*args, **kwargs):
+        pytest.fail("simulated a spec that is over the state cap")
+
+    monkeypatch.setattr(netcod_mod, "simulate_no_feedback", no_simulation)
+    assert cli.main([a.format(spec=path) for a in argv]) == cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert "above the cap of 10000000" in err and "use rbie, dbie or the simulator" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--spec", "net.json"],
+        ["bounds", "--spec", "net.json"],
+        ["netcod", "--spec", "net.json"],
+        ["continuous", "--lambdas", "10,3", "--buffers", "3", "--tau", "0.01"],
+        ["reproduce", "--figure", "tau-sweep"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_state_cap_option_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--state-cap", "1000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --state-cap 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -256,11 +256,13 @@ def test_solve_fixed_point_stability(paper_four_hop):
 
 
 def test_perturbation_sweep_stability():
-    spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
+    # ties shifted by rank times d, as the solve shifts them by 1e-6
     caps = [
-        dbie.capacity(dbie.solve(spec, perturb_delta=d)) for d in (1e-5, 1e-6, 1e-7)
+        dbie.capacity(dbie.solve(NetworkSpec((0.5, 0.5 + d, 0.5 + 2 * d), (2, 2))))
+        for d in (1e-5, 1e-6, 1e-7)
     ]
     assert max(caps) - min(caps) < 1e-5
+    assert dbie.capacity(dbie.solve(NetworkSpec((0.5, 0.5, 0.5), (2, 2)))) == caps[1]
 
 
 def test_perturb_equal_eps():

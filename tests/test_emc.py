@@ -157,7 +157,7 @@ def test_class_assembly_needs_kernels_that_read_only_empty_and_full():
         return emc.step_emc_batch(states, x * (states[:, :1] != 1), m)
 
     spec = NetworkSpec((0.3, 0.5, 0.7), (3, 3))
-    got = emc._build_chain(spec, reads_middle, emc.DEFAULT_STATE_CAP).probs
+    got = emc._build_chain(spec, reads_middle).probs
     ref = per_outcome_chain(spec, reads_middle)
     assert abs(got - ref).max() > 0.1
 
@@ -175,9 +175,24 @@ def test_build_emc_memory_near_matrix_size():
 
 
 def test_state_cap():
-    spec = NetworkSpec((0.5, 0.5, 0.5), (100, 100))
-    with pytest.raises(StateSpaceCapError):
-        emc.build_emc(spec, cap=1000)
+    # 2^24 states without a large buffer: every exact entry point refuses it
+    # before it allocates anything of the chain's size
+    spec = NetworkSpec((0.5,) * 25, (1,) * 24)
+    assert spec.num_states == 2**24 > emc.STATE_CAP
+    entries = (
+        emc.build_emc, amc.build_amc, amc.capacity_lower, amc.capacity_upper, amc.bounds,
+        emc.capacity_exact, emc.capacity_flow_crosscheck, emc.verify_block_structure,
+        emc._h_matrices, emc.h_matrix_bound,
+    )
+    for entry in entries:
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceCapError, match="use rbie, dbie or the simulator"):
+                entry(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (entry.__name__, peak)
 
 
 def test_stationary_birth_death():
@@ -360,9 +375,6 @@ def test_flow_crosscheck(paper_four_hop):
 
 def test_block_structure_three_hop():
     report = emc.verify_block_structure(NetworkSpec((0.3, 0.5, 0.7), (2, 2)))
-    assert report.interior_blocks_equal
-    assert report.down_blocks_upper_triangular
-    assert report.up_block_singular
     assert report.down_block_min_diagonal >= report.down_block_diagonal_bound > 0
 
 
@@ -412,7 +424,7 @@ def test_block_structure_rejects_corrupted_blocks(monkeypatch, edits, message):
     for r, c, v in edits:
         dense[r, c] = v
     bad = emc.SparseStochasticMatrix(n=15, probs=sparse.csr_matrix(dense))
-    monkeypatch.setattr(emc, "build_emc", lambda spec, cap: bad)
+    monkeypatch.setattr(emc, "build_emc", lambda spec: bad)
     with pytest.raises(StructureViolationError, match=message):
         emc.verify_block_structure(spec)
 

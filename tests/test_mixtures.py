@@ -105,36 +105,23 @@ def test_validate_catches_bad_mixtures():
     with pytest.raises(ValueError):
         bad.validate()
     ok = GeometricMixture.geometric(0.4).convolve(GeometricMixture.geometric(0.6))
-    ok.validate(k_check=2000)
+    ok.validate()
 
 
 def test_compact_drops_negligible_terms():
     a = GeometricMixture.from_terms([(1.0, 0.5), (1e-30, 0.25)])
-    c = a.compact(rel_floor=1e-20)
+    c = a.compact()
     assert len(c.terms) == 1
     assert float(c.weight_sum()) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_serialization_round_trip(tmp_path):
+def test_serialization_round_trip():
     a = GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.25))
-    back = GeometricMixture.from_obj(a.to_obj())
-    assert [(float(p), float(t)) for p, t in back.terms] == [
-        (float(p), float(t)) for p, t in a.terms
-    ]
+    assert a.to_obj() == [{"p": float(p), "theta": float(t)} for p, t in a.terms]
     ups = GeometricMixture.identity().scaled(0.25).plus(
         GeometricMixture.geometric(0.5).scaled(0.75)
     )
-    obj = ups.to_obj()
-    assert any(e["theta"] is None for e in obj)
-    back2 = GeometricMixture.from_obj(obj)
-    assert float(back2.atom0) == pytest.approx(0.25)
-
-    path = tmp_path / "pmf.csv"
-    a.pmf_csv(path, tail=1e-6)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "k,mass"
-    total = sum(float(r.split(",")[1]) for r in rows[1:])
-    assert total == pytest.approx(1.0, abs=1e-5)
+    assert ups.to_obj() == [{"p": 0.75, "theta": 0.5}, {"p": 0.25, "theta": None}]
 
 
 def test_extended_precision_survives_large_weights():
