@@ -15,6 +15,7 @@ solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -55,19 +56,14 @@ class AllocationResult:
 
 
 def compositions_at_most(total: int, parts: int) -> np.ndarray:
-    """All positive integer vectors of the given length summing to <= total."""
-    rows: list[tuple[int, ...]] = []
+    """All positive integer vectors of the given length summing to <= total,
+    in lexicographic order.
 
-    def rec(prefix: tuple[int, ...], remaining_parts: int, budget: int) -> None:
-        if remaining_parts == 1:
-            for v in range(1, budget + 1):
-                rows.append(prefix + (v,))
-            return
-        for v in range(1, budget - remaining_parts + 2):
-            rec(prefix + (v,), remaining_parts - 1, budget - v)
-
-    rec((), parts, total)
-    return np.asarray(rows, dtype=np.int64)
+    Their partial sums are the increasing ``parts``-subsets of 1..total,
+    which ``itertools.combinations`` lists in the same order.
+    """
+    sums = np.array(list(combinations(range(1, total + 1), parts)), dtype=np.int64)
+    return np.diff(sums.reshape(-1, parts), axis=1, prepend=0)
 
 
 def _ranking(objective, cands, caps, delays, floor) -> np.ndarray:

@@ -155,12 +155,6 @@ def cmd_rbie(args) -> int:
 def cmd_dbie(args) -> int:
     spec = _load_spec(args)
     sol = dbie.solve(spec, max_iter=args.max_iter, tol=args.tol)
-    notes = []
-    if sol.perturbed:
-        notes.append(
-            "equal erasure probabilities auto-perturbed to "
-            f"{list(sol.eps_used)} (rank-ordered offsets of 1e-6)"
-        )
     result = {
         "capacity": dbie.capacity(sol),
         "blocking": sol.pb.tolist(),
@@ -170,7 +164,7 @@ def cmd_dbie(args) -> int:
         "precision_digits": sol.dps,
         "truncated_mass": sol.truncated_mass,
     }
-    _emit(args, _report(args, "dbie", result, notes))
+    _emit(args, _report(args, "dbie", result))
     return EXIT_OK
 
 

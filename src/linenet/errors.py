@@ -38,10 +38,6 @@ class ConsistencyError(LineNetError):
     """Internally redundant quantities disagree beyond tolerance."""
 
 
-class DistinctParamError(LineNetError, ValueError):
-    """Geometric-mixture parameters collide; the caller must perturb."""
-
-
 class TruncationError(LineNetError):
     """A series or pmf truncation could not meet its tail-mass budget."""
 

@@ -1,155 +1,92 @@
-"""Signed mixtures of geometric distributions, closed under convolution.
+"""Discrete phase-type gaps, closed under convolution.
 
-A mixture is f(k) = sum_l p_l (1 - theta_l) theta_l^(k-1) on k >= 1,
-with real (possibly negative, possibly huge) weights summing to 1, plus
-an optional point mass at zero that acts as the convolution identity.
-Convolving two single geometrics with distinct parameters is again a
-two-term mixture, which keeps the family closed as long as parameters
-never collide.
+A gap is PH(alpha, T) on k >= 1 plus an optional point mass at zero,
+``atom0``, that acts as the convolution identity.  The gap starts in
+phase i with probability alpha_i; each epoch it stays in phase i with
+T_ii, moves to a later phase j with T_ij, or ends with
+t0_i = 1 - sum_j T_ij, so f(k) = alpha T^(k-1) t0.  A geometric(theta)
+gap is the single phase T = (theta).  Convolving with a second gap
+chains its phases after these, so T stays upper triangular, and a mixture
+of geometrics with distinct parameters and a sum of geometrics with equal
+ones are both in the family (Neuts, *Matrix-Geometric Solutions*, 1981;
+Latouche & Ramaswami, 1999, ch. 2).
 
-Weights routinely reach 1e5 and beyond with catastrophic cancellation,
-so all arithmetic is done in mpmath extended precision; callers choose
-the working precision with ``mpmath.mp.workdps``.
+Every entry is a non-negative probability, and the quantities used here
+are sums and products of such entries, so double precision suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from mpmath import mp, mpf
-
-from .errors import DistinctParamError
+import numpy as np
+from scipy.linalg import solve_triangular
 
 __all__ = ["GeometricMixture"]
 
-# compact() drops terms whose mean contribution is below this share of the mean
-_COMPACT_FLOOR = 1e-20
-# validate() samples the pmf up to k = _VALIDATE_K; rounding may leave it at
-# -_VALIDATE_SLACK
-_VALIDATE_K = 10**4
-_VALIDATE_SLACK = 1e-9
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricMixture:
-    """Immutable signed geometric mixture with an optional mass at zero."""
+    """Immutable phase-type gap (alpha, upper-triangular T) with a mass at zero."""
 
-    terms: tuple[tuple[mpf, mpf], ...]
-    atom0: mpf = mpf(0)
+    alpha: np.ndarray
+    T: np.ndarray
+    atom0: float
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def geometric(theta) -> "GeometricMixture":
-        theta = mpf(theta)
+        theta = float(theta)
         if not 0 < theta < 1:
             raise ValueError(f"geometric parameter {theta} outside (0, 1)")
-        return GeometricMixture(terms=((mpf(1), theta),))
-
-    @staticmethod
-    def identity() -> "GeometricMixture":
-        return GeometricMixture(terms=(), atom0=mpf(1))
-
-    @staticmethod
-    def from_terms(pairs: Iterable[tuple], atom0=0) -> "GeometricMixture":
-        return GeometricMixture(
-            terms=tuple((mpf(p), mpf(t)) for p, t in pairs), atom0=mpf(atom0)
-        )
+        return GeometricMixture(np.ones(1), np.full((1, 1), theta), 0.0)
 
     # -- basic queries -----------------------------------------------------
 
-    def weight_sum(self) -> mpf:
-        return self.atom0 + sum((p for p, _ in self.terms), mpf(0))
+    @property
+    def exit(self) -> np.ndarray:
+        """t0 = (I - T)1, each phase's probability of ending the gap.
 
-    def mean(self) -> mpf:
-        return sum((p / (1 - t) for p, t in self.terms), mpf(0))
+        A phase that cannot end has a row sum of 1, which rounding can
+        leave just above 1; its t0 is clipped to 0, not made negative.
+        """
+        return np.maximum(1.0 - self.T.sum(axis=1), 0.0)
 
-    def pmf(self, k: int) -> mpf:
+    def weight_sum(self) -> float:
+        return float(self.alpha.sum()) + self.atom0
+
+    def mean(self) -> float:
+        """alpha (I - T)^-1 1; back substitution adds only non-negative terms."""
+        n = self.alpha.size
+        return float(self.alpha @ solve_triangular(np.eye(n) - self.T, np.ones(n)))
+
+    def pmf(self, k: int) -> float:
         if k == 0:
             return self.atom0
         if k < 0:
-            return mpf(0)
-        return sum((p * (1 - t) * t ** (k - 1) for p, t in self.terms), mpf(0))
+            return 0.0
+        return float(self.alpha @ np.linalg.matrix_power(self.T, k - 1) @ self.exit)
 
     # -- algebra -----------------------------------------------------------
 
-    def scaled(self, c) -> "GeometricMixture":
-        c = mpf(c)
-        return GeometricMixture(
-            terms=tuple((p * c, t) for p, t in self.terms), atom0=self.atom0 * c
-        )
-
-    def plus(self, other: "GeometricMixture") -> "GeometricMixture":
-        merged: dict[mpf, mpf] = {}
-        for p, t in self.terms + other.terms:
-            merged[t] = merged.get(t, mpf(0)) + p
-        terms = tuple((p, t) for t, p in sorted(merged.items(), key=lambda kv: -float(kv[0])))
-        return GeometricMixture(terms=terms, atom0=self.atom0 + other.atom0)
-
     def convolve(self, other: "GeometricMixture") -> "GeometricMixture":
-        """Bilinear expansion; parameters across the factors must differ."""
-        acc: dict[mpf, mpf] = {}
-
-        def add(theta: mpf, w: mpf) -> None:
-            acc[theta] = acc.get(theta, mpf(0)) + w
-
-        for p, lam in self.terms:
-            for q, mu in other.terms:
-                if lam == mu:
-                    raise DistinctParamError(
-                        f"coincident geometric parameters {lam}; perturb before convolving"
-                    )
-                add(mu, p * q * (1 - lam) / (mu - lam))
-                add(lam, p * q * (1 - mu) / (lam - mu))
-        if other.atom0 != 0:
-            for p, lam in self.terms:
-                add(lam, p * other.atom0)
-        if self.atom0 != 0:
-            for q, mu in other.terms:
-                add(mu, q * self.atom0)
-        return GeometricMixture(
-            terms=tuple((p, t) for t, p in sorted(acc.items(), key=lambda kv: -float(kv[0]))),
-            atom0=self.atom0 * other.atom0,
-        )
+        """Sum of independent gaps: ``other``'s phases follow this one's exits."""
+        n = self.alpha.size
+        T = np.zeros((n + other.alpha.size,) * 2)
+        T[:n, :n] = self.T
+        T[:n, n:] = np.outer(self.exit, other.alpha)
+        T[n:, n:] = other.T
+        alpha = np.concatenate([self.alpha, self.atom0 * other.alpha])
+        return GeometricMixture(alpha, T, self.atom0 * other.atom0)
 
     def compact(self) -> "GeometricMixture":
-        """Drop terms contributing negligibly to the mean, re-unitize weights.
+        """Re-unitize the mass alpha 1 + atom0, which rounding can move."""
+        total = self.weight_sum()
+        return GeometricMixture(self.alpha / total, self.T, self.atom0 / total)
 
-        A term's contribution scale is |p|/(1-theta); terms below
-        ``_COMPACT_FLOOR`` times the mixture mean magnitude are removed
-        and the weight sum is rescaled back to exactly 1.
-        """
-        scale = abs(self.mean())
-        if scale == 0:
-            return self
-        kept = tuple(
-            (p, t) for p, t in self.terms if abs(p) / (1 - t) >= _COMPACT_FLOOR * scale
-        )
-        out = GeometricMixture(terms=kept, atom0=self.atom0)
-        total = out.weight_sum()
-        if total == 0:
-            return out
-        return out.scaled(1 / total)
+    # -- report ------------------------------------------------------------
 
-    # -- validation / report ------------------------------------------------
-
-    def validate(self) -> None:
-        """Assert unit weight, nonnegative pmf and a positive finite mean."""
-        if abs(float(self.weight_sum()) - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {self.weight_sum()}")
-        mean = self.mean()
-        if not mp.isfinite(mean) or mean <= 0:
-            raise ValueError(f"mixture mean {mean} not positive and finite")
-        k = 1
-        while k <= _VALIDATE_K:
-            if self.pmf(k) < -_VALIDATE_SLACK:
-                raise ValueError(f"mixture pmf negative at k={k}: {self.pmf(k)}")
-            k = k * 2 if k >= 64 else k + 1
-
-    def to_obj(self) -> list[dict]:
-        """The terms as JSON-ready dicts; the zero atom has ``theta`` None."""
-        out = [{"p": float(p), "theta": float(t)} for p, t in self.terms]
-        if self.atom0 != 0:
-            out.append({"p": float(self.atom0), "theta": None})
-        return out
+    def to_obj(self) -> dict:
+        """``alpha``, ``T`` and ``atom0`` as JSON-ready lists and a float."""
+        return {"alpha": self.alpha.tolist(), "T": self.T.tolist(), "atom0": self.atom0}

@@ -1,7 +1,16 @@
+import os
+
+# One BLAS/OpenMP thread: the level elimination's many small solves slow
+# down several-fold when BLAS threads compete for the cores with another
+# process (notes/decisions.md).  Set before numpy is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from linenet.mixtures import GeometricMixture
 from linenet.model import NetworkSpec
 
 
@@ -37,12 +46,34 @@ def paper_four_hop() -> NetworkSpec:
     return NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5))
 
 
+def diagonal_mixture(pairs) -> GeometricMixture:
+    """The mixture sum_l p_l geometric(theta_l) as a diagonal phase-type gap."""
+    ps, thetas = zip(*pairs)
+    return GeometricMixture(np.array(ps, dtype=float), np.diag(np.array(thetas, dtype=float)), 0.0)
+
+
 def sample_mixture(mix, rng, n):
-    """Draw inter-arrival gaps from a positive-weight mixture."""
-    ws = np.array([float(p) for p, _ in mix.terms])
-    ts = np.array([float(t) for _, t in mix.terms])
-    comp = rng.choice(len(ws), size=n, p=ws)
-    return rng.geometric(1 - ts[comp])
+    """Draw gaps from a phase-type law (alpha, T) with no mass at zero.
+
+    A gap starts in a phase drawn from alpha, stays there a geometric
+    number of epochs, then moves to a later phase or ends.  With diagonal
+    T every gap ends after its first phase, so the draws are those of
+    choosing a mixture component and one geometric.
+    """
+    stay = np.diag(mix.T)
+    k = stay.size
+    moves = np.cumsum(np.column_stack([np.triu(mix.T, 1), mix.exit]), axis=1) / (1 - stay)[:, None]
+    phase = rng.choice(k, size=n, p=mix.alpha)
+    gaps = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    while live.size:
+        gaps[live] += rng.geometric(1 - stay[phase[live]])
+        if not np.triu(mix.T, 1).any():
+            break
+        u = rng.random(live.size)
+        phase[live] = (moves[phase[live]] < u[:, None]).sum(axis=1)
+        live = live[phase[live] < k]
+    return gaps
 
 
 class QueueOracle:

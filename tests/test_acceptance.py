@@ -14,9 +14,8 @@ import pytest
 from scipy import stats
 
 from linenet import allocate, amc, dbie, delay, emc, netcod, rbie, sim
-from linenet.mixtures import GeometricMixture
 from linenet.model import NetworkSpec, enumerate_states, index_state, state_index
-from conftest import QueueOracle, random_spec
+from conftest import QueueOracle, diagonal_mixture, random_spec
 
 FOUR_HOP = NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5))
 EIGHT_HOP = {m: NetworkSpec((0.25,) * 8, (m,) * 7) for m in (5, 10, 15)}
@@ -289,8 +288,8 @@ def test_criterion_9b_convolution_brute_force():
         if np.min(np.diff(np.sort(ts))) < 1e-3:
             continue
         w1, w2 = rng.uniform(0.1, 0.9, 2)
-        a = GeometricMixture.from_terms([(w1, ts[0]), (1 - w1, ts[1])])
-        b = GeometricMixture.from_terms([(w2, ts[2]), (1 - w2, ts[3])])
+        a = diagonal_mixture([(w1, ts[0]), (1 - w1, ts[1])])
+        b = diagonal_mixture([(w2, ts[2]), (1 - w2, ts[3])])
         conv = a.convolve(b)
         ks = np.arange(2, 201)
         got = np.array([float(conv.pmf(int(k))) for k in ks])
@@ -303,7 +302,7 @@ def test_criterion_9b_convolution_brute_force():
 
 
 def test_criterion_9c_queue_oracle():
-    g = GeometricMixture.from_terms([(0.6, 0.3), (0.4, 0.7)])
+    g = diagonal_mixture([(0.6, 0.3), (0.4, 0.7)])
     theta, q, m = 0.5, 0.2, 2
     oracle = QueueOracle(g, m, theta, q, 250_000, seed=9993)
     tt = dbie.effective_failure(theta, q)

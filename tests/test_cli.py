@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from linenet import cli
@@ -68,13 +72,27 @@ def test_dbie_long_buffers(tmp_path, capsys):
     assert 0 <= res["truncated_mass"] < 1e-12
 
 
-def test_dbie_equal_eps_warns(tmp_path, capsys):
+def test_dbie_equal_eps_needs_no_note(tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text(json.dumps({"eps": [0.5, 0.5, 0.5], "buffers": [2, 2]}))
     code, out = run(["dbie", "--spec", str(path)], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert any("auto-perturbed" in n for n in doc["notes"])
+    assert "notes" not in doc
+    res = doc["result"]
+    assert res["capacity"] == pytest.approx(0.3607635957396847, abs=1e-12)
+    assert res["precision_digits"] == 15
+    gap = res["destination_interarrival"]
+    assert sorted(gap) == ["T", "alpha", "atom0"]
+    assert np.diag(gap["T"]).tolist() == [0.5, 0.5, 0.5]
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    code = "import sys, linenet.cli; print('mpmath' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_delay_command(spec_file, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import line_specs
 from linenet import cli, dbie, delay, rbie
 from linenet.model import NetworkSpec
 
@@ -48,6 +50,19 @@ def test_psi_single_slot_node():
     for inp in (rinp, dinp):
         for p in inp.psi:
             np.testing.assert_allclose(p, [1.0], atol=1e-12)
+
+
+@given(line_specs())
+@settings(max_examples=50, deadline=None)
+def test_profile_is_a_pmf_within_its_tail_budget(spec):
+    # about half the specs have all-equal eps, which dbie solves as they are
+    for inputs in (
+        delay.psi_rho_from_rbie(rbie.solve(spec), spec),
+        delay.psi_rho_from_dbie(dbie.solve(spec), spec),
+    ):
+        prof = delay.delay_profile(spec, inputs)
+        assert prof.pmf.min() >= 0.0
+        assert -1e-12 <= prof.tail_mass_dropped <= delay._TAIL_BUDGET
 
 
 def test_node_delay_single_geometric():

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from linenet.errors import DistinctParamError
+from conftest import diagonal_mixture
 from linenet.mixtures import GeometricMixture
 
 
@@ -15,11 +17,29 @@ def brute_convolve_pmf(f, g, kmax):
     return out
 
 
+def spectral_pmf(thetas, k):
+    """pmf at k of a sum of geometrics with distinct parameters, from its
+    signed spectral weights w_l = prod_{j != l} (1 - t_j) / (t_l - t_j),
+    evaluated at the current mpmath precision."""
+    ts = [mpf(t) for t in thetas]
+    total = mpf(0)
+    for l, tl in enumerate(ts):
+        w = mpf(1)
+        for j, tj in enumerate(ts):
+            if j != l:
+                w *= (1 - tj) / (tl - tj)
+        total += w * (1 - tl) * tl ** (k - 1)
+    return total
+
+
 def test_single_convolution_identity():
     res = GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.25))
-    terms = {float(t): float(p) for p, t in res.terms}
-    assert terms[0.5] == pytest.approx(3.0, abs=1e-15)
-    assert terms[0.25] == pytest.approx(-2.0, abs=1e-15)
+    np.testing.assert_array_equal(res.alpha, [1.0, 0.0])
+    np.testing.assert_array_equal(res.T, [[0.5, 0.5], [0.0, 0.25]])
+    # the same law as the signed mixture 3 geometric(0.5) - 2 geometric(0.25)
+    for k in range(1, 60):
+        spectral = 3 * 0.5 * 0.5 ** (k - 1) - 2 * 0.75 * 0.25 ** (k - 1)
+        assert res.pmf(k) == pytest.approx(spectral, abs=1e-15)
     assert float(res.mean()) == pytest.approx(2 + 4 / 3, abs=1e-12)
 
 
@@ -34,17 +54,17 @@ def test_convolution_pmf_matches_brute_force():
 
 def test_convolve_with_identity_is_noop():
     a = GeometricMixture.geometric(0.3).convolve(GeometricMixture.geometric(0.6))
-    same = a.convolve(GeometricMixture.identity())
-    assert same.terms == a.terms
-    assert same.atom0 == a.atom0
+    zero = GeometricMixture(np.zeros(0), np.zeros((0, 0)), 1.0)  # no phases, all mass at 0
+    for same in (a.convolve(zero), zero.convolve(a)):
+        np.testing.assert_array_equal(same.alpha, a.alpha)
+        np.testing.assert_array_equal(same.T, a.T)
+        assert same.atom0 == a.atom0
 
 
 def test_weight_sums_preserved():
     rng = np.random.default_rng(2)
     for _ in range(50):
         t1, t2, t3 = sorted(rng.uniform(0.05, 0.95, 3))
-        if t2 - t1 < 1e-3 or t3 - t2 < 1e-3:
-            continue
         a = GeometricMixture.geometric(t1).convolve(GeometricMixture.geometric(t3))
         b = a.convolve(GeometricMixture.geometric(t2))
         assert float(b.weight_sum()) == pytest.approx(1.0, abs=1e-9)
@@ -54,11 +74,9 @@ def test_random_pairs_match_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(100):
         ts = rng.uniform(0.05, 0.95, 4)
-        if np.min(np.diff(np.sort(ts))) < 1e-3:
-            continue
         w = rng.uniform(0.2, 0.8)
-        a = GeometricMixture.from_terms([(w, ts[0]), (1 - w, ts[1])])
-        b = GeometricMixture.from_terms([(0.5, ts[2]), (0.5, ts[3])])
+        a = diagonal_mixture([(w, ts[0]), (1 - w, ts[1])])
+        b = diagonal_mixture([(0.5, ts[2]), (0.5, ts[3])])
         conv = a.convolve(b)
         oracle = brute_convolve_pmf(a, b, 200)
         got = np.array([float(conv.pmf(k)) for k in range(201)])
@@ -66,31 +84,34 @@ def test_random_pairs_match_brute_force():
 
 
 def test_mean_additivity():
-    a = GeometricMixture.from_terms([(0.7, 0.2), (0.3, 0.8)])
+    a = diagonal_mixture([(0.7, 0.2), (0.3, 0.8)])
     b = GeometricMixture.geometric(0.55)
     conv = a.convolve(b)
     assert float(conv.mean()) == pytest.approx(float(a.mean() + b.mean()), rel=1e-12)
 
 
-def test_coincident_parameters_rejected():
-    with pytest.raises(DistinctParamError):
-        GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.5))
+def test_coincident_parameters_give_negative_binomial():
+    theta = 0.5
+    g = GeometricMixture.geometric(theta)
+    two = g.convolve(g)
+    three = two.convolve(g)
+    oracle = brute_convolve_pmf(two, g, 200)
+    for k in range(201):
+        nbinom = (k - 1) * (1 - theta) ** 2 * theta ** (k - 2) if k >= 2 else 0.0
+        assert two.pmf(k) == pytest.approx(nbinom, abs=1e-15)
+        assert three.pmf(k) == pytest.approx(oracle[k], abs=1e-15)
+    assert three.mean() == pytest.approx(3 / (1 - theta), rel=1e-14)
 
 
 @given(
-    st.lists(
-        st.floats(0.05, 0.95).map(lambda v: round(v, 3)),
-        min_size=2,
-        max_size=4,
-        unique=True,
-    ),
+    st.lists(st.floats(0.05, 0.95).map(lambda v: round(v, 3)), min_size=2, max_size=4),
     st.integers(0, 1000),
 )
 @settings(max_examples=30, deadline=None)
 def test_convolution_properties(thetas, seed):
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(len(thetas) - 1))
-    a = GeometricMixture.from_terms(list(zip(weights, thetas[:-1])))
+    a = diagonal_mixture(list(zip(weights, thetas[:-1])))
     b = GeometricMixture.geometric(thetas[-1])
     conv = a.convolve(b)
     assert float(conv.weight_sum()) == pytest.approx(1.0, abs=1e-9)
@@ -100,37 +121,34 @@ def test_convolution_properties(thetas, seed):
     assert float(conv.pmf(0)) == 0.0
 
 
-def test_validate_catches_bad_mixtures():
-    bad = GeometricMixture.from_terms([(2.0, 0.5)])
-    with pytest.raises(ValueError):
-        bad.validate()
-    ok = GeometricMixture.geometric(0.4).convolve(GeometricMixture.geometric(0.6))
-    ok.validate()
-
-
-def test_compact_drops_negligible_terms():
-    a = GeometricMixture.from_terms([(1.0, 0.5), (1e-30, 0.25)])
+def test_compact_restores_unit_mass():
+    a = GeometricMixture(np.array([0.6, 0.4 + 1e-12]), np.diag([0.5, 0.25]), 1e-13)
     c = a.compact()
-    assert len(c.terms) == 1
     assert float(c.weight_sum()) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_array_equal(c.T, a.T)
+    assert c.pmf(3) == pytest.approx(a.pmf(3) / a.weight_sum(), rel=1e-15)
 
 
 def test_serialization_round_trip():
     a = GeometricMixture.geometric(0.5).convolve(GeometricMixture.geometric(0.25))
-    assert a.to_obj() == [{"p": float(p), "theta": float(t)} for p, t in a.terms]
-    ups = GeometricMixture.identity().scaled(0.25).plus(
-        GeometricMixture.geometric(0.5).scaled(0.75)
-    )
-    assert ups.to_obj() == [{"p": 0.75, "theta": 0.5}, {"p": 0.25, "theta": None}]
+    obj = json.loads(json.dumps(a.to_obj()))
+    assert obj == {"alpha": [1.0, 0.0], "T": [[0.5, 0.5], [0.0, 0.25]], "atom0": 0.0}
+    back = GeometricMixture(np.array(obj["alpha"]), np.array(obj["T"]), obj["atom0"])
+    assert [back.pmf(k) for k in range(20)] == [a.pmf(k) for k in range(20)]
+    ups = GeometricMixture(np.array([0.75]), np.array([[0.5]]), 0.25)
+    assert ups.to_obj() == {"alpha": [0.75], "T": [[0.5]], "atom0": 0.25}
 
 
 def test_extended_precision_survives_large_weights():
-    # weights near 1e5 with cancellation: unit mass must survive
+    # near-equal parameters: the 50-digit spectral form needs weights near
+    # 1e9 of both signs; the phase-type form holds the same law in doubles
+    thetas = (0.5, 0.50001, 0.50002)
+    conv = GeometricMixture.geometric(thetas[0])
+    for t in thetas[1:]:
+        conv = conv.convolve(GeometricMixture.geometric(t))
+    assert abs(float(conv.weight_sum()) - 1.0) < 1e-12
+    assert np.all(conv.alpha >= 0) and np.all(conv.T >= 0)
     with mp.workdps(50):
-        a = GeometricMixture.geometric(mpf("0.5"))
-        b = GeometricMixture.geometric(mpf("0.50001"))
-        c = GeometricMixture.geometric(mpf("0.50002"))
-        conv = a.convolve(b).convolve(c)
-        assert abs(float(conv.weight_sum()) - 1.0) < 1e-12
-        for k in (1, 2, 10, 100):
-            assert float(conv.pmf(k)) >= -1e-12
+        for k in (1, 2, 3, 10, 100, 1000):
+            expect = spectral_pmf(thetas, k)
+            assert float(conv.pmf(k)) == pytest.approx(float(expect), rel=1e-12, abs=1e-30)
