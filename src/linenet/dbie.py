@@ -95,11 +95,15 @@ def dj_distribution(g_in: GeometricMixture, theta_tilde) -> np.ndarray:
     inter-arrival gap PH(alpha, T), the departure count has
     D_0 = tt alpha (I - tt T)^-1 t0 and D_j = u M^(j-1) c (see
     ``_thinning``).  Truncated once the accumulated mass is within
-    ``_DJ_TAIL`` of 1.
+    ``_DJ_TAIL`` of 1; a gap with a non-finite entry raises
+    ConsistencyError before any term is summed.
     """
     tt = float(theta_tilde)
     if not 0 < tt < 1:
         raise SpecValidationError(f"effective failure parameter {tt} outside (0, 1)")
+    bad = [name for name in ("alpha", "T", "atom0") if not np.isfinite(getattr(g_in, name)).all()]
+    if bad:
+        raise ConsistencyError(f"inter-arrival gap has non-finite {' and '.join(bad)}")
     u, M, c, d0 = _thinning(g_in, tt)
     out = [d0]
     cum = d0
@@ -219,7 +223,8 @@ def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q) -> _NodeAnalysis:
     mean_out = g_in.mean() * (1 - q) / (1 - blocking)
     fx = _starvation_from_pi(g_in, pi, tt)
     alpha = (mean_out - 1 / (1 - theta_N)) / fx.mean()
-    if alpha < -_ALPHA_SLACK or alpha > 1 + _ALPHA_SLACK:
+    # written so that a NaN fraction is rejected too
+    if not -_ALPHA_SLACK <= alpha <= 1 + _ALPHA_SLACK:
         raise ConsistencyError(f"starvation fraction {alpha} outside [0, 1]")
     alpha = min(max(alpha, 0.0), 1.0)
     ups = GeometricMixture(alpha * fx.alpha, fx.T, 1 - alpha)

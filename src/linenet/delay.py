@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .dbie import DistSolution
 from .errors import ConsistencyError, TruncationError
@@ -119,27 +118,26 @@ def psi_rho_from_dbie(sol: DistSolution, spec: NetworkSpec) -> NodeDelayInputs:
     return out
 
 
-def _nbinom_pmf(k: int, failure: float, t_max: int) -> np.ndarray:
-    """pmf of a sum of k geometrics with failure parameter ``failure``,
-    on support 0..t_max (mass starts at t = k)."""
-    out = np.zeros(t_max + 1)
-    ts = np.arange(k, t_max + 1)
-    out[k:] = stats.nbinom.pmf(ts - k, k, 1.0 - failure)
-    return out
-
-
-def node_delay(psi_j: np.ndarray, eps_eff_j: float, m_j: int) -> np.ndarray:
+def node_delay(psi_j: np.ndarray, eps_eff_j: float) -> np.ndarray:
     """Waiting pmf of one node: a psi-mixture of negative binomials.
 
-    The support is sized so the dropped tail is below ``_FACTOR_TAIL``.
+    The wait is a discrete phase-type gap over "i + 1 services left",
+    entered with weight psi_j[i]; each epoch a service completes with
+    probability 1 - eps_eff_j, and completing the last one ends the wait.
+    The pmf is emitted epoch by epoch until the mass left is below
+    ``_FACTOR_TAIL``.
     """
-    worst = int(stats.nbinom.ppf(1.0 - _FACTOR_TAIL / (m_j + 1), m_j, 1.0 - eps_eff_j)) + m_j + 2
-    out = np.zeros(worst + 1)
-    for i in range(m_j):
-        if psi_j[i] == 0.0:
-            continue
-        out += psi_j[i] * _nbinom_pmf(i + 1, eps_eff_j, worst)
-    return out
+    e = float(eps_eff_j)
+    # at e = 1 no service ever completes and the recursion would not end
+    if not 0.0 <= e < 1.0:
+        raise ConsistencyError(f"effective failure probability {e} outside [0, 1)")
+    v = np.array(psi_j[::-1], dtype=float)  # v[-1]: one service left
+    out = [0.0]
+    while v.sum() >= _FACTOR_TAIL:
+        out.append((1.0 - e) * v[-1])
+        v[1:] = e * v[1:] + (1.0 - e) * v[:-1]
+        v[0] *= e
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def delay_profile(
     """
     inputs.validate()
     factors = [
-        node_delay(inputs.psi[j], inputs.eps_eff[j], spec.buffers[j]) for j in range(spec.h - 1)
+        node_delay(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)
     ]
     if include_source:
         e1 = spec.eps[0] + inputs.rho[0] * (1.0 - spec.eps[0])

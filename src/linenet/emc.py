@@ -255,7 +255,7 @@ def _level_band(P: sparse.csr_matrix, i: int, b: int) -> np.ndarray:
     return band
 
 
-def _eliminate_levels(P: sparse.csr_matrix, b: int) -> np.ndarray:
+def _eliminate_levels(P: sparse.csr_matrix, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized stationary vector of a chain block-tridiagonal over levels of b states.
 
     Block Gaussian elimination from the top level down (Gaver, Jacobs &
@@ -267,6 +267,7 @@ def _eliminate_levels(P: sparse.csr_matrix, b: int) -> np.ndarray:
     (Grassmann, Taksar & Heyman 1985).  pi_0 solves pi_0 S_0 = 0 with
     sum 1, and pi_{i+1} = pi_i R_i; each level is rescaled to sum 1 and
     its scale carried as a logarithm, so that pi does not overflow.
+    Returns pi and the non-negative factors R_0 .. R_{top-1}.
     """
     levels = P.shape[0] // b
     diag = np.arange(b)
@@ -297,7 +298,7 @@ def _eliminate_levels(P: sparse.csr_matrix, b: int) -> np.ndarray:
         log_scale[i + 1] = log_scale[i] + np.log(total)
         pi[(i + 1) * b : (i + 2) * b] = x
     pi *= np.repeat(np.exp(log_scale - log_scale.max()), b)
-    return pi
+    return pi, factors
 
 
 def _solve_levels(P: sparse.csr_matrix, buffers: tuple[int, ...], k: int, b: int) -> np.ndarray:
@@ -308,13 +309,13 @@ def _solve_levels(P: sparse.csr_matrix, buffers: tuple[int, ...], k: int, b: int
     is mapped back.
     """
     if k == len(buffers) - 1:
-        return _eliminate_levels(P, b)
+        return _eliminate_levels(P, b)[0]
     dims = [m + 1 for m in reversed(buffers)]  # axis 0 is the last node
     order = np.moveaxis(np.arange(P.shape[0]).reshape(dims), len(buffers) - 1 - k, 0).ravel()
     inv = np.empty_like(order)
     inv[order] = np.arange(order.size)
     permuted = sparse.csr_matrix((P.data, inv[P.indices], P.indptr), shape=P.shape)[order]
-    return _eliminate_levels(permuted, b)[inv]
+    return _eliminate_levels(permuted, b)[0][inv]
 
 
 def stationary(P: SparseStochasticMatrix | sparse.csr_matrix, tol: float = 1e-12) -> np.ndarray:
@@ -514,56 +515,23 @@ def verify_block_structure(spec: NetworkSpec) -> BlockStructureReport:
     )
 
 
-def _h_matrices(spec: NetworkSpec):
-    """Recursion relating the per-level stationary blocks to level 0.
-
-    Works in the column convention (blocks transposed), so that the
-    stationary sub-vectors satisfy pi_i = H_i @ pi_0.  Each H is dense
-    b x b, built from the bands of three levels at a time.  Returns the list of
-    H matrices plus the worst relation residual against the exact
-    stationary solve.
-    """
-    chain = build_emc(spec)
-    top = spec.buffers[-1]
-    b = _tail_block_size(spec)
-    eye = np.eye(b)
-
-    # the bands of levels i-2, i-1 and i
-    older, prev = None, _level_band(chain.probs, 0, b)
-    H = [eye]
-    for i in range(1, top + 1):
-        band = _level_band(chain.probs, i, b)
-        rhs = eye - prev[:, b : 2 * b].T
-        if i > 1:
-            rhs = rhs @ H[i - 1] - older[:, 2 * b :].T @ H[i - 2]
-        H.append(np.linalg.solve(band[:, :b].T, rhs))
-        older, prev = prev, band
-
-    pi = np.split(stationary(chain), top + 1)
-    residual = 0.0
-    for Hi, pi_i in zip(H, pi):
-        residual = max(residual, float(np.max(np.abs(Hi @ pi[0] - pi_i))))
-    return H, residual
-
-
 def h_matrix_bound(spec: NetworkSpec) -> float:
     """Capacity upper bound from the level-relation matrices.
 
-    Computes (1-eps_h) * (1 - 1/||sum_i H_i||_1).  Also verifies the
-    relation pi_i = H_i pi_0 against the exact stationary solve and
-    raises ConsistencyError when the residual exceeds 1e-8.
-
-    The forward H recursion loses accuracy geometrically in the number
-    of levels (the last buffer plus one): with eps (0.3, 0.5, 0.7) the
-    residual is 4.9e-4 at buffers (3, 12), 5.4e18 at (4, 30) and 6.5e211
-    at (4, 200), and each of those raises.  The bound is usable only on
-    chains with a short last buffer.
+    Over the levels of the last node, pi_i = H_i pi_0 with
+    H_i = (R_0 ... R_{i-1})^T, the R the non-negative factors of the
+    level elimination, so ||sum_i H_i||_1 is the largest entry of
+    w = 1 + R_0 (1 + R_1 (1 + ... R_{top-1} 1)).  w is evaluated from the
+    top level down, rescaled at each level with its scale carried as a
+    logarithm, and the bound is (1-eps_h) * (1 - 1/||sum_i H_i||_1).
     """
-    H, residual = _h_matrices(spec)
-    if residual > 1e-8:
-        raise ConsistencyError(
-            f"group-relation residual {residual:.3e} exceeds 1e-8"
-        )
-    total = np.sum(H, axis=0)
-    norm1 = float(np.max(np.abs(total).sum(axis=0)))
-    return (1.0 - spec.eps[-1]) * (1.0 - 1.0 / norm1)
+    _, factors = _eliminate_levels(build_emc(spec).probs, _tail_block_size(spec))
+    w = np.ones(factors.shape[1])
+    log_scale = 0.0
+    for R in factors[::-1]:
+        w = math.exp(-log_scale) + R @ w
+        top = w.max()
+        w /= top
+        log_scale += math.log(top)
+    # w's largest entry is 1, so ||sum_i H_i||_1 = exp(log_scale)
+    return (1.0 - spec.eps[-1]) * -math.expm1(-log_scale)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +9,12 @@ from mpmath import lu_solve, matrix, mp, mpf
 
 from conftest import QueueOracle, diagonal_mixture, sample_mixture
 from linenet import dbie, emc
-from linenet.errors import ConvergenceError, DegenerateDistributionError, SpecValidationError
+from linenet.errors import (
+    ConsistencyError,
+    ConvergenceError,
+    DegenerateDistributionError,
+    SpecValidationError,
+)
 from linenet.mixtures import GeometricMixture
 from linenet.model import NetworkSpec
 
@@ -51,6 +57,29 @@ def test_dj_nonnegative_and_wald():
 def test_dj_rejects_failure_parameter_outside_unit_interval(tt):
     with pytest.raises(SpecValidationError):
         dbie.dj_distribution(GeometricMixture.geometric(0.5), tt)
+
+
+@pytest.mark.parametrize("part", ["alpha", "T"])
+def test_dj_rejects_a_non_finite_gap_at_once(part):
+    # a NaN never brings the series within its tail, so it is caught before any term
+    gap = diagonal_mixture([(0.5, 0.3), (0.5, 0.6)])
+    bad = getattr(gap, part).copy()
+    bad.flat[-1] = np.nan
+    start = time.perf_counter()
+    with pytest.raises(ConsistencyError, match=f"non-finite {part}"):
+        dbie.dj_distribution(dataclasses.replace(gap, **{part: bad}), 0.4)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_nan_starvation_fraction_raises(monkeypatch):
+    starve = dbie._starvation_from_pi
+
+    def nan_gap(*args):
+        return dataclasses.replace(starve(*args), alpha=np.array([np.nan]))
+
+    monkeypatch.setattr(dbie, "_starvation_from_pi", nan_gap)
+    with pytest.raises(ConsistencyError, match="starvation fraction nan"):
+        dbie._analyze_node(GeometricMixture.geometric(0.5), 3, 0.4, 0.1)
 
 
 def test_dj_on_chained_phases_against_thinning():

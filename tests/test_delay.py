@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import line_specs
 from linenet import cli, dbie, delay, rbie
+from linenet.errors import ConsistencyError
 from linenet.model import NetworkSpec
 
 
@@ -66,23 +71,38 @@ def test_profile_is_a_pmf_within_its_tail_budget(spec):
 
 
 def test_node_delay_single_geometric():
-    pmf = delay.node_delay(np.array([1.0]), 0.5, 1)
+    pmf = delay.node_delay(np.array([1.0]), 0.5)
     mean = float(np.arange(pmf.size) @ pmf)
     assert mean == pytest.approx(2.0, abs=1e-6)
     assert pmf[0] == 0.0
     assert pmf[1] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("e", [1.0, float("nan")])
+def test_node_delay_rejects_a_wait_that_never_ends(e):
+    with pytest.raises(ConsistencyError, match="effective failure probability"):
+        delay.node_delay(np.array([0.5, 0.5]), e)
+
+
 def test_node_delay_mixture_mean():
-    pmf = delay.node_delay(np.array([0.5, 0.5]), 0.5, 2)
+    pmf = delay.node_delay(np.array([0.5, 0.5]), 0.5)
     mean = float(np.arange(pmf.size) @ pmf)
     assert mean == pytest.approx(0.5 * 2 + 0.5 * 4, abs=1e-6)
 
 
 def test_node_delay_matches_brute_convolution():
-    pmf = delay.node_delay(np.array([0.0, 0.0, 1.0]), 0.35, 3)
+    pmf = delay.node_delay(np.array([0.0, 0.0, 1.0]), 0.35)
     oracle = brute_nbinom(3, 0.35, pmf.size - 1)
     np.testing.assert_allclose(pmf, oracle, atol=1e-12)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs about 0.3 s of import, and no module needs it
+    code = "import sys, linenet.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_profile_mean_additivity(paper_four_hop):
@@ -90,7 +110,7 @@ def test_profile_mean_additivity(paper_four_hop):
     inputs = delay.psi_rho_from_rbie(sol, paper_four_hop)
     prof = delay.delay_profile(paper_four_hop, inputs)
     parts = [
-        delay.node_delay(inputs.psi[j], inputs.eps_eff[j], paper_four_hop.buffers[j])
+        delay.node_delay(inputs.psi[j], inputs.eps_eff[j])
         for j in range(3)
     ]
     expect = sum(float(np.arange(p.size) @ p) for p in parts)
@@ -103,7 +123,7 @@ def test_profile_two_hop_single_factor():
     sol = rbie.solve(spec)
     inputs = delay.psi_rho_from_rbie(sol, spec)
     prof = delay.delay_profile(spec, inputs)
-    part = delay.node_delay(inputs.psi[0], inputs.eps_eff[0], 2)
+    part = delay.node_delay(inputs.psi[0], inputs.eps_eff[0])
     assert prof.mean == pytest.approx(float(np.arange(part.size) @ part), rel=1e-6)
 
 

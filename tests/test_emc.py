@@ -182,7 +182,7 @@ def test_state_cap():
     entries = (
         emc.build_emc, amc.build_amc, amc.capacity_lower, amc.capacity_upper, amc.bounds,
         emc.capacity_exact, emc.capacity_flow_crosscheck, emc.verify_block_structure,
-        emc._h_matrices, emc.h_matrix_bound,
+        emc.h_matrix_bound,
     )
     for entry in entries:
         tracemalloc.start()
@@ -462,23 +462,60 @@ def test_h_matrix_bound_three_hop():
 
 
 def test_h_matrix_relation_residual():
-    spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    _, residual = emc._h_matrices(spec)
-    assert residual <= 1e-8
+    # the factors carry pi_{i+1} = pi_i R_i; checked against the GMRES path's pi
+    for spec in (
+        NetworkSpec((0.3, 0.5, 0.7), (2, 2)),
+        NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (2, 2, 2)),
+        NetworkSpec((0.2, 0.6, 0.4, 0.5), (1, 2, 3)),
+        NetworkSpec((0.5, 0.5), (4,)),
+    ):
+        P = emc.build_emc(spec).probs
+        b = emc._tail_block_size(spec)
+        _, factors = emc._eliminate_levels(P, b)
+        levels = emc.stationary(P).reshape(-1, b)
+        for i, R in enumerate(factors):
+            assert np.max(np.abs(levels[i] @ R - levels[i + 1])) <= 1e-12, (spec, i)
 
 
 def test_h_matrix_two_hop_birth_death_ratios():
     spec = NetworkSpec((0.5, 0.5), (3,))
-    H, _ = emc._h_matrices(spec)
+    _, factors = emc._eliminate_levels(emc.build_emc(spec).probs, 1)
     # ratios pi_k / pi_0 of the birth-death walk: alpha0/beta then alpha/beta
     alpha0_over_beta = 0.5 / 0.25
     alpha_over_beta = 0.25 / 0.25
     expect = [1.0, alpha0_over_beta, alpha0_over_beta * alpha_over_beta,
               alpha0_over_beta * alpha_over_beta ** 2]
-    got = [float(h[0, 0]) for h in H]
+    got = np.concatenate(([1.0], np.cumprod(factors[:, 0, 0])))
     np.testing.assert_allclose(got, expect, atol=1e-10)
     # for two hops the norm bound collapses to the exact capacity
     assert emc.h_matrix_bound(spec) == pytest.approx(emc.capacity_exact(spec), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec, expect",
+    [
+        # the paper's four-hop line; exact capacity 0.4351269373497866
+        (NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5)), 0.4755071210974122),
+        # long last buffers, up to 201 levels
+        (NetworkSpec((0.3, 0.5, 0.7), (3, 12)), 0.2999949312741595),
+        (NetworkSpec((0.3, 0.5, 0.7), (4, 30)), 0.2999999999988476),
+        (NetworkSpec((0.3, 0.5, 0.7), (4, 200)), 0.30000000000000004),
+    ],
+)
+def test_h_matrix_bound_from_the_elimination_factors(spec, expect):
+    bound = emc.h_matrix_bound(spec)
+    assert bound == pytest.approx(expect, abs=1e-12)
+    assert bound >= emc.capacity_exact(spec) - 1e-12
+
+
+def test_h_matrix_bound_brackets_the_exact_capacity():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        spec = random_spec(rng, h_choices=(2, 3, 4, 5), m_max=4)
+        bound = emc.h_matrix_bound(spec)
+        assert emc.capacity_exact(spec) - 1e-12 <= bound <= 1 - spec.eps[-1], spec
+        if spec.h == 2:
+            assert bound == pytest.approx(emc.capacity_exact(spec), abs=1e-10)
 
 
 def test_matrix_csv_dump(tmp_path, capsys):
