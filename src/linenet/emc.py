@@ -211,8 +211,9 @@ def build_emc(spec: NetworkSpec) -> SparseStochasticMatrix:
 # ---------------------------------------------------------------------------
 
 # The GMRES tolerance sits near double precision: stopping at the accepted
-# residual leaves pi's error far above it on slowly mixing chains.
-_GMRES_RTOL = 1e-14
+# residual leaves pi's error far above it on slowly mixing chains, and at
+# 1e-14 pi is still up to 2.2e-12 from the level path on five-hop chains.
+_GMRES_RTOL = 1e-15
 _GMRES_RESTART = 50
 _GMRES_MAX_CYCLES = 100  # at most 5 000 operator applications
 
