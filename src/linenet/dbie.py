@@ -43,10 +43,6 @@ __all__ = [
     "DistSolution",
     "effective_failure",
     "dj_distribution",
-    "embedded_chain",
-    "blocking_prob",
-    "starvation_distribution",
-    "upsilon",
     "solve",
     "capacity",
 ]
@@ -145,41 +141,6 @@ def _stationary_from_d(d: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     return w[1:] / w[1:].sum(), float(suffix[0])
 
 
-def embedded_chain(g_in: GeometricMixture, m: int, theta_N, q):
-    """Post-arrival occupancy chain of one node.
-
-    Returns (P, pi) where P is the m-by-m transition matrix over
-    occupancies 1..m sampled just after arrivals and pi its stationary
-    distribution.
-    """
-    d = dj_distribution(g_in, effective_failure(theta_N, q))
-
-    def dval(k: int) -> float:
-        return d[k] if 0 <= k < d.size else 0.0
-
-    P = np.zeros((m, m))
-    for i in range(1, m + 1):
-        # all i packets drained before the next arrival
-        P[i - 1, 0] += d[i:].sum()
-        for j in range(2, m + 1):
-            P[i - 1, j - 1] += dval(i + 1 - j)
-        # a blocked arrival leaves a full queue full
-        P[i - 1, m - 1] += dval(i - m)
-    pi, _ = _stationary_from_d(d, m)
-    return P, pi
-
-
-def blocking_prob(g_in: GeometricMixture, m: int, theta_N, q) -> float:
-    """Probability an arriving packet finds the node full.
-
-    The arrival is blocked iff the queue was full at the previous
-    arrival and nothing departed in between.
-    """
-    d = dj_distribution(g_in, effective_failure(theta_N, q))
-    pi, _ = _stationary_from_d(d, m)
-    return float(pi[m - 1] * d[0])
-
-
 def _starvation_from_pi(g_in: GeometricMixture, pi: np.ndarray, tt: float) -> GeometricMixture:
     """Idle gap between a queue-emptying departure and the next arrival,
     conditioned on the gap being positive: PH(beta, T) with
@@ -196,19 +157,25 @@ def _starvation_from_pi(g_in: GeometricMixture, pi: np.ndarray, tt: float) -> Ge
     return GeometricMixture(beta / norm, g_in.T, 0.0)
 
 
-def starvation_distribution(g_in: GeometricMixture, pi, theta_N, q) -> GeometricMixture:
-    """Public wrapper on the starvation gap (same phases as g_in)."""
-    tt = effective_failure(theta_N, q)
-    return _starvation_from_pi(g_in, np.asarray(pi, dtype=float), tt)
-
-
 @dataclass(frozen=True)
 class _NodeAnalysis:
+    """Everything one node's post-arrival occupancy chain gives.
+
+    ``blocking`` is the probability that an arrival finds the node full:
+    the queue was full at the previous arrival and nothing departed in
+    between.  ``pi`` is the chain's stationary law over occupancies
+    1..m, ``truncated`` the departure-count mass cut off, ``starvation``
+    the idle gap before the next arrival (same phases as the input gap),
+    and ``alpha`` the fraction of departures that wait for it.  The
+    output gap ``g_out`` is 0 with probability 1 - alpha, otherwise the
+    starvation gap, followed by the service geometric.
+    """
+
     blocking: float
     pi: np.ndarray
     truncated: float
     alpha: float
-    ups: GeometricMixture
+    starvation: GeometricMixture
     g_out: GeometricMixture
 
 
@@ -230,19 +197,8 @@ def _analyze_node(g_in: GeometricMixture, m: int, theta_N, q) -> _NodeAnalysis:
     ups = GeometricMixture(alpha * fx.alpha, fx.T, 1 - alpha)
     g_out = ups.convolve(GeometricMixture.geometric(theta_N))
     return _NodeAnalysis(
-        blocking=blocking, pi=pi, truncated=1 - mass, alpha=alpha, ups=ups, g_out=g_out
+        blocking=blocking, pi=pi, truncated=1 - mass, alpha=alpha, starvation=fx, g_out=g_out
     )
-
-
-def upsilon(g_in: GeometricMixture, m: int, theta_N, q) -> tuple[GeometricMixture, float]:
-    """Starvation component of the inter-departure transform.
-
-    Returns the gap that is 0 with probability 1 - alpha and otherwise
-    the starvation gap, together with alpha itself; convolving it with
-    the service geometric gives the next node's inter-arrival gap.
-    """
-    res = _analyze_node(g_in, m, theta_N, q)
-    return res.ups, res.alpha
 
 
 @dataclass

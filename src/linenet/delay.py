@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbie import DistSolution
+from .dbie import DistSolution, effective_failure
 from .errors import ConsistencyError, TruncationError
 from .model import NetworkSpec
 from .rbie import RateSolution
@@ -55,20 +55,16 @@ class NodeDelayInputs:
     eps_eff: np.ndarray
 
     def validate(self) -> None:
+        # written so that a NaN entry is rejected too
         for j, p in enumerate(self.psi):
-            if abs(float(p.sum()) - 1.0) > _PSI_SLACK:
+            if not abs(float(p.sum()) - 1.0) <= _PSI_SLACK:
                 raise ConsistencyError(f"waiting distribution {j} sums to {p.sum()}")
-            if float(p.min()) < -_PSI_SLACK:
+            if not float(p.min()) >= -_PSI_SLACK:
                 raise ConsistencyError(f"waiting distribution {j} has negative mass")
 
 
 def _effective_failures(spec: NetworkSpec, rho: np.ndarray) -> np.ndarray:
-    eps = np.asarray(spec.eps)
-    out = np.empty(spec.h - 1)
-    for j in range(spec.h - 1):
-        e = eps[j + 1]
-        out[j] = e + rho[j + 1] * (1.0 - e)
-    return out
+    return np.array([effective_failure(spec.eps[j + 1], rho[j + 1]) for j in range(spec.h - 1)])
 
 
 def psi_rho_from_rbie(sol: RateSolution, spec: NetworkSpec) -> NodeDelayInputs:
@@ -173,7 +169,7 @@ def delay_profile(
         node_delay(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)
     ]
     if include_source:
-        e1 = spec.eps[0] + inputs.rho[0] * (1.0 - spec.eps[0])
+        e1 = effective_failure(spec.eps[0], inputs.rho[0])
         t_max = int(np.ceil(np.log(_FACTOR_TAIL) / np.log(e1))) + 2
         g = np.zeros(t_max + 1)
         g[1:] = (1.0 - e1) * e1 ** (np.arange(1, t_max + 1) - 1.0)

@@ -25,7 +25,7 @@ from .emc import build_emc
 from .errors import SpecValidationError
 from .gf import GF2m, SUPPORTED_FIELD_SIZES, rank as _span_rank
 from .model import NetworkSpec, make_rng, state_index
-from .sim import BATCHES
+from .sim import _BatchMeans
 
 __all__ = [
     "FieldSpec",
@@ -233,12 +233,8 @@ def simulate_no_feedback(
     rng = make_rng(seed)
     ws = _Workspace(gf, spec.buffers, capacity_hint=max(96, 4 * sum(spec.buffers)))
 
-    measured = epochs - warmup
-    batch_len = max(measured // BATCHES, 1)
-    batch_counts: list[int] = []
-    in_batch = 0
+    growth = _BatchMeans(epochs, warmup)
     rank_dest = 0
-    rank_at_warmup = 0
 
     block = 1 << 12
     done = 0
@@ -247,23 +243,12 @@ def simulate_no_feedback(
         xs = rng.random((todo, h)) >= eps
         # one draw per epoch: transmit weights for every node, then fold weights
         coeff_block = ws.gf.random_elements(rng, (todo, 2 * (h - 1), max(spec.buffers)))
-        for row in range(todo):
-            t = done + row
-            if ws.epoch(xs[row], coeff_block[row]):
-                rank_dest += 1
-                if t >= warmup:
-                    in_batch += 1
-            if t == warmup - 1:
-                rank_at_warmup = rank_dest
-            if t >= warmup:
-                if (t - warmup + 1) % batch_len == 0 and len(batch_counts) < BATCHES:
-                    batch_counts.append(in_batch)
-                    in_batch = 0
+        grew = np.array([ws.epoch(x, cf) for x, cf in zip(xs, coeff_block)])
+        rank_dest += int(np.count_nonzero(grew))
+        growth.add(done, grew)
         done += todo
 
-    rate = (rank_dest - rank_at_warmup) / measured
-    bt = np.asarray(batch_counts, dtype=float) / batch_len
-    se = float(bt.std(ddof=1) / np.sqrt(bt.size)) if bt.size > 1 else float("nan")
+    _, rate, se = growth.result()
     return NoFeedbackStats(
         spec=spec,
         q=field.q,

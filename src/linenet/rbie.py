@@ -26,6 +26,9 @@ __all__ = [
     "solve_batch",
 ]
 
+# sweeps allowed before a line counts as not converging
+_MAX_SWEEPS = 10**5
+
 
 def local_params(r: float, eps_next: float, pb_next: float) -> tuple[float, float, float]:
     """Birth-death parameters of one node's occupancy walk.
@@ -193,7 +196,7 @@ class RateSolution:
         return np.array([float(np.arange(len(p)) @ p) for p in self.phi])
 
 
-def solve(spec: NetworkSpec, max_iter: int = 10**5, tol: float = 1e-12) -> RateSolution:
+def solve(spec: NetworkSpec, max_iter: int = _MAX_SWEEPS, tol: float = 1e-12) -> RateSolution:
     """Run forward sweeps to the unique rate/blocking fixed point of one line."""
     buffers = np.array([spec.buffers])
     r, pb, it, residual = _fixed_point(spec.eps, buffers, max_iter, tol)
@@ -221,12 +224,7 @@ def capacity(sol: RateSolution) -> float:
     return float(_conserved_flow(sol.r, sol.pb))
 
 
-def solve_batch(
-    eps,
-    buffers: np.ndarray,
-    max_iter: int = 10**5,
-    tol: float = 1e-10,
-) -> dict:
+def solve_batch(eps, buffers: np.ndarray, tol: float = 1e-10) -> dict:
     """Fixed point for many buffer allocations of one erasure profile.
 
     ``buffers`` is (K, h-1).  The K lines are swept together, each row
@@ -236,7 +234,7 @@ def solve_batch(
     """
     eps = tuple(float(e) for e in eps)
     buffers = np.asarray(buffers, dtype=np.int64)
-    r, pb, it, _ = _fixed_point(eps, buffers, max_iter, tol)
+    r, pb, it, _ = _fixed_point(eps, buffers, _MAX_SWEEPS, tol)
     occupancy_mean = np.stack(
         [
             _node_moments(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])[2]

@@ -90,6 +90,33 @@ def _batch_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+class _BatchMeans:
+    """Events per measured epoch, with a batch-means standard error.
+
+    The epochs after warm-up split into ``BATCHES`` batches of
+    ``measured // BATCHES`` epochs (at least one); a partial last batch
+    counts toward the total but not toward the standard error.
+    """
+
+    def __init__(self, epochs: int, warmup: int):
+        self.warmup = warmup
+        self.measured = epochs - warmup
+        self.batch_len = max(self.measured // BATCHES, 1)
+        self.counts = np.zeros(self.measured // self.batch_len + 1, dtype=np.int64)
+
+    def add(self, t0: int, events: np.ndarray) -> None:
+        """Count the non-zero ``events`` of the epochs from ``t0`` on that follow warm-up."""
+        lo = max(self.warmup - t0, 0)
+        t = np.arange(t0 + lo - self.warmup, t0 + len(events) - self.warmup)
+        self.counts += np.bincount(t[events[lo:] > 0] // self.batch_len, minlength=self.counts.size)
+
+    def result(self) -> tuple[int, float, float]:
+        """Total events, events per measured epoch, and that rate's standard error."""
+        full = min(BATCHES, self.measured // self.batch_len)
+        total = int(self.counts.sum())
+        return total, total / self.measured, _batch_se(self.counts[:full] / self.batch_len)
+
+
 class _Block:
     """One run of consecutive nodes, its epoch tabulated by the batch kernel.
 
@@ -120,7 +147,7 @@ class _Block:
         for c in range(self.width):
             x = (c >> np.arange(g + 1)) & 1
             y = emc.transfer_indicators_batch(self.states, x, m)
-            after[:, c] = emc.step_emc_batch(self.states, x, m) @ weights
+            after[:, c] = (self.states + y[:, :-1] - y[:, 1:]) @ weights
             y_first[:, c] = y[:, 0]
             y_last[:, c] = y[:, g]
         self.after = after.ravel()
@@ -253,31 +280,26 @@ def simulate_feedback(
     weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
     joint = np.zeros(spec.num_states, dtype=np.int64) if joint_stride > 0 else None
 
-    measured = epochs - warmup
-    batch_len = max(measured // BATCHES, 1)
-    # deliveries per batch of measured epochs; a partial last batch is dropped
-    per_batch = np.zeros(measured // batch_len + 1, dtype=np.int64)
+    deliveries = _BatchMeans(epochs, warmup)
     for t0, _, n, _, delivered in _chunks(spec, epochs, seed):
+        deliveries.add(t0, delivered)
         lo = max(warmup - t0, 0)
         if lo >= len(n):
             continue
-        t = np.arange(t0 + lo - warmup, t0 + len(n) - warmup)
-        per_batch += np.bincount(t[delivered[lo:] > 0] // batch_len, minlength=per_batch.size)
         occupancy += _histogram(n[lo:], occupancy.shape[1])
         if joint is not None:
+            t = np.arange(t0 + lo - warmup, t0 + len(n) - warmup)
             np.add.at(joint, n[lo:][t % joint_stride == 0] @ weights, 1)
 
-    full = min(BATCHES, measured // batch_len)
-    batch_tputs = per_batch[:full] / batch_len
-    total = int(per_batch.sum())
+    total, throughput, throughput_se = deliveries.result()
     return SimStats(
         spec=spec,
         epochs=epochs,
         warmup=warmup,
         seed=seed,
         packets_delivered=total,
-        throughput=total / measured,
-        throughput_se=_batch_se(batch_tputs),
+        throughput=throughput,
+        throughput_se=throughput_se,
         occupancy_counts=occupancy,
         joint_counts=joint,
         joint_stride=joint_stride,

@@ -313,17 +313,18 @@ def test_criterion_9c_queue_oracle():
         p_hat = float((oracle.potential == j).mean())
         assert abs(p_hat - p) < 3 * np.sqrt(p * (1 - p) / n) + 1e-9
 
-    _, pi = dbie.embedded_chain(g, m, theta, q)
+    node = dbie._analyze_node(g, m, theta, q)
+    pi = node.pi
     for k in (1, 2):
         p = float(pi[k - 1])
         p_hat = float((oracle.post == k).mean())
         assert abs(p_hat - p) < 3.5 * np.sqrt(p * (1 - p) / n)
 
-    pb = float(dbie.blocking_prob(g, m, theta, q))
+    pb = node.blocking
     pb_hat = float(oracle.blocked.mean())
     assert abs(pb_hat - pb) < 3.5 * np.sqrt(pb * (1 - pb) / n)
 
-    fx = dbie.starvation_distribution(g, pi, theta, q)
+    fx = node.starvation
     ns = oracle.starve.size
     for k in range(1, 6):
         p = float(fx.pmf(k))

@@ -1,13 +1,18 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import linenet
 from linenet import cli
 from linenet import netcod as netcod_mod
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(linenet.__path__))
 
 
 @pytest.fixture()
@@ -324,3 +329,11 @@ def test_netcod_q_sweep_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "q,innovative_rate,se,exact_capacity"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    # a stale name in __all__ makes `from linenet.<module> import *` raise
+    mod = importlib.import_module(f"linenet.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []

@@ -111,8 +111,29 @@ def test_dj_against_thinning_oracle():
         assert abs(p_hat - p) < 3 * sigma + 1e-9
 
 
+def _embedded_matrix(g, m, theta, q):
+    """Dense post-arrival transition matrix over occupancies 1..m, entry
+    by entry from the departure-count series."""
+    d = dbie.dj_distribution(g, dbie.effective_failure(theta, q))
+
+    def dval(k: int) -> float:
+        return d[k] if 0 <= k < d.size else 0.0
+
+    P = np.zeros((m, m))
+    for i in range(1, m + 1):
+        # all i packets drained before the next arrival
+        P[i - 1, 0] += d[i:].sum()
+        for j in range(2, m + 1):
+            P[i - 1, j - 1] += dval(i + 1 - j)
+        # a blocked arrival leaves a full queue full
+        P[i - 1, m - 1] += dval(i - m)
+    return P
+
+
 def test_embedded_chain_single_slot():
-    P, pi = dbie.embedded_chain(GeometricMixture.geometric(0.5), 1, 0.4, 0.0)
+    g = GeometricMixture.geometric(0.5)
+    P = _embedded_matrix(g, 1, 0.4, 0.0)
+    pi = dbie._analyze_node(g, 1, 0.4, 0.0).pi
     assert P.shape == (1, 1) and float(P[0, 0]) == pytest.approx(1.0, abs=1e-10)
     assert [float(v) for v in pi] == [1.0]
 
@@ -126,7 +147,9 @@ def test_embedded_chain_rows_stochastic():
         w = rng.uniform(0.1, 0.9)
         g = diagonal_mixture([(w, t1), (1 - w, t2)])
         m = int(rng.integers(1, 6))
-        P, pi = dbie.embedded_chain(g, m, rng.uniform(0.2, 0.8), rng.uniform(0, 0.5))
+        theta, q = rng.uniform(0.2, 0.8), rng.uniform(0, 0.5)
+        P = _embedded_matrix(g, m, theta, q)
+        pi = dbie._analyze_node(g, m, theta, q).pi
         for i in range(m):
             assert float(sum(P[i, j] for j in range(m))) == pytest.approx(1.0, abs=1e-10)
         assert float(sum(pi)) == pytest.approx(1.0, abs=1e-10)
@@ -156,8 +179,8 @@ def test_stationary_matches_dense_lu(m):
     rng = np.random.default_rng(100 + m)
     for _ in range(3):
         g, theta, q = _two_term_case(rng)
-        P, pi = dbie.embedded_chain(g, m, theta, q)
-        oracle = _lu_stationary(P)
+        pi = dbie._analyze_node(g, m, theta, q).pi
+        oracle = _lu_stationary(_embedded_matrix(g, m, theta, q))
         for k in range(m):
             assert float(pi[k]) == pytest.approx(float(oracle[k]), abs=1e-9)
 
@@ -192,7 +215,7 @@ def test_stationary_cut_equations_hold(m):
 @settings(max_examples=30, deadline=None)
 def test_blocking_prob_nonincreasing_in_buffer(t1, gap, w, theta, q):
     g = diagonal_mixture([(w, t1), (1 - w, t1 + gap)])
-    pb = [dbie.blocking_prob(g, m, theta, q) for m in range(1, 13)]
+    pb = [dbie._analyze_node(g, m, theta, q).blocking for m in range(1, 13)]
     for small, large in zip(pb, pb[1:]):
         assert large <= small + 1e-12
 
@@ -201,7 +224,7 @@ def test_embedded_chain_vs_queue_oracle():
     g = GeometricMixture.geometric(0.5)
     theta = 0.5
     oracle = QueueOracle(g, 2, theta, 0.0, 200_000, seed=3)
-    _, pi = dbie.embedded_chain(g, 2, theta, 0.0)
+    pi = dbie._analyze_node(g, 2, theta, 0.0).pi
     n = oracle.post.size
     for k in (1, 2):
         p_hat = float((oracle.post == k).mean())
@@ -214,14 +237,14 @@ def test_blocking_prob_vs_queue_oracle():
     g = diagonal_mixture([(0.6, 0.3), (0.4, 0.7)])
     theta, q, m = 0.5, 0.2, 2
     oracle = QueueOracle(g, m, theta, q, 200_000, seed=13)
-    p = float(dbie.blocking_prob(g, m, theta, q))
+    p = dbie._analyze_node(g, m, theta, q).blocking
     p_hat = float(oracle.blocked.mean())
     sigma = np.sqrt(p * (1 - p) / oracle.blocked.size)
     assert abs(p_hat - p) < 3.5 * sigma
 
 
 def test_blocking_prob_ample_buffer():
-    p = float(dbie.blocking_prob(GeometricMixture.geometric(0.5), 50, 0.4, 0.0))
+    p = dbie._analyze_node(GeometricMixture.geometric(0.5), 50, 0.4, 0.0).blocking
     assert p < 1e-6
 
 
@@ -233,8 +256,9 @@ def test_blocking_prob_paper_values(paper_four_hop):
 
 
 def test_starvation_memoryless_single_term():
-    pi = [0.3, 0.7]
-    fx = dbie.starvation_distribution(GeometricMixture.geometric(0.4), pi, 0.5, 0.0)
+    pi = np.array([0.3, 0.7])
+    tt = dbie.effective_failure(0.5, 0.0)
+    fx = dbie._starvation_from_pi(GeometricMixture.geometric(0.4), pi, tt)
     assert fx.alpha.size == 1
     assert float(fx.alpha[0]) == pytest.approx(1.0, abs=1e-12)
     assert float(fx.T[0, 0]) == pytest.approx(0.4, abs=1e-15)
@@ -242,8 +266,7 @@ def test_starvation_memoryless_single_term():
 
 def test_starvation_weights_normalized():
     g = diagonal_mixture([(0.6, 0.3), (0.4, 0.7)])
-    _, pi = dbie.embedded_chain(g, 3, 0.5, 0.1)
-    fx = dbie.starvation_distribution(g, pi, 0.5, 0.1)
+    fx = dbie._analyze_node(g, 3, 0.5, 0.1).starvation
     assert float(fx.weight_sum()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -251,8 +274,7 @@ def test_starvation_vs_queue_oracle():
     g = GeometricMixture.geometric(0.5)
     theta, m = 0.5, 2
     oracle = QueueOracle(g, m, theta, 0.0, 300_000, seed=21)
-    _, pi = dbie.embedded_chain(g, m, theta, 0.0)
-    fx = dbie.starvation_distribution(g, pi, theta, 0.0)
+    fx = dbie._analyze_node(g, m, theta, 0.0).starvation
     n = oracle.starve.size
     assert n > 10_000
     for k in range(1, 8):
@@ -265,12 +287,10 @@ def test_starvation_vs_queue_oracle():
 def test_upsilon_defining_mean_identity():
     g = diagonal_mixture([(0.6, 0.3), (0.4, 0.7)])
     m, theta, q = 3, 0.5, 0.2
-    ups, alpha = dbie.upsilon(g, m, theta, q)
-    g_out = ups.convolve(GeometricMixture.geometric(theta))
-    blocking = dbie.blocking_prob(g, m, theta, q)
-    expect = float(g.mean()) * (1 - q) / (1 - float(blocking))
-    assert float(g_out.mean()) == pytest.approx(expect, rel=1e-12)
-    assert 0.0 <= float(alpha) <= 1.0
+    res = dbie._analyze_node(g, m, theta, q)
+    expect = float(g.mean()) * (1 - q) / (1 - res.blocking)
+    assert float(res.g_out.mean()) == pytest.approx(expect, rel=1e-12)
+    assert 0.0 <= res.alpha <= 1.0
 
 
 def test_upsilon_paper_destination_mixture(paper_four_hop):
@@ -354,4 +374,4 @@ def test_non_finite_residual_stops_the_sweeps(paper_four_hop, monkeypatch):
 def test_starvation_degenerate_signal():
     g = GeometricMixture.geometric(0.5)
     with pytest.raises(DegenerateDistributionError):
-        dbie.starvation_distribution(g, [0.0, 0.0], 0.5, 0.0)
+        dbie._starvation_from_pi(g, np.zeros(2), dbie.effective_failure(0.5, 0.0))

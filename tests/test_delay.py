@@ -70,6 +70,14 @@ def test_profile_is_a_pmf_within_its_tail_budget(spec):
         assert -1e-12 <= prof.tail_mass_dropped <= delay._TAIL_BUDGET
 
 
+@pytest.mark.parametrize("psi", [(np.nan, 0.5), (0.5, np.nan)])
+def test_profile_rejects_a_non_finite_waiting_distribution(psi):
+    # a NaN fails every comparison, so it must be caught before the convolution
+    inputs = delay.NodeDelayInputs(psi=[np.array(psi)], rho=np.zeros(2), eps_eff=np.array([0.4]))
+    with pytest.raises(ConsistencyError, match="waiting distribution 0"):
+        delay.delay_profile(NetworkSpec((0.5, 0.4), (2,)), inputs)
+
+
 def test_node_delay_single_geometric():
     pmf = delay.node_delay(np.array([1.0]), 0.5)
     mean = float(np.arange(pmf.size) @ pmf)
