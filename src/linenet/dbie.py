@@ -37,11 +37,10 @@ from .errors import (
     TruncationError,
 )
 from .mixtures import GeometricMixture
-from .model import NetworkSpec
+from .model import NetworkSpec, effective_failure
 
 __all__ = [
     "DistSolution",
-    "effective_failure",
     "dj_distribution",
     "solve",
     "capacity",
@@ -54,16 +53,6 @@ _DJ_TAIL = 1e-12
 _ALPHA_SLACK = 1e-9
 # decimal digits that float64 carries, reported as the working precision
 _DPS = np.finfo(float).precision
-
-
-def effective_failure(theta, q) -> float:
-    """Per-epoch probability that the head packet fails to depart.
-
-    Departure needs a channel success and no downstream blocking, so
-    the failure parameter is theta + (1 - theta) q.
-    """
-    theta = float(theta)
-    return theta + (1 - theta) * float(q)
 
 
 def _thinning(g: GeometricMixture, tt: float):

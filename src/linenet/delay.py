@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbie import DistSolution, effective_failure
+from .dbie import DistSolution
 from .errors import ConsistencyError, TruncationError
-from .model import NetworkSpec
+from .model import NetworkSpec, effective_failure
 from .rbie import RateSolution
 
 __all__ = [
@@ -64,7 +64,7 @@ class NodeDelayInputs:
 
 
 def _effective_failures(spec: NetworkSpec, rho: np.ndarray) -> np.ndarray:
-    return np.array([effective_failure(spec.eps[j + 1], rho[j + 1]) for j in range(spec.h - 1)])
+    return effective_failure(np.array(spec.eps[1:]), rho[1:])
 
 
 def psi_rho_from_rbie(sol: RateSolution, spec: NetworkSpec) -> NodeDelayInputs:
@@ -104,10 +104,9 @@ def psi_rho_from_dbie(sol: DistSolution, spec: NetworkSpec) -> NodeDelayInputs:
         p = np.empty(m)
         p[: m - 1] = pi[: m - 1] / (1.0 - pb)
         p[m - 1] = (pi[m - 1] - pb) / (1.0 - pb)
-        if float(p.min()) < -1e-9:
-            raise ConsistencyError(
-                f"waiting distribution {j} has negative mass {p.min()}"
-            )
+        # written so that a NaN entry is rejected too
+        if not float(p.min()) >= -_PSI_SLACK:
+            raise ConsistencyError(f"waiting distribution {j} has negative mass {p.min()}")
         psi.append(np.maximum(p, 0.0))
     out = NodeDelayInputs(psi=psi, rho=rho, eps_eff=eps_eff)
     out.validate()

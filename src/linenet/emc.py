@@ -10,9 +10,9 @@ its stationary distribution.
 A chain built here is block-tridiagonal over the occupancy levels of
 any one node.  Its stationary distribution comes from block elimination
 over the levels of the node with the largest buffer when those levels
-are small, and from one GMRES solve of the normalized balance equations
-otherwise; the ``tol`` callers pass bounds max |pi P - pi| of the result
-and is not a solver setting.
+are small, and from one GCROT(m, k) Krylov solve of the normalized
+balance equations otherwise; the ``tol`` callers pass bounds
+max |pi P - pi| of the result and is not a solver setting.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator, gcrotmk
 
 from .errors import (
     ConsistencyError,
@@ -210,14 +210,20 @@ def build_emc(spec: NetworkSpec) -> SparseStochasticMatrix:
 # stationary distribution and capacity
 # ---------------------------------------------------------------------------
 
-# The GMRES tolerance sits near double precision: stopping at the accepted
+# The Krylov tolerance sits near double precision: stopping at the accepted
 # residual leaves pi's error far above it on slowly mixing chains, and at
 # 1e-14 pi is still up to 2.2e-12 from the level path on five-hop chains.
-_GMRES_RTOL = 1e-15
-_GMRES_RESTART = 50
-_GMRES_MAX_CYCLES = 100  # at most 5 000 operator applications
+# GCROT(m, k) runs inner cycles of m steps and carries k error-minimizing
+# directions across restarts, so short cycles keep their convergence;
+# (20, 5) stores no more vectors than restarted GMRES(50) and needs fewer
+# applications on the paper's chains (notes/decisions.md).  An outer
+# cycle takes about m applications.
+_KRYLOV_RTOL = 1e-15
+_GCROT_M = 20
+_GCROT_K = 5
+_GCROT_MAX_CYCLES = 250  # about 5 000 operator applications
 
-# Level elimination costs O(n b^2) for levels of b states and GMRES about
+# Level elimination costs O(n b^2) for levels of b states and GCROT about
 # O(n 3^(h-1)) per operator application; measured crossover in
 # notes/decisions.md.  The stored factors take about n b doubles.
 _LEVEL_BLOCK_MAX = 256
@@ -225,7 +231,7 @@ _LEVEL_FACTOR_BYTES = 1 << 25
 
 
 def _level_plan(buffers: tuple[int, ...]) -> tuple[int, int] | None:
-    """Level node and states per level of the level solve; None for GMRES.
+    """Level node and states per level of the level solve; None for GCROT.
 
     The level node is the one with the largest buffer, the last one on
     ties.  Decided from the buffer sizes alone, before anything is
@@ -325,13 +331,13 @@ def stationary(P: SparseStochasticMatrix | sparse.csr_matrix, tol: float = 1e-12
     A chain from ``build_emc`` or ``amc.build_amc`` whose levels (states
     sharing one occupancy of the node with the largest buffer) are small
     is solved by block elimination over those levels.  Any other matrix,
-    a raw CSR one included, gets one restarted GMRES run from the
-    uniform vector on pi (P - I) = 0, the last equation replaced by
-    sum(pi) = 1, applying P^T without forming the system matrix; it
-    stops at a fixed relative residual near double precision or after a
-    fixed number of restart cycles.  ``tol`` bounds max |pi P - pi| of
-    the clipped, normalized result; ConvergenceError, naming the path,
-    is raised above it, or when the chain is not irreducible.
+    a raw CSR one included, gets one GCROT(m, k) run from the uniform
+    vector on pi (P - I) = 0, the last equation replaced by sum(pi) = 1,
+    applying P^T without forming the system matrix; it stops at a fixed
+    relative residual near double precision or after a fixed number of
+    outer cycles.  ``tol`` bounds max |pi P - pi| of the clipped,
+    normalized result; ConvergenceError, naming the path, is raised
+    above it, or when the chain is not irreducible.
     """
     mat = P.probs if isinstance(P, SparseStochasticMatrix) else sparse.csr_matrix(P)
     n = mat.shape[0]
@@ -358,12 +364,12 @@ def stationary(P: SparseStochasticMatrix | sparse.csr_matrix, tol: float = 1e-12
 
         b = np.zeros(n)
         b[-1] = 1.0
-        pi, info = gmres(
+        pi, info = gcrotmk(
             LinearOperator((n, n), matvec=balance, dtype=float), b, x0=np.full(n, 1.0 / n),
-            rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART, maxiter=_GMRES_MAX_CYCLES,
+            rtol=_KRYLOV_RTOL, atol=0.0, m=_GCROT_M, k=_GCROT_K, maxiter=_GCROT_MAX_CYCLES,
         )
         iterations = applied
-        path = f"GMRES stationary solve ({applied} operator applications, info {info})"
+        path = f"GCROT stationary solve ({applied} operator applications, info {info})"
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     residual = float(np.max(np.abs(mat_t @ pi - pi)))

@@ -29,6 +29,7 @@ __all__ = [
     "state_index",
     "index_state",
     "enumerate_states",
+    "effective_failure",
 ]
 
 
@@ -172,6 +173,16 @@ def enumerate_states(spec: NetworkSpec) -> np.ndarray:
         out[:, j] = rem % (m + 1)
         rem //= m + 1
     return out
+
+
+def effective_failure(eps, pb):
+    """Per-epoch probability that a node's head packet fails to depart.
+
+    Departure needs a channel success (erasure probability ``eps``) and
+    no downstream blocking (probability ``pb``), so the failure
+    probability is eps + (1 - eps) pb.  Takes floats or numpy arrays.
+    """
+    return eps + (1.0 - eps) * pb
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError
-from .model import NetworkSpec
+from .model import NetworkSpec, effective_failure
 
 __all__ = [
     "RateSolution",
@@ -39,8 +39,7 @@ def local_params(r: float, eps_next: float, pb_next: float) -> tuple[float, floa
     arrival, head packet leaves), and ``alpha0`` the up-rate from the
     empty state.
     """
-    fail = eps_next + (1.0 - eps_next) * pb_next
-    alpha = r * fail
+    alpha = r * effective_failure(eps_next, pb_next)
     beta = (1.0 - r) * (1.0 - pb_next) * (1.0 - eps_next)
     return alpha, beta, r
 
@@ -138,7 +137,7 @@ def _sweep(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray) -> np.ndarra
         e, q = eps[j + 1], pb[:, j + 1]
         phi0, phim, _ = _node_moments(r[:, j], e, q, buffers[:, j])
         r[:, j + 1] = (1.0 - e) * (1.0 - phi0)
-        pb_new[:, j] = (e + (1.0 - e) * q) * phim
+        pb_new[:, j] = effective_failure(e, q) * phim
     return pb_new
 
 

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from linenet import allocate, amc, dbie, delay, emc, netcod, rbie, sim
-from linenet.model import NetworkSpec, enumerate_states, index_state, state_index
+from linenet.model import NetworkSpec, effective_failure, enumerate_states, index_state, state_index
 from conftest import QueueOracle, diagonal_mixture, random_spec
 
 FOUR_HOP = NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5))
@@ -305,7 +305,7 @@ def test_criterion_9c_queue_oracle():
     g = diagonal_mixture([(0.6, 0.3), (0.4, 0.7)])
     theta, q, m = 0.5, 0.2, 2
     oracle = QueueOracle(g, m, theta, q, 250_000, seed=9993)
-    tt = dbie.effective_failure(theta, q)
+    tt = effective_failure(theta, q)
     d = dbie.dj_distribution(g, tt)
     n = oracle.potential.size
     for j in range(6):

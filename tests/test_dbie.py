@@ -16,7 +16,7 @@ from linenet.errors import (
     SpecValidationError,
 )
 from linenet.mixtures import GeometricMixture
-from linenet.model import NetworkSpec
+from linenet.model import NetworkSpec, effective_failure
 
 
 def series_d0_oracle(lam, tt, kmax=4000):
@@ -25,9 +25,15 @@ def series_d0_oracle(lam, tt, kmax=4000):
 
 
 def test_effective_failure_limits():
-    assert float(dbie.effective_failure(0.5, 0.0)) == 0.5
-    assert float(dbie.effective_failure(0.5, 1.0)) == 1.0
-    assert float(dbie.effective_failure(0.25, 0.4)) == pytest.approx(0.55)
+    assert float(effective_failure(0.5, 0.0)) == 0.5
+    assert float(effective_failure(0.5, 1.0)) == 1.0
+    assert float(effective_failure(0.25, 0.4)) == pytest.approx(0.55)
+
+
+def test_effective_failure_on_arrays_matches_scalars():
+    eps, pb = np.array([0.1, 0.25, 0.7]), np.array([0.0, 0.4, 0.93])
+    got = effective_failure(eps, pb)
+    assert got.tolist() == [effective_failure(float(e), float(q)) for e, q in zip(eps, pb)]
 
 
 def test_dj_closed_form_single_geometric():
@@ -87,7 +93,7 @@ def test_dj_on_chained_phases_against_thinning():
     g = GeometricMixture(np.array([0.7]), np.array([[0.3]]), 0.3).convolve(
         GeometricMixture.geometric(0.6)
     )
-    tt = dbie.effective_failure(0.5, 0.3)
+    tt = effective_failure(0.5, 0.3)
     d = dbie.dj_distribution(g, tt)
     rng = np.random.default_rng(12)
     n = 200_000
@@ -102,7 +108,7 @@ def test_dj_against_thinning_oracle():
     g = diagonal_mixture([(0.6, 0.3), (0.4, 0.7)])
     theta, q = 0.5, 0.3
     oracle = QueueOracle(g, 2, theta, q, 150_000, seed=8)
-    d = dbie.dj_distribution(g, dbie.effective_failure(theta, q))
+    d = dbie.dj_distribution(g, effective_failure(theta, q))
     n = oracle.potential.size
     for j in range(6):
         p_hat = float((oracle.potential == j).mean())
@@ -114,7 +120,7 @@ def test_dj_against_thinning_oracle():
 def _embedded_matrix(g, m, theta, q):
     """Dense post-arrival transition matrix over occupancies 1..m, entry
     by entry from the departure-count series."""
-    d = dbie.dj_distribution(g, dbie.effective_failure(theta, q))
+    d = dbie.dj_distribution(g, effective_failure(theta, q))
 
     def dval(k: int) -> float:
         return d[k] if 0 <= k < d.size else 0.0
@@ -192,7 +198,7 @@ def test_stationary_cut_equations_hold(m):
     with mp.workdps(50):
         for _ in range(3):
             g, theta, q = _two_term_case(rng)
-            d = dbie.dj_distribution(g, dbie.effective_failure(theta, q))
+            d = dbie.dj_distribution(g, effective_failure(theta, q))
             pi, mass = dbie._stationary_from_d(d, m)
             dm = [mpf(v) for v in d]
             pm = [mpf(v) for v in pi]
@@ -257,7 +263,7 @@ def test_blocking_prob_paper_values(paper_four_hop):
 
 def test_starvation_memoryless_single_term():
     pi = np.array([0.3, 0.7])
-    tt = dbie.effective_failure(0.5, 0.0)
+    tt = effective_failure(0.5, 0.0)
     fx = dbie._starvation_from_pi(GeometricMixture.geometric(0.4), pi, tt)
     assert fx.alpha.size == 1
     assert float(fx.alpha[0]) == pytest.approx(1.0, abs=1e-12)
@@ -374,4 +380,4 @@ def test_non_finite_residual_stops_the_sweeps(paper_four_hop, monkeypatch):
 def test_starvation_degenerate_signal():
     g = GeometricMixture.geometric(0.5)
     with pytest.raises(DegenerateDistributionError):
-        dbie._starvation_from_pi(g, np.zeros(2), dbie.effective_failure(0.5, 0.0))
+        dbie._starvation_from_pi(g, np.zeros(2), effective_failure(0.5, 0.0))

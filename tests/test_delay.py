@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -46,6 +47,16 @@ def test_psi_from_dbie_sums_to_one(paper_four_hop):
     for p in inputs.psi:
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(p >= -1e-12)
+
+
+@pytest.mark.parametrize("i", [0, -1])
+def test_psi_from_dbie_rejects_a_nan_occupancy(paper_four_hop, i):
+    # caught by the negative-mass check itself, before the clip passes the NaN on
+    sol = dbie.solve(paper_four_hop)
+    pis = [p.copy() for p in sol.pi_embedded]
+    pis[1][i] = np.nan
+    with pytest.raises(ConsistencyError, match="waiting distribution 1 has negative mass nan"):
+        delay.psi_rho_from_dbie(dataclasses.replace(sol, pi_embedded=pis), paper_four_hop)
 
 
 def test_psi_single_slot_node():
