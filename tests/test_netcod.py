@@ -268,6 +268,8 @@ def test_eta_transition_distance_small():
         ((0.5, 0.5, 0.5), (2, 2), 65536, 7263, 0.3637222222222222, 0.002575042813616233),
         ((0.3, 0.45, 0.5, 0.2), (2, 3, 1), 16, 7698, 0.3852777777777778, 0.0025444973749512026),
         ((0.3, 0.45, 0.5, 0.2), (2, 3, 1), 256, 8341, 0.4175, 0.002962305272123811),
+        ((0.2, 0.3, 0.4, 0.3, 0.1), (1, 4, 2, 3), 65536, 10374, 0.5177222222222222, 0.0029584298235424715),
+        ((0.2, 0.3, 0.4, 0.3, 0.1), (1, 4, 2, 3), 2, 3707, 0.18638888888888888, 0.0017803975506425402),
     ],
 )
 def test_simulate_no_feedback_matches_pinned_values(eps, buffers, q, rank_dest, rate, se):
@@ -281,6 +283,12 @@ def test_eta_transition_comparison_matches_pinned_values():
     rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(65536), 5_000, seed=9)
     assert rep.max_distance == 0.04326923076923078
     assert rep.min_row_visits == 184
+
+
+def test_eta_transition_comparison_matches_pinned_values_on_unequal_buffers():
+    spec = NetworkSpec((0.3, 0.4, 0.5, 0.35), (1, 3, 2))
+    rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(256), 3000, seed=5, min_visits=20)
+    assert (rep.max_distance, rep.rows_compared, rep.min_row_visits) == (0.14893939393939393, 22, 6)
 
 
 def test_eta_transition_comparison_memory_stays_below_dense_chain():
