@@ -216,18 +216,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _field(text: str) -> netcod_mod.FieldSpec:
+    try:
+        q = int(text)
+    except ValueError:
+        raise SpecValidationError(f"field size {text!r} is not an integer") from None
+    return netcod_mod.FieldSpec(q)
+
+
 def cmd_netcod(args) -> int:
     spec = _load_spec(args)
+    # every field size is checked before the first simulation
+    fields = [_field(v) for v in args.q_sweep.split(",")] if args.q_sweep else []
     # before any simulation, so that a spec over the state cap fails at once
     exact = emc.capacity_exact(spec) if args.compare_exact else None
     if args.q_sweep:
-        qs = [int(v) for v in args.q_sweep.split(",")]
         rows = []
-        for q in qs:
+        for field in fields:
             st = netcod_mod.simulate_no_feedback(
-                spec, netcod_mod.FieldSpec(q), args.epochs, warmup=args.warmup, seed=args.seed
+                spec, field, args.epochs, warmup=args.warmup, seed=args.seed
             )
-            rows.append([q, st.innovative_rate, st.innovative_rate_se, exact])
+            rows.append([field.q, st.innovative_rate, st.innovative_rate_se, exact])
         _write_csv(args.out, ["q", "innovative_rate", "se", "exact_capacity"], rows)
         return EXIT_OK
     stats = netcod_mod.simulate_no_feedback(

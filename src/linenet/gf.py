@@ -7,10 +7,13 @@ eliminations stay vectorized.
 
 The tables use the zero-sentinel layout: ``log[0]`` is 2(q-1), an index
 past every sum of two nonzero logs, and ``exp`` is zero from there on,
-so a product with a zero operand reads 0 without a mask.
+so a product with a zero operand reads 0 without a mask.  The tables are
+built once per field size and shared read-only by every instance.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,6 +30,30 @@ _PRIMITIVE_POLY = {
 }
 
 
+@functools.cache
+def _tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exp and log tables of GF(q), built once per process."""
+    poly = _PRIMITIVE_POLY[q]
+    zero = 2 * (q - 1)
+    # nonzero sums stay below ``zero``; any sum with a zero log lands in
+    # the zero tail, whose last index is log[0] + log[0]
+    exp = np.zeros(2 * zero + 1, dtype=np.uint32)
+    log = np.full(q, zero, dtype=np.intp)
+    v = 1
+    for i in range(q - 1):
+        exp[i] = v
+        log[v] = i
+        v <<= 1
+        if v & q:
+            v ^= poly
+    if v != 1:
+        raise ValueError(f"polynomial {poly:#x} is not primitive for q={q}")
+    exp[q - 1 : zero] = exp[: q - 1]
+    exp.flags.writeable = False
+    log.flags.writeable = False
+    return exp, log
+
+
 class GF2m:
     """Field of size q = 2^k with table-based multiplication."""
 
@@ -34,27 +61,25 @@ class GF2m:
         if q not in SUPPORTED_FIELD_SIZES:
             raise ValueError(f"field size {q} not in supported set {SUPPORTED_FIELD_SIZES}")
         self.q = q
-        poly = _PRIMITIVE_POLY[q]
-        zero = 2 * (q - 1)
-        # nonzero sums stay below ``zero``; any sum with a zero log lands in
-        # the zero tail, whose last index is log[0] + log[0]
-        exp = np.zeros(2 * zero + 1, dtype=np.uint32)
-        log = np.full(q, zero, dtype=np.intp)
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            log[v] = i
-            v <<= 1
-            if v & q:
-                v ^= poly
-        if v != 1:
-            raise ValueError(f"polynomial {poly:#x} is not primitive for q={q}")
-        exp[q - 1 : zero] = exp[: q - 1]
-        self._exp = exp
-        self._log = log
+        self._exp, self._log = _tables(q)
 
     def mul(self, a, b):
-        return self._exp.take(self._log.take(a) + self._log.take(b))
+        return self.mul_logs(self._log.take(a), b)
+
+    def logs(self, a) -> np.ndarray:
+        """The table logs of ``a`` as int32, ready for :meth:`mul_logs`."""
+        # indexing casts ``a`` to intp piece by piece, where take would
+        # cast all of it at once
+        return self._log[a].astype(np.int32)
+
+    def mul_logs(self, la, b):
+        """Product of the elements whose logs are ``la`` with ``b``.
+
+        Every log in ``la`` must be reduced, as the table's are: at most
+        q - 2 for a nonzero element and exactly 2(q - 1) for zero.  A sum
+        of two logs is not reduced; multiply out and take logs again.
+        """
+        return self._exp.take(la + self._log.take(b))
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.uint32)

@@ -53,12 +53,12 @@ class FieldSpec:
 
 
 class _DrawnWeights:
-    """Weight rows drawn from ``rng`` at the moment an epoch reads them.
+    """Weight logs drawn from ``rng`` at the moment an epoch reads them.
 
-    Stands in for a pre-drawn weight block.  Rows are drawn in the order
+    Stands in for a pre-drawn log block.  Weights are drawn in the order
     the epoch reads them: the transmit rows of nodes 0..n-1, then the
     fold rows of nodes n-1..1, then node 0's.  A fold that an erasure
-    skips draws nothing, and its row stays zero.
+    skips draws nothing, and its weights stay zero.
     """
 
     def __init__(self, gf: GF2m, rng: np.random.Generator):
@@ -73,7 +73,7 @@ class _DrawnWeights:
         for a in (*range(n - 1, 0, -1), 0):
             if x[a]:
                 cf[n + a, : buffers[a]] = self.gf.random_elements(self.rng, buffers[a])
-        return cf
+        return self.gf.logs(cf).reshape(2, n, -1, 1)
 
 
 @dataclass
@@ -91,85 +91,96 @@ class NoFeedbackStats:
 class _Workspace:
     """Shared coordinate frame for all coefficient rows.
 
-    Every row lives in one ``(S + n + 1, width)`` array: the S buffer
-    slots in node order, then the packet each of the n nodes has in
-    flight this epoch, then the source's injection row.  The
-    destination's span is the zero subspace by construction: every row
-    is reduced against each innovative arrival the moment the
-    destination stores it, so innovation testing is a nonzero check and
-    coefficient width stays near the total buffer budget.
+    Every row lives in one ``(n M + n + 1, width)`` array, M the largest
+    buffer.  The first n M rows are the slot grid, viewed as ``grid`` of
+    shape ``(n, M, width)``: node i's slots are ``grid[i, :m_i]`` and its
+    other rows are zero padding.  Then come the rows in flight this
+    epoch: the source's injection, then the packet each node sends.
+    ``sent[i]`` is node i's packet and ``heard[a]`` is what node a hears
+    on link a, which is the injection for node 0.  The destination's span
+    is the zero subspace by construction: every row is reduced against
+    each innovative arrival the moment the destination stores it, so
+    innovation testing is a nonzero check and coefficient width stays
+    near the total buffer budget.
     """
 
     def __init__(self, gf: GF2m, buffers, capacity_hint: int = 96):
         self.gf = gf
         self.buffers = tuple(buffers)
         n = len(self.buffers)
-        self.total_slots = S = sum(self.buffers)
+        m_max = max(self.buffers)
+        self.total_slots = sum(self.buffers)
         self.width_cap = capacity_hint
-        self.rows = np.zeros((S + n + 1, capacity_hint), dtype=np.uint32)
+        self.rows = np.zeros((n * m_max + n + 1, capacity_hint), dtype=np.uint32)
         self.active = 0
-        node = np.repeat(np.arange(n), self.buffers)
-        self._offsets = np.concatenate(([0], np.cumsum(self.buffers)[:-1]))
-        within = np.arange(S) - self._offsets[node]
-        width = max(self.buffers)
-        # flat positions of slot weights in a (2n, max m) weight block
-        self._transmit_at = node * width + within
-        self._fold_at = (n + node) * width + within
-        # node a receives on link a: node a-1's packet, or for node 0 the
-        # injection row
-        self._node = node
-        self._upstream = np.where(node == 0, S + n, S + node - 1)
+        self.grid = self.rows[: n * m_max].reshape(n, m_max, capacity_hint)
+        self.heard = self.rows[n * m_max : -1]
+        self.sent = self.rows[n * m_max + 1 :]
+        self._heard_cols = self.heard[:, None]
+        # 1 on every node's slots and 0 on padding, for transmit and fold rows
+        live = np.arange(m_max) < np.array(self.buffers)[:, None]
+        self._live = np.tile(live, (2, 1)).astype(np.uint32)
 
-    def epoch(self, x, cf) -> bool:
+    def weight_logs(self, xs, drawn) -> np.ndarray:
+        """Per-epoch log blocks from drawn ``(epochs, 2n, M)`` weights.
+
+        Padding and the folds of links that ``xs`` erases get weight zero,
+        so their logs are the zero sentinel.  ``drawn`` is overwritten;
+        the caller drops it so that only the int32 logs stay alive.
+        """
+        n = len(self.buffers)
+        drawn *= self._live
+        drawn[:, n:] *= xs[:, :n, None]
+        return self.gf.logs(drawn).reshape(len(drawn), 2, n, -1, 1)
+
+    def epoch(self, x, logs) -> bool:
         """One feedback-free epoch; True iff the destination's rank grew.
 
         Every node transmits a combination of its start-of-epoch slots,
         then arrivals land: the destination absorbs, and every node whose
         link delivers folds the packet it hears into its slots (node 0
         hears a fresh source packet).  ``x[k]`` tells whether link k
-        delivers.  With n nodes, node i transmits with weights
-        ``cf[i, :m_i]`` and folds with ``cf[n + i, :m_i]``; ``cf`` is a
-        pre-drawn block or a :class:`_DrawnWeights`.
+        delivers.  ``logs`` is a ``(2, n, M, 1)`` block of weight logs
+        (see :meth:`weight_logs`) or a :class:`_DrawnWeights`: node i
+        transmits with ``logs[0, i]`` and folds with ``logs[1, i]``.  Both
+        hold the zero sentinel on padding, and the fold's does on an
+        erased link.
         """
         if self.active >= self.width_cap:
             self._compact()
-        if isinstance(cf, _DrawnWeights):
-            cf = cf.block(x, self.buffers)
+        if isinstance(logs, _DrawnWeights):
+            logs = logs.block(x, self.buffers)
         gf = self.gf
-        rows = self.rows
-        S = self.total_slots
         n = len(self.buffers)
-        flat = cf.ravel()
-        slots = rows[:S]
-        rows[S : S + n] = np.bitwise_xor.reduceat(
-            gf.mul(flat[self._transmit_at][:, None], slots), self._offsets, axis=0
-        )
+        np.bitwise_xor.reduce(gf.mul_logs(logs[0], self.grid), axis=1, out=self.sent)
         grew = False
         if x[n]:
-            pkt = rows[S + n - 1]
+            pkt = self.sent[n - 1]
             nz = pkt.nonzero()[0]
             if nz.size:
                 c = nz[0]
-                piv = gf.mul(gf.inv(pkt[c]), pkt)
-                rows ^= gf.mul(rows[:, c, None], piv)
+                k = gf.mul(self.rows[:, c], gf.inv(pkt[c]))
+                self.rows ^= gf.mul(k[:, None], pkt)
                 grew = True
         if x[0]:
-            inject = rows[S + n]
+            inject = self.heard[0]
             inject[:] = 0
             inject[self.active] = 1
             self.active += 1
-        fold = np.where(x[self._node], flat[self._fold_at], 0)
-        slots ^= gf.mul(fold[:, None], rows[self._upstream])
+        self.grid ^= gf.mul_logs(logs[1], self._heard_cols)
         return grew
 
     def _compact(self) -> None:
-        """Re-express every slot over a basis of the current buffer span."""
+        """Re-express every slot over a basis of the current buffer span.
+
+        Padding rows are zero, so they stay zero and add no basis vector.
+        """
         gf = self.gf
-        S = self.total_slots
+        slots = self.grid.reshape(-1, self.width_cap)
         pivots: dict[int, tuple[int, np.ndarray]] = {}
-        coords = np.zeros((S, S), dtype=np.uint32)
+        coords = np.zeros((slots.shape[0], self.total_slots), dtype=np.uint32)
         nbasis = 0
-        for i, row in enumerate(self.rows[:S]):
+        for i, row in enumerate(slots):
             v = row.copy()
             expr = coords[i]
             while True:
@@ -190,7 +201,7 @@ class _Workspace:
                 v = gf.axpy(coeff, piv, v)
                 expr[idx] ^= coeff
         self.rows[:] = 0
-        self.rows[:S, :S] = coords
+        slots[:, : self.total_slots] = coords
         self.active = nbasis
 
     def eta_vector(self) -> tuple[int, ...]:
@@ -203,8 +214,7 @@ class _Workspace:
         out = []
         prev_rank = 0
         for i in range(len(self.buffers) - 1, -1, -1):
-            lo = self._offsets[i]
-            r = _span_rank(self.gf, self.rows[lo : lo + self.buffers[i]], pivots)
+            r = _span_rank(self.gf, self.grid[i, : self.buffers[i]], pivots)
             out.append(r - prev_rank)
             prev_rank = r
         return tuple(reversed(out))
@@ -242,8 +252,8 @@ def simulate_no_feedback(
         todo = min(block, epochs - done)
         xs = rng.random((todo, h)) >= eps
         # one draw per epoch: transmit weights for every node, then fold weights
-        coeff_block = ws.gf.random_elements(rng, (todo, 2 * (h - 1), max(spec.buffers)))
-        grew = np.array([ws.epoch(x, cf) for x, cf in zip(xs, coeff_block)])
+        logs = ws.weight_logs(xs, gf.random_elements(rng, (todo, 2 * (h - 1), max(spec.buffers))))
+        grew = np.array([ws.epoch(x, lg) for x, lg in zip(xs, logs)])
         rank_dest += int(np.count_nonzero(grew))
         growth.add(done, grew)
         done += todo

@@ -331,6 +331,19 @@ def test_netcod_q_sweep_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("sweep", ["2,17", "2,256,x"])
+def test_netcod_q_sweep_checks_every_field_size_before_simulating(sweep, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "net3.json"
+    path.write_text(json.dumps({"eps": [0.5, 0.5, 0.5], "buffers": [2, 2]}))
+    calls = []
+    monkeypatch.setattr(netcod_mod, "simulate_no_feedback", lambda *a, **k: calls.append(a))
+    argv = ["netcod", "--spec", str(path), "--q-sweep", sweep, "--out", str(tmp_path / "rates.csv")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert calls == []
+    assert sweep.split(",")[-1] in capsys.readouterr().err
+    assert not (tmp_path / "rates.csv").exists()
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_resolves(name):
     # a stale name in __all__ makes `from linenet.<module> import *` raise

@@ -67,6 +67,9 @@ def test_mul_matches_table_free_product_exhaustive(q):
     gf = GF2m(q)
     a, b = np.meshgrid(np.arange(q, dtype=np.uint32), np.arange(q, dtype=np.uint32), indexing="ij")
     np.testing.assert_array_equal(gf.mul(a, b), clmul_mod(a, b, q))
+    la = gf.logs(a)
+    assert la.dtype == np.int32
+    np.testing.assert_array_equal(gf.mul_logs(la, b), clmul_mod(a, b, q))
 
 
 def test_mul_matches_table_free_product_q65536():
@@ -87,6 +90,8 @@ def test_mul_matches_table_free_product_q65536():
     col, row = a[:, :1], b[:1, :]
     np.testing.assert_array_equal(gf.mul(col, row), clmul_mod(col, row, q))
     assert gf.mul(col, row).shape == (200, 300)
+    # int32 logs against every operand, zero rows and columns included
+    np.testing.assert_array_equal(gf.mul_logs(gf.logs(a), b), got)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_FIELD_SIZES)
@@ -96,3 +101,13 @@ def test_inv_of_zero_raises(q):
         gf.inv(0)
     with pytest.raises(ZeroDivisionError):
         gf.inv(np.array([1, 0, 1], dtype=np.uint32))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_FIELD_SIZES)
+def test_tables_are_built_once_per_field_and_read_only(q):
+    a, b = GF2m(q), GF2m(q)
+    assert a._exp is b._exp and a._log is b._log
+    with pytest.raises(ValueError, match="read-only"):
+        a._exp[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        a._log[1] = 0

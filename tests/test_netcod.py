@@ -19,17 +19,23 @@ def one_node(gf, slots):
     """A one-node workspace whose slots hold ``slots``."""
     slots = np.asarray(slots, dtype=np.uint32)
     ws = netcod._Workspace(gf, (slots.shape[0],), capacity_hint=slots.shape[1])
-    ws.rows[: slots.shape[0]] = slots
+    ws.grid[0] = slots
     return ws
+
+
+def run_epoch(ws, x, weights):
+    """One epoch on explicit ``(2n, M)`` weights, masked as a simulation's chunk is."""
+    x = np.asarray(x, dtype=bool)
+    drawn = np.array(weights, dtype=np.uint32)[None]
+    return ws.epoch(x, ws.weight_logs(x[None], drawn)[0])
 
 
 def transmit(ws, w):
     """Node 0's packet in one epoch of a one-node workspace, every link erased."""
-    m = ws.total_slots
-    cf = np.zeros((2, m), dtype=np.uint32)
+    cf = np.zeros((2, ws.total_slots), dtype=np.uint32)
     cf[0] = w
-    ws.epoch(np.zeros(2, dtype=bool), cf)
-    return ws.rows[m].copy()
+    run_epoch(ws, [False, False], cf)
+    return ws.sent[0].copy()
 
 
 def fold(gf, slots, pkt, w):
@@ -40,13 +46,13 @@ def fold(gf, slots, pkt, w):
     """
     m, width = slots.shape
     ws = netcod._Workspace(gf, (1, m), capacity_hint=width)
-    ws.rows[0] = pkt
-    ws.rows[1 : 1 + m] = slots
+    ws.grid[0, 0] = pkt
+    ws.grid[1] = slots
     cf = np.zeros((4, m), dtype=np.uint32)
     cf[0, 0] = 1
     cf[3] = w
-    ws.epoch(np.array([False, True, False]), cf)
-    return ws.rows[1 : 1 + m]
+    run_epoch(ws, [False, True, False], cf)
+    return ws.grid[1].copy()
 
 
 def test_transmit_zero_buffer_emits_zero():
@@ -185,39 +191,58 @@ class BruteForceCoded:
         return tuple(reversed(out))
 
 
-def test_workspace_matches_brute_force_history():
+def check_against_brute_force(spec, capacity_hint):
     """The quotient-frame simulator must track ranks exactly.
 
     Runs the production path and the full-history oracle on the same
     channel stream (identical RNG consumption order) and compares the
-    destination rank and occupancy vector epoch by epoch.
+    destination rank and occupancy vector epoch by epoch.  Returns the
+    destination rank and the number of compactions.
     """
-    spec = NetworkSpec((0.4, 0.55, 0.5), (2, 2))
     q = 16
     epochs = 320
     chan_rng = make_rng(42)
-    xs = (chan_rng.random((epochs, 3)) >= np.asarray(spec.eps)).astype(int)
+    xs = (chan_rng.random((epochs, spec.h)) >= np.asarray(spec.eps)).astype(int)
 
     gf = GF2m(q)
-    ws = netcod._Workspace(gf, spec.buffers, capacity_hint=24)
+    ws = netcod._Workspace(gf, spec.buffers, capacity_hint=capacity_hint)
     weights = netcod._DrawnWeights(gf, make_rng(9))
     brute = BruteForceCoded(spec, q, seed=9, epochs_cap=epochs)
 
     rank_dest = 0
     checked = 0
+    compactions = 0
     for t in range(epochs):
         x = xs[t]
+        active = ws.active
         if ws.epoch(x, weights):
             rank_dest += 1
+        compactions += ws.active < active
         brute.step(x)
         if t % 16 == 15:
             checked += 1
             assert brute.dest_rank() == rank_dest
             assert brute.eta() == ws.eta_vector()
+            for i, m in enumerate(spec.buffers):
+                assert not ws.grid[i, m:].any(), "a padding row is nonzero"
     assert checked == 20
-    assert rank_dest > 50
     # information cannot exceed what the source actually delivered
     assert rank_dest <= brute.injected
+    return rank_dest, compactions
+
+
+def test_workspace_matches_brute_force_history():
+    rank_dest, _ = check_against_brute_force(NetworkSpec((0.4, 0.55, 0.5), (2, 2)), 24)
+    assert rank_dest > 50
+
+
+def test_workspace_matches_brute_force_history_on_unequal_buffers():
+    # node 0 has two padding rows and node 2 one; a width of 10 compacts
+    # every few epochs, so compaction runs over the padding many times
+    spec = NetworkSpec((0.3, 0.5, 0.45, 0.35), (1, 3, 2))
+    rank_dest, compactions = check_against_brute_force(spec, 10)
+    assert rank_dest > 50
+    assert compactions > 20
 
 
 def test_reproducible_bit_identical():
