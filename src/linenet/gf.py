@@ -68,9 +68,7 @@ class GF2m:
 
     def logs(self, a) -> np.ndarray:
         """The table logs of ``a`` as int32, ready for :meth:`mul_logs`."""
-        # indexing casts ``a`` to intp piece by piece, where take would
-        # cast all of it at once
-        return self._log[a].astype(np.int32)
+        return self._log.take(a).astype(np.int32)
 
     def mul_logs(self, la, b):
         """Product of the elements whose logs are ``la`` with ``b``.

@@ -53,12 +53,12 @@ class FieldSpec:
 
 
 class _DrawnWeights:
-    """Weight logs drawn from ``rng`` at the moment an epoch reads them.
+    """Weight rows drawn from ``rng`` at the moment an epoch reads them.
 
-    Stands in for a pre-drawn log block.  Weights are drawn in the order
+    Stands in for a pre-drawn weight block.  Rows are drawn in the order
     the epoch reads them: the transmit rows of nodes 0..n-1, then the
     fold rows of nodes n-1..1, then node 0's.  A fold that an erasure
-    skips draws nothing, and its weights stay zero.
+    skips draws nothing, and its row stays zero.
     """
 
     def __init__(self, gf: GF2m, rng: np.random.Generator):
@@ -73,7 +73,7 @@ class _DrawnWeights:
         for a in (*range(n - 1, 0, -1), 0):
             if x[a]:
                 cf[n + a, : buffers[a]] = self.gf.random_elements(self.rng, buffers[a])
-        return self.gf.logs(cf).reshape(2, n, -1, 1)
+        return cf
 
 
 @dataclass
@@ -88,50 +88,62 @@ class NoFeedbackStats:
     innovative_rate_se: float
 
 
+# drawn weights whose logs are taken at once
+_LOG_PIECE = 1 << 13
+
+
 class _Workspace:
     """Shared coordinate frame for all coefficient rows.
 
-    Every row lives in one ``(n M + n + 1, width)`` array, M the largest
-    buffer.  The first n M rows are the slot grid, viewed as ``grid`` of
-    shape ``(n, M, width)``: node i's slots are ``grid[i, :m_i]`` and its
-    other rows are zero padding.  Then come the rows in flight this
-    epoch: the source's injection, then the packet each node sends.
-    ``sent[i]`` is node i's packet and ``heard[a]`` is what node a hears
-    on link a, which is the injection for node 0.  The destination's span
-    is the zero subspace by construction: every row is reduced against
-    each innovative arrival the moment the destination stores it, so
-    innovation testing is a nonzero check and coefficient width stays
-    near the total buffer budget.
+    Every row lives in one ``(S + n + 1, width)`` array: the S buffer
+    slots in node order, viewed as ``slots``, then the rows in flight
+    this epoch: the source's injection, then the packet each of the n
+    nodes sends.  ``sent[i]`` is node i's packet and ``heard[a]`` is what
+    node a hears on link a, which is the injection for node 0.  The
+    destination's span is the zero subspace by construction: every row
+    is reduced against each innovative arrival the moment the
+    destination stores it, so innovation testing is a nonzero check and
+    coefficient width stays near the total buffer budget.
     """
 
     def __init__(self, gf: GF2m, buffers, capacity_hint: int = 96):
         self.gf = gf
         self.buffers = tuple(buffers)
         n = len(self.buffers)
-        m_max = max(self.buffers)
-        self.total_slots = sum(self.buffers)
+        self.total_slots = S = sum(self.buffers)
         self.width_cap = capacity_hint
-        self.rows = np.zeros((n * m_max + n + 1, capacity_hint), dtype=np.uint32)
+        self.rows = np.zeros((S + n + 1, capacity_hint), dtype=np.uint32)
         self.active = 0
-        self.grid = self.rows[: n * m_max].reshape(n, m_max, capacity_hint)
-        self.heard = self.rows[n * m_max : -1]
-        self.sent = self.rows[n * m_max + 1 :]
-        self._heard_cols = self.heard[:, None]
-        # 1 on every node's slots and 0 on padding, for transmit and fold rows
-        live = np.arange(m_max) < np.array(self.buffers)[:, None]
-        self._live = np.tile(live, (2, 1)).astype(np.uint32)
+        self.slots = self.rows[:S]
+        self.heard = self.rows[S:-1]
+        self.sent = self.rows[S + 1 :]
+        self._node = node = np.repeat(np.arange(n), self.buffers)
+        self._offsets = np.concatenate(([0], np.cumsum(self.buffers)[:-1]))
+        within = np.arange(S) - self._offsets[node]
+        width = max(self.buffers)
+        # flat positions of the transmit, then the fold, weights of every
+        # slot in a (2n, max m) weight draw
+        self._weight_at = np.concatenate((node, n + node)) * width + np.tile(within, 2)
 
     def weight_logs(self, xs, drawn) -> np.ndarray:
-        """Per-epoch log blocks from drawn ``(epochs, 2n, M)`` weights.
+        """Per-epoch ``(2, S, 1)`` log blocks from ``(epochs, 2n, max m)`` weights.
 
-        Padding and the folds of links that ``xs`` erases get weight zero,
-        so their logs are the zero sentinel.  ``drawn`` is overwritten;
-        the caller drops it so that only the int32 logs stay alive.
+        Each epoch's transmit and fold weights are gathered into slot
+        order, the folds of links that ``xs`` erases get weight zero (the
+        zero sentinel), and their logs overwrite ``drawn`` a piece at a
+        time, so a chunk holds no more than its drawn block.
         """
-        n = len(self.buffers)
-        drawn *= self._live
-        drawn[:, n:] *= xs[:, :n, None]
-        return self.gf.logs(drawn).reshape(len(drawn), 2, n, -1, 1)
+        S = self.total_slots
+        xs = np.asarray(xs, dtype=bool)
+        flat = drawn.reshape(len(drawn), -1)
+        logs = flat.view(np.int32)[:, : 2 * S]
+        step = max(1, _LOG_PIECE // flat.shape[1])
+        for lo in range(0, len(flat), step):
+            piece = slice(lo, lo + step)
+            w = flat[piece].take(self._weight_at, axis=1)
+            w[:, S:] *= xs[piece][:, self._node]
+            logs[piece] = self.gf.logs(w)
+        return logs.reshape(len(flat), 2, S, 1)
 
     def epoch(self, x, logs) -> bool:
         """One feedback-free epoch; True iff the destination's rank grew.
@@ -140,19 +152,19 @@ class _Workspace:
         then arrivals land: the destination absorbs, and every node whose
         link delivers folds the packet it hears into its slots (node 0
         hears a fresh source packet).  ``x[k]`` tells whether link k
-        delivers.  ``logs`` is a ``(2, n, M, 1)`` block of weight logs
-        (see :meth:`weight_logs`) or a :class:`_DrawnWeights`: node i
-        transmits with ``logs[0, i]`` and folds with ``logs[1, i]``.  Both
-        hold the zero sentinel on padding, and the fold's does on an
-        erased link.
+        delivers.  ``logs`` is one block of :meth:`weight_logs`, or a
+        :class:`_DrawnWeights`: slot j transmits with ``logs[0, j]`` and
+        folds with ``logs[1, j]``, the zero sentinel on an erased link.
         """
         if self.active >= self.width_cap:
             self._compact()
         if isinstance(logs, _DrawnWeights):
-            logs = logs.block(x, self.buffers)
+            logs = self.weight_logs(x[None], logs.block(x, self.buffers)[None])[0]
         gf = self.gf
         n = len(self.buffers)
-        np.bitwise_xor.reduce(gf.mul_logs(logs[0], self.grid), axis=1, out=self.sent)
+        np.bitwise_xor.reduceat(
+            gf.mul_logs(logs[0], self.slots), self._offsets, axis=0, out=self.sent
+        )
         grew = False
         if x[n]:
             pkt = self.sent[n - 1]
@@ -167,20 +179,17 @@ class _Workspace:
             inject[:] = 0
             inject[self.active] = 1
             self.active += 1
-        self.grid ^= gf.mul_logs(logs[1], self._heard_cols)
+        self.slots ^= gf.mul_logs(logs[1], self.heard.take(self._node, axis=0))
         return grew
 
     def _compact(self) -> None:
-        """Re-express every slot over a basis of the current buffer span.
-
-        Padding rows are zero, so they stay zero and add no basis vector.
-        """
+        """Re-express every slot over a basis of the current buffer span."""
         gf = self.gf
-        slots = self.grid.reshape(-1, self.width_cap)
+        S = self.total_slots
         pivots: dict[int, tuple[int, np.ndarray]] = {}
-        coords = np.zeros((slots.shape[0], self.total_slots), dtype=np.uint32)
+        coords = np.zeros((S, S), dtype=np.uint32)
         nbasis = 0
-        for i, row in enumerate(slots):
+        for i, row in enumerate(self.slots):
             v = row.copy()
             expr = coords[i]
             while True:
@@ -201,7 +210,7 @@ class _Workspace:
                 v = gf.axpy(coeff, piv, v)
                 expr[idx] ^= coeff
         self.rows[:] = 0
-        slots[:, : self.total_slots] = coords
+        self.rows[:S, :S] = coords
         self.active = nbasis
 
     def eta_vector(self) -> tuple[int, ...]:
@@ -214,7 +223,8 @@ class _Workspace:
         out = []
         prev_rank = 0
         for i in range(len(self.buffers) - 1, -1, -1):
-            r = _span_rank(self.gf, self.grid[i, : self.buffers[i]], pivots)
+            lo = self._offsets[i]
+            r = _span_rank(self.gf, self.slots[lo : lo + self.buffers[i]], pivots)
             out.append(r - prev_rank)
             prev_rank = r
         return tuple(reversed(out))

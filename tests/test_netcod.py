@@ -19,7 +19,7 @@ def one_node(gf, slots):
     """A one-node workspace whose slots hold ``slots``."""
     slots = np.asarray(slots, dtype=np.uint32)
     ws = netcod._Workspace(gf, (slots.shape[0],), capacity_hint=slots.shape[1])
-    ws.grid[0] = slots
+    ws.slots[:] = slots
     return ws
 
 
@@ -46,13 +46,13 @@ def fold(gf, slots, pkt, w):
     """
     m, width = slots.shape
     ws = netcod._Workspace(gf, (1, m), capacity_hint=width)
-    ws.grid[0, 0] = pkt
-    ws.grid[1] = slots
+    ws.slots[0] = pkt
+    ws.slots[1:] = slots
     cf = np.zeros((4, m), dtype=np.uint32)
     cf[0, 0] = 1
     cf[3] = w
     run_epoch(ws, [False, True, False], cf)
-    return ws.grid[1].copy()
+    return ws.slots[1:].copy()
 
 
 def test_transmit_zero_buffer_emits_zero():
@@ -223,8 +223,6 @@ def check_against_brute_force(spec, capacity_hint):
             checked += 1
             assert brute.dest_rank() == rank_dest
             assert brute.eta() == ws.eta_vector()
-            for i, m in enumerate(spec.buffers):
-                assert not ws.grid[i, m:].any(), "a padding row is nonzero"
     assert checked == 20
     # information cannot exceed what the source actually delivered
     assert rank_dest <= brute.injected
@@ -237,12 +235,31 @@ def test_workspace_matches_brute_force_history():
 
 
 def test_workspace_matches_brute_force_history_on_unequal_buffers():
-    # node 0 has two padding rows and node 2 one; a width of 10 compacts
-    # every few epochs, so compaction runs over the padding many times
+    # a width of 10 compacts every few epochs, so compaction re-expresses
+    # nodes of one, three and two slots many times
     spec = NetworkSpec((0.3, 0.5, 0.45, 0.35), (1, 3, 2))
     rank_dest, compactions = check_against_brute_force(spec, 10)
     assert rank_dest > 50
     assert compactions > 20
+
+
+def test_weight_logs_overwrite_the_drawn_block():
+    # 5 000 epochs of 18 weights span several pieces of logs
+    gf = GF2m(256)
+    buffers = (1, 3, 2)
+    ws = netcod._Workspace(gf, buffers)
+    drawn = gf.random_elements(make_rng(0), (5000, 6, 3))
+    xs = make_rng(1).random((5000, 4)) >= 0.3
+    expect = []
+    for i, m in enumerate(buffers):
+        expect.append((drawn[:, i, :m], drawn[:, 3 + i, :m] * xs[:, i, None]))
+    transmit = np.concatenate([t for t, _ in expect], axis=1)
+    folds = np.concatenate([f for _, f in expect], axis=1)
+    logs = ws.weight_logs(xs, drawn)
+    assert np.shares_memory(logs, drawn)
+    assert logs.dtype == np.int32 and logs.shape == (5000, 2, 6, 1)
+    np.testing.assert_array_equal(logs[:, 0, :, 0], gf.logs(transmit))
+    np.testing.assert_array_equal(logs[:, 1, :, 0], gf.logs(folds))
 
 
 def test_reproducible_bit_identical():
