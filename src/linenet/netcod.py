@@ -159,7 +159,9 @@ class _Workspace:
         if self.active >= self.width_cap:
             self._compact()
         if isinstance(logs, _DrawnWeights):
-            logs = self.weight_logs(x[None], logs.block(x, self.buffers)[None])[0]
+            # an erased fold draws nothing, so its weights are already zero
+            drawn = logs.block(x, self.buffers).take(self._weight_at)
+            logs = self.gf.logs(drawn).reshape(2, -1, 1)
         gf = self.gf
         n = len(self.buffers)
         np.bitwise_xor.reduceat(
