@@ -17,6 +17,8 @@ import functools
 
 import numpy as np
 
+from .errors import SpecValidationError
+
 __all__ = ["GF2m", "SUPPORTED_FIELD_SIZES"]
 
 SUPPORTED_FIELD_SIZES = (2, 16, 256, 65536)
@@ -59,7 +61,7 @@ class GF2m:
 
     def __init__(self, q: int):
         if q not in SUPPORTED_FIELD_SIZES:
-            raise ValueError(f"field size {q} not in supported set {SUPPORTED_FIELD_SIZES}")
+            raise SpecValidationError(f"field size {q} not in supported set {SUPPORTED_FIELD_SIZES}")
         self.q = q
         self._exp, self._log = _tables(q)
 

@@ -22,58 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emc import build_emc
-from .errors import SpecValidationError
-from .gf import GF2m, SUPPORTED_FIELD_SIZES, rank as _span_rank
+from .gf import GF2m, rank
 from .model import NetworkSpec, make_rng, state_index
-from .sim import _BatchMeans
+from .sim import _BatchMeans, _check_warmup
 
 __all__ = [
-    "FieldSpec",
     "simulate_no_feedback",
     "eta_transition_comparison",
     "NoFeedbackStats",
     "EtaComparisonReport",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Field size for the coding scheme; characteristic-2 sizes only."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q not in SUPPORTED_FIELD_SIZES:
-            raise SpecValidationError(
-                f"field size {self.q} not in supported set {SUPPORTED_FIELD_SIZES}"
-            )
-
-    def make(self) -> GF2m:
-        return GF2m(self.q)
-
-
-class _DrawnWeights:
-    """Weight rows drawn from ``rng`` at the moment an epoch reads them.
-
-    Stands in for a pre-drawn weight block.  Rows are drawn in the order
-    the epoch reads them: the transmit rows of nodes 0..n-1, then the
-    fold rows of nodes n-1..1, then node 0's.  A fold that an erasure
-    skips draws nothing, and its row stays zero.
-    """
-
-    def __init__(self, gf: GF2m, rng: np.random.Generator):
-        self.gf = gf
-        self.rng = rng
-
-    def block(self, x, buffers) -> np.ndarray:
-        n = len(buffers)
-        cf = np.zeros((2 * n, max(buffers)), dtype=np.uint32)
-        for i, m in enumerate(buffers):
-            cf[i, :m] = self.gf.random_elements(self.rng, m)
-        for a in (*range(n - 1, 0, -1), 0):
-            if x[a]:
-                cf[n + a, : buffers[a]] = self.gf.random_elements(self.rng, buffers[a])
-        return cf
 
 
 @dataclass
@@ -103,16 +61,17 @@ class _Workspace:
     destination's span is the zero subspace by construction: every row
     is reduced against each innovative arrival the moment the
     destination stores it, so innovation testing is a nonzero check and
-    coefficient width stays near the total buffer budget.
+    coefficient width stays near the total buffer budget: ``max(96, 4 S)``
+    columns, or ``capacity_hint``, which lets a test compact often.
     """
 
-    def __init__(self, gf: GF2m, buffers, capacity_hint: int = 96):
+    def __init__(self, gf: GF2m, buffers, capacity_hint: int | None = None):
         self.gf = gf
         self.buffers = tuple(buffers)
         n = len(self.buffers)
         self.total_slots = S = sum(self.buffers)
-        self.width_cap = capacity_hint
-        self.rows = np.zeros((S + n + 1, capacity_hint), dtype=np.uint32)
+        self.width_cap = max(96, 4 * S) if capacity_hint is None else capacity_hint
+        self.rows = np.zeros((S + n + 1, self.width_cap), dtype=np.uint32)
         self.active = 0
         self.slots = self.rows[:S]
         self.heard = self.rows[S:-1]
@@ -152,16 +111,12 @@ class _Workspace:
         then arrivals land: the destination absorbs, and every node whose
         link delivers folds the packet it hears into its slots (node 0
         hears a fresh source packet).  ``x[k]`` tells whether link k
-        delivers.  ``logs`` is one block of :meth:`weight_logs`, or a
-        :class:`_DrawnWeights`: slot j transmits with ``logs[0, j]`` and
-        folds with ``logs[1, j]``, the zero sentinel on an erased link.
+        delivers.  ``logs`` is a ``(2, S, 1)`` block of weight logs: slot
+        j transmits with ``logs[0, j]`` and folds with ``logs[1, j]``, the
+        zero sentinel on an erased link.
         """
         if self.active >= self.width_cap:
             self._compact()
-        if isinstance(logs, _DrawnWeights):
-            # an erased fold draws nothing, so its weights are already zero
-            drawn = logs.block(x, self.buffers).take(self._weight_at)
-            logs = self.gf.logs(drawn).reshape(2, -1, 1)
         gf = self.gf
         n = len(self.buffers)
         np.bitwise_xor.reduceat(
@@ -185,35 +140,17 @@ class _Workspace:
         return grew
 
     def _compact(self) -> None:
-        """Re-express every slot over a basis of the current buffer span."""
-        gf = self.gf
-        S = self.total_slots
-        pivots: dict[int, tuple[int, np.ndarray]] = {}
-        coords = np.zeros((S, S), dtype=np.uint32)
-        nbasis = 0
-        for i, row in enumerate(self.slots):
-            v = row.copy()
-            expr = coords[i]
-            while True:
-                nz = np.nonzero(v)[0]
-                if nz.size == 0:
-                    break
-                c = int(nz[0])
-                hit = pivots.get(c)
-                if hit is None:
-                    idx = nbasis
-                    scale = v[c]
-                    pivots[c] = (idx, gf.mul(gf.inv(scale), v))
-                    expr[idx] = scale
-                    nbasis += 1
-                    break
-                idx, piv = hit
-                coeff = v[c]
-                v = gf.axpy(coeff, piv, v)
-                expr[idx] ^= coeff
+        """Keep only each slot's entries on the pivot columns of its span.
+
+        The span's echelon basis, restricted to its pivot columns, is
+        triangular with a nonzero diagonal, so the restriction is
+        injective on the span and every later rank stays as it was.
+        """
+        pivots: dict[int, np.ndarray] = {}
+        self.active = rank(self.gf, self.slots, pivots)
+        kept = self.slots[:, sorted(pivots)]
         self.rows[:] = 0
-        self.rows[:S, :S] = coords
-        self.active = nbasis
+        self.slots[:, : self.active] = kept
 
     def eta_vector(self) -> tuple[int, ...]:
         """Useful occupancy per node: suffix-span rank differences.
@@ -226,7 +163,7 @@ class _Workspace:
         prev_rank = 0
         for i in range(len(self.buffers) - 1, -1, -1):
             lo = self._offsets[i]
-            r = _span_rank(self.gf, self.slots[lo : lo + self.buffers[i]], pivots)
+            r = rank(self.gf, self.slots[lo : lo + self.buffers[i]], pivots)
             out.append(r - prev_rank)
             prev_rank = r
         return tuple(reversed(out))
@@ -234,7 +171,7 @@ class _Workspace:
 
 def simulate_no_feedback(
     spec: NetworkSpec,
-    field: FieldSpec,
+    q: int,
     epochs: int,
     warmup: int | None = None,
     seed: int = 0,
@@ -247,13 +184,12 @@ def simulate_no_feedback(
     """
     if warmup is None:
         warmup = min(max(epochs // 10, 1000), epochs // 2)
-    if not 0 <= warmup < epochs:
-        raise SpecValidationError(f"need 0 <= warmup < epochs, got {warmup}, {epochs}")
+    warmup = _check_warmup(epochs, warmup)
     h = spec.h
     eps = np.asarray(spec.eps)
-    gf = field.make()
+    gf = GF2m(q)
     rng = make_rng(seed)
-    ws = _Workspace(gf, spec.buffers, capacity_hint=max(96, 4 * sum(spec.buffers)))
+    ws = _Workspace(gf, spec.buffers)
 
     growth = _BatchMeans(epochs, warmup)
     rank_dest = 0
@@ -273,7 +209,7 @@ def simulate_no_feedback(
     _, rate, se = growth.result()
     return NoFeedbackStats(
         spec=spec,
-        q=field.q,
+        q=q,
         epochs=epochs,
         warmup=warmup,
         seed=seed,
@@ -292,9 +228,25 @@ class EtaComparisonReport:
     min_row_visits: int
 
 
+def _epoch_logs(gf: GF2m, rng: np.random.Generator, x, buffers) -> np.ndarray:
+    """One epoch's ``(2, S, 1)`` weight logs, drawn as the epoch reads them.
+
+    The transmit weights of every slot are drawn first, in node order,
+    then the fold weights of nodes n-1..0.  A fold that an erasure skips
+    draws nothing, and its weights stay zero.
+    """
+    ends = np.cumsum(buffers)
+    w = np.zeros((2, ends[-1]), dtype=np.uint32)
+    w[0] = gf.random_elements(rng, ends[-1])
+    for a in range(len(buffers) - 1, -1, -1):
+        if x[a]:
+            w[1, ends[a] - buffers[a] : ends[a]] = gf.random_elements(rng, buffers[a])
+    return gf.logs(w).reshape(2, -1, 1)
+
+
 def eta_transition_comparison(
     spec: NetworkSpec,
-    field: FieldSpec,
+    q: int,
     epochs: int,
     seed: int = 0,
     min_visits: int = 200,
@@ -307,14 +259,14 @@ def eta_transition_comparison(
     """
     h = spec.h
     eps = np.asarray(spec.eps)
-    gf = field.make()
+    gf = GF2m(q)
     rng = make_rng(seed)
-    ws = _Workspace(gf, spec.buffers, capacity_hint=max(96, 4 * sum(spec.buffers)))
-    weights = _DrawnWeights(gf, rng)
+    ws = _Workspace(gf, spec.buffers)
     path = np.empty(epochs + 1, dtype=np.int64)
     path[0] = state_index(ws.eta_vector(), spec) - 1
     for t in range(epochs):
-        ws.epoch(rng.random(h) >= eps, weights)
+        x = rng.random(h) >= eps
+        ws.epoch(x, _epoch_logs(gf, rng, x, spec.buffers))
         path[t + 1] = state_index(ws.eta_vector(), spec) - 1
 
     # transitions counted per visited (from, to) pair, sorted by row
@@ -337,7 +289,7 @@ def eta_transition_comparison(
         dist = max(dist, float(np.abs(diff[support]).max()))
         diff[support] = 0.0
     return EtaComparisonReport(
-        q=field.q,
+        q=q,
         epochs=epochs,
         max_distance=dist,
         rows_compared=rows,

@@ -258,10 +258,10 @@ def test_criterion_7_allocation():
 def test_criterion_8_coding_limit():
     spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
     exact = emc.capacity_exact(spec)
-    big = netcod.simulate_no_feedback(spec, netcod.FieldSpec(65536), 10**6, seed=88)
+    big = netcod.simulate_no_feedback(spec, 65536, 10**6, seed=88)
     assert abs(big.innovative_rate - exact) < 1e-2
 
-    small = netcod.simulate_no_feedback(spec, netcod.FieldSpec(2), 10**6, seed=89)
+    small = netcod.simulate_no_feedback(spec, 2, 10**6, seed=89)
     gap = big.innovative_rate - small.innovative_rate
     sigma = np.hypot(big.innovative_rate_se, small.innovative_rate_se)
     assert gap > 3 * sigma

@@ -107,6 +107,20 @@ def test_delay_command(spec_file, capsys):
     assert res["mean"] == pytest.approx(res["little_mean"], rel=0.02)
 
 
+def test_delay_passes_its_tolerance_to_dbie(spec_file, monkeypatch, capsys):
+    tols = []
+    solve = cli.dbie.solve
+
+    def spy(spec, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return solve(spec, **kwargs)
+
+    monkeypatch.setattr(cli.dbie, "solve", spy)
+    code, _ = run(["delay", "--spec", spec_file, "--method", "dbie", "--tol", "1e-8"], capsys)
+    assert code == 0
+    assert tols == [1e-8]
+
+
 def test_simulate_command(spec_file, capsys):
     code, out = run(
         ["simulate", "--spec", spec_file, "--epochs", "30000", "--seed", "7"], capsys

@@ -10,9 +10,9 @@ from linenet.model import NetworkSpec, make_rng
 
 
 def test_field_spec_validation():
-    netcod.FieldSpec(16)
+    GF2m(16)
     with pytest.raises(SpecValidationError):
-        netcod.FieldSpec(8)
+        GF2m(8)
 
 
 def one_node(gf, slots):
@@ -206,7 +206,7 @@ def check_against_brute_force(spec, capacity_hint):
 
     gf = GF2m(q)
     ws = netcod._Workspace(gf, spec.buffers, capacity_hint=capacity_hint)
-    weights = netcod._DrawnWeights(gf, make_rng(9))
+    rng = make_rng(9)
     brute = BruteForceCoded(spec, q, seed=9, epochs_cap=epochs)
 
     rank_dest = 0
@@ -215,7 +215,7 @@ def check_against_brute_force(spec, capacity_hint):
     for t in range(epochs):
         x = xs[t]
         active = ws.active
-        if ws.epoch(x, weights):
+        if ws.epoch(x, netcod._epoch_logs(gf, rng, x, spec.buffers)):
             rank_dest += 1
         compactions += ws.active < active
         brute.step(x)
@@ -243,6 +243,30 @@ def test_workspace_matches_brute_force_history_on_unequal_buffers():
     assert compactions > 20
 
 
+def test_compaction_keeps_ranks_and_clears_the_columns_past_active():
+    gf = GF2m(16)
+    buffers = (1, 3, 2)
+    ws = netcod._Workspace(gf, buffers, capacity_hint=12)
+    rng = make_rng(4)
+    # nothing in the first columns, so keeping them would lose the span
+    slots = np.zeros((6, 12), dtype=np.uint32)
+    slots[:, 5:] = gf.random_elements(rng, (6, 7))
+    # a zero row, a multiple of a row and a combination across nodes
+    slots[2] = 0
+    slots[5] = gf.mul(9, slots[3])
+    slots[4] = gf.mul(3, slots[0]) ^ gf.mul(7, slots[5])
+    ws.slots[:] = slots
+    ws.active = 12
+    eta = ws.eta_vector()
+    span = rank(gf, ws.slots)
+    assert span == 3
+    ws._compact()
+    assert ws.eta_vector() == eta
+    assert rank(gf, ws.slots) == span
+    assert ws.active == span
+    assert not ws.rows[:, ws.active :].any()
+
+
 def test_weight_logs_overwrite_the_drawn_block():
     # 5 000 epochs of 18 weights span several pieces of logs
     gf = GF2m(256)
@@ -264,18 +288,18 @@ def test_weight_logs_overwrite_the_drawn_block():
 
 def test_reproducible_bit_identical():
     spec = NetworkSpec((0.4, 0.5, 0.45), (2, 3))
-    a = netcod.simulate_no_feedback(spec, netcod.FieldSpec(16), 6_000, seed=9)
-    b = netcod.simulate_no_feedback(spec, netcod.FieldSpec(16), 6_000, seed=9)
+    a = netcod.simulate_no_feedback(spec, 16, 6_000, seed=9)
+    b = netcod.simulate_no_feedback(spec, 16, 6_000, seed=9)
     assert a.destination_rank == b.destination_rank
     assert a.innovative_rate == b.innovative_rate
     assert a.innovative_rate_se == b.innovative_rate_se
-    c = netcod.simulate_no_feedback(spec, netcod.FieldSpec(16), 6_000, seed=10)
+    c = netcod.simulate_no_feedback(spec, 16, 6_000, seed=10)
     assert c.destination_rank != a.destination_rank
 
 
 def test_innovative_rate_close_to_exact_small_run():
     spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
-    st = netcod.simulate_no_feedback(spec, netcod.FieldSpec(65536), 60_000, seed=4)
+    st = netcod.simulate_no_feedback(spec, 65536, 60_000, seed=4)
     exact = emc.capacity_exact(spec)
     assert abs(st.innovative_rate - exact) < max(0.01, 4 * st.innovative_rate_se)
 
@@ -284,22 +308,22 @@ def test_rate_increases_with_field_size():
     spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
     rates = {}
     for q in (2, 16, 256):
-        st = netcod.simulate_no_feedback(spec, netcod.FieldSpec(q), 40_000, seed=6)
+        st = netcod.simulate_no_feedback(spec, q, 40_000, seed=6)
         rates[q] = st.innovative_rate
     assert rates[2] < rates[16] < rates[256] + 0.01
 
 
 def test_starved_source_rate_zero():
     spec = NetworkSpec((0.995, 0.5, 0.5), (2, 2))
-    st = netcod.simulate_no_feedback(spec, netcod.FieldSpec(16), 20_000, seed=2)
+    st = netcod.simulate_no_feedback(spec, 16, 20_000, seed=2)
     assert st.innovative_rate < 0.02
 
 
 def test_eta_transition_distance_small():
     spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
-    rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(65536), 120_000, seed=9)
+    rep = netcod.eta_transition_comparison(spec, 65536, 120_000, seed=9)
     assert rep.max_distance < 0.015
-    rep2 = netcod.eta_transition_comparison(spec, netcod.FieldSpec(2), 120_000, seed=9)
+    rep2 = netcod.eta_transition_comparison(spec, 2, 120_000, seed=9)
     assert rep2.max_distance > rep.max_distance
 
 
@@ -316,20 +340,20 @@ def test_eta_transition_distance_small():
 )
 def test_simulate_no_feedback_matches_pinned_values(eps, buffers, q, rank_dest, rate, se):
     """Exact GF(q) arithmetic and a fixed draw order pin every output bit."""
-    st = netcod.simulate_no_feedback(NetworkSpec(eps, buffers), netcod.FieldSpec(q), 20_000, seed=1)
+    st = netcod.simulate_no_feedback(NetworkSpec(eps, buffers), q, 20_000, seed=1)
     assert (st.destination_rank, st.innovative_rate, st.innovative_rate_se) == (rank_dest, rate, se)
 
 
 def test_eta_transition_comparison_matches_pinned_values():
     spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
-    rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(65536), 5_000, seed=9)
+    rep = netcod.eta_transition_comparison(spec, 65536, 5_000, seed=9)
     assert rep.max_distance == 0.04326923076923078
     assert rep.min_row_visits == 184
 
 
 def test_eta_transition_comparison_matches_pinned_values_on_unequal_buffers():
     spec = NetworkSpec((0.3, 0.4, 0.5, 0.35), (1, 3, 2))
-    rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(256), 3000, seed=5, min_visits=20)
+    rep = netcod.eta_transition_comparison(spec, 256, 3000, seed=5, min_visits=20)
     assert (rep.max_distance, rep.rows_compared, rep.min_row_visits) == (0.14893939393939393, 22, 6)
 
 
@@ -339,7 +363,7 @@ def test_eta_transition_comparison_memory_stays_below_dense_chain():
     assert spec.num_states == 9261
     tracemalloc.start()
     try:
-        rep = netcod.eta_transition_comparison(spec, netcod.FieldSpec(256), 300, seed=3, min_visits=1)
+        rep = netcod.eta_transition_comparison(spec, 256, 300, seed=3, min_visits=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
