@@ -6,7 +6,9 @@ re-serviced.  Coupled to the exact chain on one channel stream, the
 approximate occupancies never exceed the exact ones, which yields a
 capacity lower bound.  Re-running the same drop-on-full chain with
 prefix-summed buffer sizes dominates the exact chain in suffix-sum
-order and yields the matching upper bound.
+order and yields the matching upper bound.  ``coupled_bounds_batch``
+checks both couplings by simulation, stepping all three chains on one
+channel stream.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .emc import (
     _build_chain,
     capacity_exact,
     stationary,
-    step_emc_batch,
     transfer_indicators_batch,
 )
 from .model import NetworkSpec, make_rng
@@ -33,8 +34,7 @@ __all__ = [
     "capacity_upper",
     "bounds",
     "prefix_sum_buffers",
-    "coupled_boundedness_batch",
-    "coupled_upper_batch",
+    "coupled_bounds_batch",
 ]
 
 
@@ -132,89 +132,68 @@ def bounds(
 
 
 # ---------------------------------------------------------------------------
-# coupled-trajectory checks
+# coupled-trajectory check
 # ---------------------------------------------------------------------------
 
-def _sample_x(rng, eps: np.ndarray, K: int) -> np.ndarray:
-    return (rng.random((K, eps.shape[-1])) >= eps).astype(np.int64)
+# occupancies recorded per chunk of epochs, over all three chains
+_CHUNK_ELEMENTS = 1 << 16
 
 
-def coupled_boundedness_batch(
+def coupled_bounds_batch(
     eps: np.ndarray,
     buffers: np.ndarray,
     epochs: int,
     seed: int,
     swap_roles: bool = False,
-) -> np.ndarray:
-    """Drive exact and drop-on-full chains on shared channel streams.
-
-    ``eps`` is (K, h) and ``buffers`` (K, h-1); each of the K trials
-    uses its own independent stream drawn from one counter-based
-    generator keyed by ``seed``.  Returns a boolean vector: True iff
-    the exact occupancies dominated the approximate ones at every node
-    and epoch.  ``swap_roles`` inverts the comparison (a mutation that
-    must fail quickly).
-    """
-    eps = np.atleast_2d(np.asarray(eps, dtype=float))
-    buffers = np.atleast_2d(np.asarray(buffers, dtype=np.int64))
-    K = eps.shape[0]
-    rng = make_rng(seed)
-    n_exact = np.zeros_like(buffers)
-    n_approx = np.zeros_like(buffers)
-    ok = np.ones(K, dtype=bool)
-    for _ in range(epochs):
-        x = _sample_x(rng, eps, K)
-        n_exact = step_emc_batch(n_exact, x, buffers)
-        n_approx = step_amc_batch(n_approx, x, buffers)
-        if swap_roles:
-            ok &= np.all(n_approx >= n_exact, axis=1)
-        else:
-            ok &= np.all(n_exact >= n_approx, axis=1)
-        if not ok.any():
-            break
-    return ok
-
-
-def coupled_upper_batch(
-    eps: np.ndarray,
-    buffers: np.ndarray,
-    epochs: int,
-    seed: int,
     expand_buffers: bool = True,
-) -> np.ndarray:
-    """Suffix-sum dominance of the expanded drop-on-full chain.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drive the exact and both drop-on-full chains on shared channel streams.
 
-    Extends both chains with the destination's cumulative receipt
-    count; the drop-on-full chain runs with prefix-summed buffers
-    (unless ``expand_buffers`` is False, the mutation expected to
-    fail).  True iff for every suffix the expanded chain holds at
-    least as many packets at every epoch.
+    ``eps`` is (K, h) and ``buffers`` (K, h-1); each of the K networks
+    sees its own rows of one counter-based stream keyed by ``seed``.
+    Returns ``(lower_ok, upper_ok)``, boolean vectors of length K.
+    ``lower_ok`` is True iff the exact occupancies dominated those of
+    the drop-on-full chain at every node and epoch.  ``upper_ok`` is
+    True iff the drop-on-full chain with prefix-summed buffers held at
+    least as many packets as the exact chain in every suffix of nodes,
+    the destination's receipts included, at every epoch.  The mutations
+    ``swap_roles`` (inverts the lower comparison) and ``expand_buffers=
+    False`` (the upper chain keeps the original buffers) must fail.
+
+    Channel rows are drawn a chunk of epochs at a time and dominance is
+    checked once per chunk; the walk stops once both vectors are all
+    False.  Both relations only ever turn False, so this gives the same
+    vectors as checking every epoch.
     """
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     buffers = np.atleast_2d(np.asarray(buffers, dtype=np.int64))
     K, n = buffers.shape
-    exp = np.cumsum(buffers, axis=1) if expand_buffers else buffers.copy()
+    m_drop = np.concatenate([buffers, np.cumsum(buffers, axis=1) if expand_buffers else buffers])
+    chunk = max(1, _CHUNK_ELEMENTS // (3 * K * (n + 1)))
+    # row 0 carries the last epoch of the previous chunk; each chain's
+    # last column counts the destination's receipts
+    exact = np.zeros((chunk + 1, K, n + 1), dtype=np.int64)
+    drop = np.zeros((chunk + 1, 2 * K, n + 1), dtype=np.int64)
+    lower_ok = np.ones(K, dtype=bool)
+    upper_ok = np.ones(K, dtype=bool)
     rng = make_rng(seed)
-    n_exact = np.zeros((K, n), dtype=np.int64)
-    n_approx = np.zeros((K, n), dtype=np.int64)
-    dest_exact = np.zeros(K, dtype=np.int64)
-    dest_approx = np.zeros(K, dtype=np.int64)
-    ok = np.ones(K, dtype=bool)
-    for _ in range(epochs):
-        x = _sample_x(rng, eps, K)
-        y = transfer_indicators_batch(n_exact, x, buffers)
-        n_exact = n_exact + y[:, :-1] - y[:, 1:]
-        dest_exact += y[:, -1]
-
-        sent, stored = _drop(n_approx, x, exp)
-        dest_approx += sent[:, -1]
-        n_approx = n_approx + stored - sent[:, 1:]
-
-        ext_exact = np.concatenate([n_exact, dest_exact[:, None]], axis=1)
-        ext_approx = np.concatenate([n_approx, dest_approx[:, None]], axis=1)
-        suffix_exact = np.cumsum(ext_exact[:, ::-1], axis=1)
-        suffix_approx = np.cumsum(ext_approx[:, ::-1], axis=1)
-        ok &= np.all(suffix_approx >= suffix_exact, axis=1)
-        if not ok.any():
-            break
-    return ok
+    done = 0
+    while done < epochs and (lower_ok.any() or upper_ok.any()):
+        todo = min(chunk, epochs - done)
+        xs = rng.random((todo, K, n + 1)) >= eps
+        for t, x in enumerate(xs, 1):
+            y = transfer_indicators_batch(exact[t - 1, :, :n], x, buffers)
+            np.add(exact[t - 1], y, out=exact[t])
+            exact[t, :, :n] -= y[:, 1:]
+            prev = drop[t - 1]
+            sent, stored = _drop(prev[:, :n], np.concatenate([x, x]), m_drop)
+            drop[t, :, :n] = prev[:, :n] + stored - sent[:, 1:]
+            drop[t, :, n] = prev[:, n] + sent[:, n]
+        ex, low, up = exact[1:todo + 1], drop[1:todo + 1, :K], drop[1:todo + 1, K:]
+        hi, lo = (low, ex) if swap_roles else (ex, low)
+        lower_ok &= np.all(hi[..., :n] >= lo[..., :n], axis=(0, 2))
+        suffix_up, suffix_ex = (np.cumsum(a[..., ::-1], axis=-1) for a in (up, ex))
+        upper_ok &= np.all(suffix_up >= suffix_ex, axis=(0, 2))
+        exact[0], drop[0] = exact[todo], drop[todo]
+        done += todo
+    return lower_ok, upper_ok

@@ -141,7 +141,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_rbie(args) -> int:
     spec = _load_spec(args)
-    sol = rbie.solve(spec, max_iter=args.max_iter, tol=args.tol)
+    sol = rbie.solve(spec, tol=args.tol)
     result = {
         "capacity": rbie.capacity(sol),
         "rates": sol.r.tolist(),
@@ -155,7 +155,7 @@ def cmd_rbie(args) -> int:
 
 def cmd_dbie(args) -> int:
     spec = _load_spec(args)
-    sol = dbie.solve(spec, max_iter=args.max_iter, tol=args.tol)
+    sol = dbie.solve(spec, tol=args.tol)
     result = {
         "capacity": dbie.capacity(sol),
         "blocking": sol.pb.tolist(),
@@ -217,19 +217,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _field(text: str) -> int:
+def _values(text: str, kind, what: str) -> tuple:
+    """The entries of a comma-separated option, each converted by ``kind``."""
     try:
-        q = int(text)
+        return tuple(kind(v) for v in text.split(","))
     except ValueError:
-        raise SpecValidationError(f"field size {text!r} is not an integer") from None
-    GF2m(q)  # the one field-size check; raises SpecValidationError
-    return q
+        raise SpecValidationError(
+            f"{what} {text!r} is not a comma-separated list of {kind.__name__} values"
+        ) from None
 
 
 def cmd_netcod(args) -> int:
     spec = _load_spec(args)
     # every field size is checked before the first simulation
-    sizes = [_field(v) for v in args.q_sweep.split(",")] if args.q_sweep else []
+    sizes = _values(args.q_sweep, int, "--q-sweep") if args.q_sweep else ()
+    for q in sizes:
+        GF2m(q)  # the one field-size check; raises SpecValidationError
     # before any simulation, so that a spec over the state cap fails at once
     exact = emc.capacity_exact(spec) if args.compare_exact else None
     if args.q_sweep:
@@ -257,28 +260,28 @@ def cmd_netcod(args) -> int:
 
 
 def cmd_continuous(args) -> int:
-    lambdas = tuple(float(v) for v in args.lambdas.split(","))
-    buffers = tuple(int(v) for v in args.buffers.split(","))
+    lambdas = _values(args.lambdas, float, "--lambdas")
+    buffers = _values(args.buffers, int, "--buffers")
     cspec = sim.ContinuousSpec(lambdas=lambdas, buffers=buffers, tau=args.tau)
-    disc = sim.discretize(cspec)
+    net = sim.discretize(cspec)
     result = {
-        "eps": list(disc.network.eps),
-        "tau": disc.tau,
+        "eps": list(net.eps),
+        "tau": cspec.tau,
         "packets_per_second": {},
     }
-    scale = disc.rate_scale
+    scale = 1 / cspec.tau
     if args.method in ("exact", "all"):
-        result["packets_per_second"]["exact"] = scale * emc.capacity_exact(disc.network)
+        result["packets_per_second"]["exact"] = scale * emc.capacity_exact(net)
     if args.method in ("rbie", "all"):
-        result["packets_per_second"]["rbie"] = scale * rbie.capacity(rbie.solve(disc.network))
+        result["packets_per_second"]["rbie"] = scale * rbie.capacity(rbie.solve(net))
     if args.method in ("dbie", "all"):
-        result["packets_per_second"]["dbie"] = scale * dbie.capacity(dbie.solve(disc.network))
+        result["packets_per_second"]["dbie"] = scale * dbie.capacity(dbie.solve(net))
     _emit(args, _report(args, "continuous", result))
     return EXIT_OK
 
 
 def cmd_allocate(args) -> int:
-    eps = tuple(float(v) for v in args.eps.split(","))
+    eps = _values(args.eps, float, "--eps")
     res = allocate_mod.allocate(
         eps,
         args.budget,
@@ -354,13 +357,13 @@ def cmd_reproduce(args) -> int:
         header = ["tau", "exact_pps", "rbie_pps", "dbie_pps"]
         lambdas = (10.0, 3.0, 2.99)
         for tau in (0.025, 0.0125, 0.00625, 0.0015625, 0.001):
-            disc = sim.discretize(sim.ContinuousSpec(lambdas, (3, 3), tau))
-            scale = disc.rate_scale
+            net = sim.discretize(sim.ContinuousSpec(lambdas, (3, 3), tau))
+            scale = 1 / tau
             rows.append([
                 tau,
-                scale * emc.capacity_exact(disc.network),
-                scale * rbie.capacity(rbie.solve(disc.network)),
-                scale * dbie.capacity(dbie.solve(disc.network)),
+                scale * emc.capacity_exact(net),
+                scale * rbie.capacity(rbie.solve(net)),
+                scale * dbie.capacity(dbie.solve(net)),
             ])
     else:
         raise SpecValidationError(f"unknown figure id {fig!r}; known: {', '.join(FIGURES)}")
@@ -387,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "spec": ("--spec", dict(help='path to network JSON {"eps": [...], "buffers": [...]}')),
         "tol": ("--tol", dict(type=float, default=1e-10, help="solver tolerance")),
-        "max_iter": ("--max-iter", dict(type=int, default=10**5)),
         "seed": ("--seed", dict(type=int, default=0)),
         "epochs": ("--epochs", dict(type=int, default=10**5)),
         "warmup": ("--warmup", dict(type=int, default=None)),
@@ -409,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("bounds", cmd_bounds, "spec tol format", "capacity lower/upper bounds")
     sp.add_argument("--with-exact", action="store_true")
 
-    command("rbie", cmd_rbie, "spec tol max_iter format", "rate-based iterative estimate")
-    command("dbie", cmd_dbie, "spec tol max_iter format", "distribution-based iterative estimate")
+    command("rbie", cmd_rbie, "spec tol format", "rate-based iterative estimate")
+    command("dbie", cmd_dbie, "spec tol format", "distribution-based iterative estimate")
 
     sp = command("delay", cmd_delay, "spec tol format", "analytic delay profile")
     sp.add_argument("--method", choices=("rbie", "dbie", "both"), default="both")

@@ -53,6 +53,8 @@ _DJ_TAIL = 1e-12
 _ALPHA_SLACK = 1e-9
 # decimal digits that float64 carries, reported as the working precision
 _DPS = np.finfo(float).precision
+# sweeps allowed before a line counts as not converging
+_MAX_SWEEPS = 10**4
 
 
 def _thinning(g: GeometricMixture, tt: float):
@@ -214,11 +216,7 @@ class DistSolution:
     capacity_value: float = field(repr=False, default=float("nan"))
 
 
-def solve(
-    spec: NetworkSpec,
-    max_iter: int = 10**4,
-    tol: float = 1e-10,
-) -> DistSolution:
+def solve(spec: NetworkSpec, tol: float = 1e-10) -> DistSolution:
     """Run distribution sweeps to convergence of the blocking vector.
 
     A sweep whose blocking residual is not finite raises
@@ -229,7 +227,7 @@ def solve(
     f: list[GeometricMixture] = [GeometricMixture.geometric(spec.eps[0])] * h
     pis: list[np.ndarray] = [np.ones(0)] * (h - 1)
     alphas = np.zeros(h - 1)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         pb_write = pb_read.copy()
         truncated = 0.0
         for j in range(h - 1):
@@ -253,7 +251,7 @@ def solve(
         raise ConvergenceError(
             f"distribution sweeps did not converge: residual {residual:.3e}",
             residual=residual,
-            iterations=max_iter,
+            iterations=_MAX_SWEEPS,
         )
     return DistSolution(
         f=f,

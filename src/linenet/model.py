@@ -33,6 +33,16 @@ __all__ = [
 ]
 
 
+def _buffer_sizes(buffers: Sequence[int]) -> tuple[int, ...]:
+    """Buffer sizes as Python ints; a bool or non-integer entry is refused, not truncated."""
+    out = []
+    for j, m in enumerate(buffers):
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise SpecValidationError(f"buffer size buffers[{j}]={m!r} must be an integer")
+        out.append(int(m))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Immutable description of one line network.
@@ -51,7 +61,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps)
-        buffers = tuple(int(m) for m in self.buffers)
+        buffers = _buffer_sizes(self.buffers)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "buffers", buffers)
         if len(eps) < 2:
@@ -86,10 +96,7 @@ class NetworkSpec:
         return min(1.0 - e for e in self.eps)
 
     def with_buffers(self, buffers: Sequence[int]) -> "NetworkSpec":
-        return NetworkSpec(self.eps, tuple(int(m) for m in buffers))
-
-    def with_eps(self, eps: Sequence[float]) -> "NetworkSpec":
-        return NetworkSpec(tuple(float(e) for e in eps), self.buffers)
+        return NetworkSpec(self.eps, buffers)
 
     # -- JSON document interface: {"eps": [...], "buffers": [...]} --
 

@@ -141,7 +141,7 @@ def _sweep(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray) -> np.ndarra
     return pb_new
 
 
-def _fixed_point(eps, buffers: np.ndarray, max_iter: int, tol: float):
+def _fixed_point(eps, buffers: np.ndarray, tol: float):
     """Sweep K lines from r = 0, pb = 0 to their rate/blocking fixed points.
 
     A line stops sweeping once one sweep changes its (r, pb) by at most
@@ -155,7 +155,7 @@ def _fixed_point(eps, buffers: np.ndarray, max_iter: int, tol: float):
     r[:, 0] = 1.0 - eps[0]
     active = np.arange(K)
     residual = np.full(K, np.inf)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         r_act, pb_act = r[active], pb[active]
         pb_new = _sweep(eps, buffers[active], r_act, pb_act)
         residual[active] = np.maximum(
@@ -170,7 +170,7 @@ def _fixed_point(eps, buffers: np.ndarray, max_iter: int, tol: float):
         raise ConvergenceError(
             f"rate sweeps did not converge: residual {worst:.3e}",
             residual=worst,
-            iterations=max_iter,
+            iterations=_MAX_SWEEPS,
         )
     return r, pb, it, float(residual.max())
 
@@ -195,10 +195,10 @@ class RateSolution:
         return np.array([float(np.arange(len(p)) @ p) for p in self.phi])
 
 
-def solve(spec: NetworkSpec, max_iter: int = _MAX_SWEEPS, tol: float = 1e-12) -> RateSolution:
+def solve(spec: NetworkSpec, tol: float = 1e-12) -> RateSolution:
     """Run forward sweeps to the unique rate/blocking fixed point of one line."""
     buffers = np.array([spec.buffers])
-    r, pb, it, residual = _fixed_point(spec.eps, buffers, max_iter, tol)
+    r, pb, it, residual = _fixed_point(spec.eps, buffers, tol)
     phi = [
         occupancy_phi(r[0, j], spec.eps[j + 1], pb[0, j + 1], m) for j, m in enumerate(spec.buffers)
     ]
@@ -233,7 +233,7 @@ def solve_batch(eps, buffers: np.ndarray, tol: float = 1e-10) -> dict:
     """
     eps = tuple(float(e) for e in eps)
     buffers = np.asarray(buffers, dtype=np.int64)
-    r, pb, it, _ = _fixed_point(eps, buffers, _MAX_SWEEPS, tol)
+    r, pb, it, _ = _fixed_point(eps, buffers, tol)
     occupancy_mean = np.stack(
         [
             _node_moments(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])[2]

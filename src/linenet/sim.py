@@ -20,12 +20,11 @@ import numpy as np
 
 from . import emc
 from .errors import SpecValidationError
-from .model import NetworkSpec, enumerate_states, make_rng
+from .model import NetworkSpec, _buffer_sizes, enumerate_states, make_rng
 
 __all__ = [
     "SimStats",
     "ContinuousSpec",
-    "DiscretizedSpec",
     "simulate_feedback",
     "simulate_delay_fcfs",
     "discretize",
@@ -379,7 +378,7 @@ class ContinuousSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "buffers", tuple(int(v) for v in self.buffers))
+        object.__setattr__(self, "buffers", _buffer_sizes(self.buffers))
         if self.tau <= 0:
             raise SpecValidationError("discretization step tau must be positive")
         if len(self.lambdas) != len(self.buffers) + 1:
@@ -395,20 +394,10 @@ class ContinuousSpec:
                 )
 
 
-@dataclass(frozen=True)
-class DiscretizedSpec:
-    """Epoch model of a continuous tandem plus the rate back-conversion."""
+def discretize(c: ContinuousSpec) -> NetworkSpec:
+    """Epoch model: a rate-lambda server succeeds a slot with prob lambda*tau.
 
-    network: NetworkSpec
-    tau: float
-
-    @property
-    def rate_scale(self) -> float:
-        """Multiply packets/epoch by this to obtain packets/second."""
-        return 1.0 / self.tau
-
-
-def discretize(c: ContinuousSpec) -> DiscretizedSpec:
-    """Epoch model: a rate-lambda server succeeds a slot with prob lambda*tau."""
+    Multiply its packets/epoch by 1/tau to obtain packets/second.
+    """
     eps = tuple(1.0 - lam * c.tau for lam in c.lambdas)
-    return DiscretizedSpec(network=NetworkSpec(eps, c.buffers), tau=c.tau)
+    return NetworkSpec(eps, c.buffers)

@@ -104,16 +104,17 @@ def test_criterion_4_coupling():
         k = 334 if h == 2 else 333
         eps = rng.uniform(0.1, 0.9, (k, h))
         buf = rng.integers(1, 5, (k, h - 1))
-        ok_low = amc.coupled_boundedness_batch(eps, buf, epochs, seed=1000 + h)
+        ok_low, ok_up = amc.coupled_bounds_batch(eps, buf, epochs, seed=1000 + h)
         assert ok_low.all(), f"dominance failed for h={h}"
-        ok_up = amc.coupled_upper_batch(eps, buf, epochs, seed=2000 + h)
         assert ok_up.all(), f"suffix dominance failed for h={h}"
         total += k
     assert total == 1000
 
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     mutated_fails = sum(
-        not amc.coupled_upper_batch([spec.eps], [spec.buffers], 5000, seed=s, expand_buffers=False)[0]
+        not amc.coupled_bounds_batch(
+            [spec.eps], [spec.buffers], 5000, seed=s, swap_roles=True, expand_buffers=False
+        )[1][0]
         for s in range(10)
     )
     assert mutated_fails >= 1
@@ -182,11 +183,12 @@ def test_criterion_5_internal_consistency(delay_results):
 @pytest.fixture(scope="module")
 def bridge_results():
     lambdas = (10.0, 3.0, 2.99)
-    disc = sim.discretize(sim.ContinuousSpec(lambdas, (3, 3), 0.001))
-    scale = disc.rate_scale
-    exact = scale * emc.capacity_exact(disc.network)
-    db = scale * dbie.capacity(dbie.solve(disc.network))
-    rb = scale * rbie.capacity(rbie.solve(disc.network))
+    tau = 0.001
+    net = sim.discretize(sim.ContinuousSpec(lambdas, (3, 3), tau))
+    scale = 1 / tau
+    exact = scale * emc.capacity_exact(net)
+    db = scale * dbie.capacity(dbie.solve(net))
+    rb = scale * rbie.capacity(rbie.solve(net))
     return exact, db, rb
 
 
@@ -213,8 +215,8 @@ def test_criterion_6c_tau_trend():
     errs = []
     for frac in (1 / 4, 1 / 8, 1 / 16, 1 / 64):
         tau = frac / lam_max
-        disc = sim.discretize(sim.ContinuousSpec(lambdas, (3, 3), tau))
-        val = disc.rate_scale * emc.capacity_exact(disc.network)
+        net = sim.discretize(sim.ContinuousSpec(lambdas, (3, 3), tau))
+        val = 1 / tau * emc.capacity_exact(net)
         errs.append(abs(val - 2.2467))
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:])), errs
     _stamp("criterion 6c", f"(errors {['%.4f' % e for e in errs]} non-increasing)")

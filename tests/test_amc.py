@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from linenet import amc, emc
-from linenet.model import NetworkSpec, enumerate_states
+from linenet.model import NetworkSpec, enumerate_states, make_rng
 from conftest import line_specs, random_spec, step1
 
 from hypothesis import given, settings
@@ -83,26 +84,29 @@ def test_monotone_gap_in_buffer_size():
 
 def test_coupled_boundedness():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    assert amc.coupled_boundedness_batch([spec.eps], [spec.buffers], 30_000, seed=1)[0]
-    assert not amc.coupled_boundedness_batch(
-        [spec.eps], [spec.buffers], 30_000, seed=1, swap_roles=True
-    )[0]
+    assert amc.coupled_bounds_batch([spec.eps], [spec.buffers], 30_000, seed=1)[0][0]
+    # both relations mutated, so that the walk stops once both have failed
+    assert not amc.coupled_bounds_batch(
+        [spec.eps], [spec.buffers], 30_000, seed=1, swap_roles=True, expand_buffers=False
+    )[0][0]
 
 
 def test_coupled_boundedness_two_hop_trivial():
     spec = NetworkSpec((0.5, 0.5), (2,))
-    assert amc.coupled_boundedness_batch([spec.eps], [spec.buffers], 5_000, seed=3)[0]
+    assert amc.coupled_bounds_batch([spec.eps], [spec.buffers], 5_000, seed=3)[0][0]
 
 
 def test_coupled_upper(paper_four_hop):
     spec = paper_four_hop
-    assert amc.coupled_upper_batch([spec.eps], [spec.buffers], 30_000, seed=2)[0]
+    assert amc.coupled_bounds_batch([spec.eps], [spec.buffers], 30_000, seed=2)[1][0]
 
 
 def test_coupled_upper_mutation_fails():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     failed = any(
-        not amc.coupled_upper_batch([spec.eps], [spec.buffers], 5_000, seed=s, expand_buffers=False)[0]
+        not amc.coupled_bounds_batch(
+            [spec.eps], [spec.buffers], 5_000, seed=s, swap_roles=True, expand_buffers=False
+        )[1][0]
         for s in range(8)
     )
     assert failed
@@ -112,8 +116,74 @@ def test_batch_matches_scalar_checks():
     rng = np.random.default_rng(11)
     eps = rng.uniform(0.1, 0.9, (6, 3))
     buf = rng.integers(1, 4, (6, 2))
-    out = amc.coupled_boundedness_batch(eps, buf, 3_000, seed=5)
+    out, out_up = amc.coupled_bounds_batch(eps, buf, 3_000, seed=5)
     assert out.shape == (6,)
     assert out.all()
-    out_up = amc.coupled_upper_batch(eps, buf, 3_000, seed=5)
     assert out_up.all()
+
+
+def _coupled_oracle(eps, buffers, epochs, seed, swap_roles, expand_buffers):
+    """Per-epoch reference walk: each chain steps alone, checks run every epoch."""
+    K, n = buffers.shape
+    expanded = np.cumsum(buffers, axis=1) if expand_buffers else buffers
+    rng = make_rng(seed)
+    n_exact, n_low, n_up = (np.zeros((K, n), dtype=np.int64) for _ in range(3))
+    dest_exact, dest_up = np.zeros(K, dtype=np.int64), np.zeros(K, dtype=np.int64)
+    lower_ok, upper_ok = np.ones(K, dtype=bool), np.ones(K, dtype=bool)
+    for _ in range(epochs):
+        x = (rng.random((K, n + 1)) >= eps).astype(np.int64)
+        # the last link delivers whenever its channel succeeds and its sender holds a packet
+        dest_exact += x[:, -1] * (n_exact[:, -1] > 0)
+        dest_up += amc._drop(n_up, x, expanded)[0][:, -1]
+        n_exact = emc.step_emc_batch(n_exact, x, buffers)
+        n_low = amc.step_amc_batch(n_low, x, buffers)
+        n_up = amc.step_amc_batch(n_up, x, expanded)
+        lower_ok &= np.all(n_low >= n_exact if swap_roles else n_exact >= n_low, axis=1)
+        suffix = [np.cumsum(np.column_stack([s, d])[:, ::-1], axis=1)
+                  for s, d in ((n_exact, dest_exact), (n_up, dest_up))]
+        upper_ok &= np.all(suffix[1] >= suffix[0], axis=1)
+    return lower_ok, upper_ok
+
+
+@pytest.fixture(scope="module")
+def mixed_batch():
+    # buffers 1..6 and eps across (0.1, 0.9): within a few hundred epochs each
+    # mutated relation fails on some networks and still holds on others
+    rng = np.random.default_rng(5)
+    return rng.uniform(0.1, 0.9, (40, 3)), rng.integers(1, 7, (40, 2))
+
+
+@pytest.mark.parametrize("small_chunks", [False, True])
+@pytest.mark.parametrize("swap_roles, expand_buffers",
+                         [(False, True), (True, True), (False, False), (True, False)])
+def test_coupled_bounds_matches_per_epoch_walk(mixed_batch, swap_roles, expand_buffers, small_chunks,
+                                               monkeypatch):
+    eps, buf = mixed_batch
+    K, n = buf.shape
+    if small_chunks:
+        # three epochs per chunk: the chains must carry their state across chunks
+        monkeypatch.setattr(amc, "_CHUNK_ELEMENTS", 3 * (3 * K * (n + 1)))
+    chunk = amc._CHUNK_ELEMENTS // (3 * K * (n + 1))
+    for epochs in (1, chunk - 1, chunk, chunk + 1, max(3 * chunk + 2, 300)):
+        got = amc.coupled_bounds_batch(eps, buf, epochs, seed=9, swap_roles=swap_roles,
+                                       expand_buffers=expand_buffers)
+        want = _coupled_oracle(eps, buf, epochs, 9, swap_roles, expand_buffers)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    # at the longest walk the mutated relations hold on some networks and fail on others
+    lower, upper = got
+    assert lower.all() if not swap_roles else 0 < lower.sum() < K
+    assert upper.all() if expand_buffers else 0 < upper.sum() < K
+
+
+def test_coupled_bounds_memory_flat_in_epochs(mixed_batch):
+    eps, buf = mixed_batch
+    K, n = buf.shape
+    chunk = amc._CHUNK_ELEMENTS // (3 * K * (n + 1))
+    peaks = []
+    for epochs in (2 * chunk, 8 * chunk):
+        tracemalloc.start()
+        amc.coupled_bounds_batch(eps, buf, epochs, seed=4)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

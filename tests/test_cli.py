@@ -240,6 +240,38 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("buffers", [[2.9], [2.0], [True]])
+def test_non_integer_buffer_exits_validation(buffers, tmp_path, capsys):
+    # a buffer of 2.9 used to be solved as 2, and true as 1
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"eps": [0.5, 0.5], "buffers": buffers}))
+    assert cli.main(["exact", "--spec", str(path)]) == cli.EXIT_VALIDATION
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["continuous", "--lambdas", "10,3,2.99", "--buffers", "3,2.5", "--tau", "0.001"], "3,2.5"),
+        (["continuous", "--lambdas", "10,x,2.99", "--buffers", "3,3", "--tau", "0.001"], "10,x,2.99"),
+        (["allocate", "--eps", "0.3,x", "--budget", "4"], "0.3,x"),
+        (["allocate", "--eps", "0.3,0.5,", "--budget", "4"], "0.3,0.5,"),
+    ],
+    ids=["continuous-buffers", "continuous-lambdas", "allocate-eps", "allocate-trailing-comma"],
+)
+def test_malformed_comma_list_exits_validation(argv, bad, capsys):
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert repr(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["rbie", "dbie"])
+def test_sweep_limit_exits_convergence(method, spec_file, monkeypatch, capsys):
+    # one sweep from the all-zero start cannot settle the blocking vector
+    monkeypatch.setattr(getattr(cli, method), "_MAX_SWEEPS", 1)
+    assert cli.main([method, "--spec", spec_file]) == cli.EXIT_CONVERGENCE
+    assert "did not converge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

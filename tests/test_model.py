@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linenet.errors import InvalidStateError, SpecValidationError
+from linenet.sim import ContinuousSpec
 from linenet.model import (
     NetworkSpec,
     enumerate_states,
@@ -12,7 +13,6 @@ from linenet.model import (
     make_rng,
     state_index,
 )
-from linenet.amc import _sample_x
 
 
 def test_validation_rejects_bad_specs():
@@ -26,6 +26,21 @@ def test_validation_rejects_bad_specs():
         NetworkSpec((1.0, 0.5), (2,))
     with pytest.raises(SpecValidationError):
         NetworkSpec((0.5, 0.5), (0,))  # empty buffer
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, "3", None])
+def test_buffer_sizes_must_be_integers(bad):
+    # refused rather than truncated, by the one check both spec classes share
+    with pytest.raises(SpecValidationError, match="must be an integer"):
+        NetworkSpec((0.5, 0.5), (bad,))
+    with pytest.raises(SpecValidationError, match="must be an integer"):
+        ContinuousSpec((10.0, 3.0), (bad,), 0.001)
+
+
+def test_numpy_integer_buffers_accepted():
+    spec = NetworkSpec((0.5, 0.5, 0.5), np.array([2, 3]))
+    assert spec.buffers == (2, 3) and all(type(m) is int for m in spec.buffers)
+    assert ContinuousSpec((10.0, 3.0), (np.int32(3),), 0.001).buffers == (3,)
 
 
 def test_state_index_examples():
@@ -81,10 +96,15 @@ def test_index_bijection_property(hm):
     assert len(seen) == spec.num_states
 
 
+def _channels(rng, spec, n):
+    """n epochs of link outcomes, drawn as the simulators and the coupled check draw them."""
+    return rng.random((n, spec.h)) >= np.asarray(spec.eps)
+
+
 def test_sample_channels_bernoulli_law():
     spec = NetworkSpec((0.3, 0.7), (2,))
     n = 200_000
-    draws = _sample_x(make_rng(1), np.asarray(spec.eps), n)
+    draws = _channels(make_rng(1), spec, n)
     for i, e in enumerate(spec.eps):
         p_hat = draws[:, i].mean()
         sigma = np.sqrt(e * (1 - e) / n)
@@ -94,15 +114,15 @@ def test_sample_channels_bernoulli_law():
 def test_sample_channels_independent_links():
     spec = NetworkSpec((0.5, 0.5), (2,))
     n = 200_000
-    draws = _sample_x(make_rng(7), np.asarray(spec.eps), n)
+    draws = _channels(make_rng(7), spec, n)
     corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
     assert abs(corr) < 3 / np.sqrt(n)
 
 
 def test_sample_channels_deterministic_replay():
     spec = NetworkSpec((0.4, 0.6, 0.2), (1, 3))
-    first = _sample_x(make_rng(123), np.asarray(spec.eps), 50)
-    second = _sample_x(make_rng(123), np.asarray(spec.eps), 50)
+    first = _channels(make_rng(123), spec, 50)
+    second = _channels(make_rng(123), spec, 50)
     assert np.array_equal(first, second)
 
 

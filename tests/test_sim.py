@@ -250,10 +250,9 @@ def test_stats_json_round_trip():
 
 def test_discretize_example():
     c = sim.ContinuousSpec((10.0, 3.0, 2.99), (3, 3), 0.001)
-    disc = sim.discretize(c)
-    np.testing.assert_allclose(disc.network.eps, (0.99, 0.997, 0.99701), atol=1e-12)
-    assert disc.network.buffers == (3, 3)
-    assert disc.rate_scale == pytest.approx(1000.0)
+    net = sim.discretize(c)
+    np.testing.assert_allclose(net.eps, (0.99, 0.997, 0.99701), atol=1e-12)
+    assert net.buffers == (3, 3)
 
 
 def test_discretize_rejects_coarse_step():
@@ -290,8 +289,8 @@ def test_continuous_bridge_against_ctmc_oracle():
     taus = (0.002, 0.001, 0.0005, 0.00025)
     vals = []
     for tau in taus:
-        d = sim.discretize(sim.ContinuousSpec((l1, l2, l3), (m1, m2), tau))
-        vals.append(d.rate_scale * emc.capacity_exact(d.network))
+        net = sim.discretize(sim.ContinuousSpec((l1, l2, l3), (m1, m2), tau))
+        vals.append(1 / tau * emc.capacity_exact(net))
     errs = [abs(v - ctmc_cap) for v in vals]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 6e-4
