@@ -139,10 +139,9 @@ def allocate(
         raise SpecValidationError(
             f"no allocation within budget reaches the floor {floor}"
         )
-    flows = rbie._conserved_flow(scores["r"][picked], scores["pb"][picked])
     ranked = [
-        Candidate(buffers=tuple(int(v) for v in cands[i]), capacity=float(c), mean_delay=float(delays[i]))
-        for i, c in zip(picked, flows)
+        Candidate(buffers=tuple(int(v) for v in cands[i]), capacity=float(caps[i]), mean_delay=float(delays[i]))
+        for i in picked
     ]
 
     for i, cand in enumerate(ranked):
@@ -202,6 +201,6 @@ def _neighborhood_search(eps, budget, objective, floor):
 
 
 def _scores(eps, cands) -> dict:
-    """Rate-based capacity, mean delay, rates and blocking of each row."""
+    """Rate-based capacity and mean delay of each row."""
     out = rbie.solve_batch(eps, np.asarray(cands), tol=_SWEEP_TOL)
-    return {k: out[k] for k in ("capacity", "mean_delay", "r", "pb")}
+    return {k: out[k] for k in ("capacity", "mean_delay")}

@@ -176,12 +176,11 @@ def cmd_delay(args) -> int:
         rsol = rbie.solve(spec, tol=args.tol)
         inputs = delay.psi_rho_from_rbie(rsol, spec)
         prof = delay.delay_profile(spec, inputs, include_source=args.include_source)
-        mean_l, contrib = delay.mean_delay_little(rsol, spec)
         result["rbie"] = {
             "mean": prof.mean,
             "variance": prof.variance,
-            "little_mean": mean_l,
-            "per_node_little": contrib.tolist(),
+            "little_mean": rsol.mean_delay,
+            "per_node_little": (rsol.occupancy_mean / rbie.capacity(rsol)).tolist(),
         }
         pmf_prof = prof
     if args.method in ("dbie", "both"):
@@ -287,7 +286,6 @@ def cmd_allocate(args) -> int:
         args.budget,
         objective=args.objective,
         floor=args.floor,
-        method=args.method,
         top=args.top,
     )
     result = asdict(res)
@@ -446,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--objective", choices=("max-throughput", "min-delay"), default="max-throughput"
     )
     sp.add_argument("--floor", type=float, default=None, help="throughput floor for min-delay")
-    sp.add_argument("--method", choices=("auto", "exhaustive", "neighborhood"), default="auto")
     sp.add_argument("--top", type=int, default=10)
 
     sp = command("reproduce", cmd_reproduce, "epochs seed", "emit plot-ready sweep datasets")

@@ -28,7 +28,6 @@ __all__ = [
     "psi_rho_from_dbie",
     "node_delay",
     "delay_profile",
-    "mean_delay_little",
 ]
 
 # the profile may drop at most _TAIL_BUDGET of mass; each factor's support
@@ -47,14 +46,16 @@ class NodeDelayInputs:
     node j finds i packets ahead of it; ``rho[k]`` the blocking
     probability of node v_{k+1} (zero at the destination); and
     ``eps_eff[j]`` the per-epoch probability that node j's head packet
-    fails to advance, blocking included.
+    fails to advance, blocking included.  Each waiting distribution
+    must sum to one and carry no negative mass; construction raises
+    :class:`ConsistencyError` otherwise.
     """
 
     psi: list[np.ndarray]
     rho: np.ndarray
     eps_eff: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # written so that a NaN entry is rejected too
         for j, p in enumerate(self.psi):
             if not abs(float(p.sum()) - 1.0) <= _PSI_SLACK:
@@ -87,9 +88,7 @@ def psi_rho_from_rbie(sol: RateSolution, spec: NetworkSpec) -> NodeDelayInputs:
         for i in range(1, m):
             p[i] = (phi[i] * e + phi[i + 1] * (1.0 - e)) / denom
         psi.append(p)
-    out = NodeDelayInputs(psi=psi, rho=rho, eps_eff=eps_eff)
-    out.validate()
-    return out
+    return NodeDelayInputs(psi=psi, rho=rho, eps_eff=eps_eff)
 
 
 def psi_rho_from_dbie(sol: DistSolution, spec: NetworkSpec) -> NodeDelayInputs:
@@ -108,9 +107,7 @@ def psi_rho_from_dbie(sol: DistSolution, spec: NetworkSpec) -> NodeDelayInputs:
         if not float(p.min()) >= -_PSI_SLACK:
             raise ConsistencyError(f"waiting distribution {j} has negative mass {p.min()}")
         psi.append(np.maximum(p, 0.0))
-    out = NodeDelayInputs(psi=psi, rho=rho, eps_eff=eps_eff)
-    out.validate()
-    return out
+    return NodeDelayInputs(psi=psi, rho=rho, eps_eff=eps_eff)
 
 
 def node_delay(psi_j: np.ndarray, eps_eff_j: float) -> np.ndarray:
@@ -161,18 +158,14 @@ def delay_profile(
 
     The source's own head-of-line wait is excluded by default because
     the delay clock starts at storage in the first intermediate node;
-    ``include_source`` prepends that geometric wait.
+    ``include_source`` prepends that wait, a single service of the
+    source's head packet.
     """
-    inputs.validate()
     factors = [
         node_delay(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)
     ]
     if include_source:
-        e1 = effective_failure(spec.eps[0], inputs.rho[0])
-        t_max = int(np.ceil(np.log(_FACTOR_TAIL) / np.log(e1))) + 2
-        g = np.zeros(t_max + 1)
-        g[1:] = (1.0 - e1) * e1 ** (np.arange(1, t_max + 1) - 1.0)
-        factors.insert(0, g)
+        factors.insert(0, node_delay(np.ones(1), effective_failure(spec.eps[0], inputs.rho[0])))
     pmf = factors[0]
     for f in factors[1:]:
         pmf = np.convolve(pmf, f)
@@ -185,14 +178,3 @@ def delay_profile(
     mean = float(ts @ pmf) / float(pmf.sum())
     var = float((ts - mean) ** 2 @ pmf) / float(pmf.sum())
     return DelayProfile(pmf=pmf, mean=mean, variance=var, tail_mass_dropped=dropped)
-
-
-def mean_delay_little(sol: RateSolution, spec: NetworkSpec) -> tuple[float, np.ndarray]:
-    """Mean delay as total stored occupancy over throughput.
-
-    Returns the mean and the per-node addends, each a node's share of
-    the total delay.
-    """
-    cap = (1.0 - spec.eps[-1]) * (1.0 - sol.phi[-1][0])
-    contributions = sol.occupancy_means() / cap
-    return float(contributions.sum()), contributions

@@ -117,20 +117,34 @@ def _channel_outcomes(eps) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK = 1 << 16
 
 
+def _state_classes(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The first state of each occupancy class in index order, and each state's class.
+
+    A class holds the states with one {empty, middle, full} pattern over
+    the nodes, the only part of a state the step kernels and the
+    transfer indicators read.
+    """
+    m = np.asarray(spec.buffers, dtype=np.int64)
+    states = enumerate_states(spec)
+    # node pattern 0 empty, 1 middle, 2 full (buffers are at least 1)
+    code = ((states > 0).astype(np.int64) + (states == m)) @ (3 ** np.arange(m.size))
+    _, first, cls = np.unique(code, return_index=True, return_inverse=True)
+    return states[first], cls
+
+
 def _build_chain(
     spec: NetworkSpec,
     step_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> SparseStochasticMatrix:
     """Assemble the chain from one transition pattern per occupancy class.
 
-    Both step kernels read a state only through which nodes are empty
-    and which are full, so all states with the same {empty, middle,
-    full} pattern over the nodes move by the same index offsets with the
-    same probabilities.  The kernel runs on one representative state per
-    class and every channel realization.  Per class, the probabilities
-    are summed per distinct offset in realization order (bits 0 to
-    2^h - 1), which is the order in which adding one matrix per
-    realization would sum them, so the arrays are the same to the bit.
+    All states of one class (:func:`_state_classes`) move by the same
+    index offsets with the same probabilities, so the kernel runs on one
+    representative state per class and every channel realization.  Per
+    class, the probabilities are summed per distinct offset in
+    realization order (bits 0 to 2^h - 1), which is the order in which
+    adding one matrix per realization would sum them, so the arrays are
+    the same to the bit.
     The CSR arrays are then filled row chunk by row chunk; their size
     follows from the class counts before anything is allocated.  A spec
     over ``STATE_CAP`` states raises StateSpaceCapError first.
@@ -143,12 +157,7 @@ def _build_chain(
         )
     m = np.asarray(spec.buffers, dtype=np.int64)
     weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
-    states = enumerate_states(spec)
-    # node pattern 0 empty, 1 middle, 2 full (buffers are at least 1)
-    code = ((states > 0).astype(np.int64) + (states == m)) @ (3 ** np.arange(m.size))
-    _, first, cls = np.unique(code, return_index=True, return_inverse=True)
-    reps = states[first]
-    del states, code
+    reps, cls = _state_classes(spec)
 
     x, probs = _channel_outcomes(spec.eps)
     k = len(probs)
@@ -419,19 +428,23 @@ def capacity_flow_crosscheck(
     interior link is the expectation of its transfer indicator: the
     receiver must either have spare room or free a slot by its own
     departure in the same epoch, so the event cannot be reduced to the
-    occupancy pair alone.  Returns the h-2 interior-link rates (empty
-    for h = 2); disagreement with the exact capacity raises.
+    occupancy pair alone.  The indicators depend on a state only through
+    its class (:func:`_state_classes`), so pi is summed per class and the
+    indicators evaluated on one representative each.  Returns the h-2
+    interior-link rates (empty for h = 2); disagreement with the exact
+    capacity raises.
     """
     if spec.h == 2:
         return np.empty(0)
     if pi is None:
         pi = stationary(build_emc(spec), tol=tol)
-    states = enumerate_states(spec)
     ref = capacity_exact(spec, tol=tol, pi=pi)
+    reps, cls = _state_classes(spec)
+    mass = np.bincount(cls, weights=pi, minlength=len(reps))
     m = np.asarray(spec.buffers, dtype=np.int64)
     rates = np.zeros(spec.h)
     for x, p in zip(*_channel_outcomes(spec.eps)):
-        rates += p * (pi @ transfer_indicators_batch(states, x, m))
+        rates += p * (mass @ transfer_indicators_batch(reps, x, m))
     out = rates[1 : spec.h - 1]
     # slack floor absorbs accumulation error in the stationary solve
     if np.max(np.abs(out - ref)) > max(10 * tol, 1e-9):

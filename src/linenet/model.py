@@ -33,14 +33,20 @@ __all__ = [
 ]
 
 
-def _buffer_sizes(buffers: Sequence[int]) -> tuple[int, ...]:
-    """Buffer sizes as Python ints; a bool or non-integer entry is refused, not truncated."""
+def _entries(values, name: str, kinds: tuple, what: str) -> tuple:
+    """Entries converted by ``kinds[0]``; a bool, None, string or other entry
+    not of ``kinds`` is refused, not converted."""
     out = []
-    for j, m in enumerate(buffers):
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise SpecValidationError(f"buffer size buffers[{j}]={m!r} must be an integer")
-        out.append(int(m))
+    for j, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise SpecValidationError(f"{name}[{j}]={v!r} must be {what}")
+        out.append(kinds[0](v))
     return tuple(out)
+
+
+def _buffer_sizes(buffers: Sequence[int]) -> tuple[int, ...]:
+    """Buffer sizes as Python ints; a non-integer entry is refused, not truncated."""
+    return _entries(buffers, "buffer size buffers", (int, np.integer), "an integer")
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class NetworkSpec:
     buffers: tuple[int, ...]
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps)
+        eps = _entries(self.eps, "erasure probability eps", (float, int, np.floating, np.integer), "a number")
         buffers = _buffer_sizes(self.buffers)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "buffers", buffers)
@@ -103,13 +109,12 @@ class NetworkSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkSpec":
         try:
-            eps = doc["eps"]
-            buffers = doc["buffers"]
+            eps, buffers = tuple(doc["eps"]), tuple(doc["buffers"])
         except (KeyError, TypeError) as exc:
             raise SpecValidationError(
                 'network document must carry "eps" and "buffers" arrays'
             ) from exc
-        return cls(tuple(eps), tuple(buffers))
+        return cls(eps, buffers)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":

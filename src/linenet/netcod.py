@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .emc import build_emc
 from .gf import GF2m, rank
@@ -269,29 +270,18 @@ def eta_transition_comparison(
         ws.epoch(x, _epoch_logs(gf, rng, x, spec.buffers))
         path[t + 1] = state_index(ws.eta_vector(), spec) - 1
 
-    # transitions counted per visited (from, to) pair, sorted by row
+    # empirical transition frequencies, one entry per visited (from, to) pair
     n = spec.num_states
     visits = np.bincount(path[:-1], minlength=n)
     pairs, counts = np.unique(path[:-1] * n + path[1:], return_counts=True)
     frm, to = np.divmod(pairs, n)
-    bounds = np.searchsorted(frm, np.arange(n + 1))
-    exact = build_emc(spec).probs
-    diff = np.zeros(n)
-    dist = 0.0
-    rows = 0
-    for i in np.flatnonzero(visits >= min_visits):
-        rows += 1
-        held = slice(exact.indptr[i], exact.indptr[i + 1])
-        seen = slice(bounds[i], bounds[i + 1])
-        diff[exact.indices[held]] = exact.data[held]
-        diff[to[seen]] -= counts[seen] / visits[i]
-        support = np.r_[exact.indices[held], to[seen]]
-        dist = max(dist, float(np.abs(diff[support]).max()))
-        diff[support] = 0.0
+    freq = sparse.csr_matrix((counts / visits[frm], (frm, to)), shape=(n, n))
+    rows = np.flatnonzero(visits >= min_visits)
+    gap = (build_emc(spec).probs - freq)[rows]
     return EtaComparisonReport(
         q=q,
         epochs=epochs,
-        max_distance=dist,
-        rows_compared=rows,
+        max_distance=float(np.abs(gap.data).max(initial=0.0)),
+        rows_compared=rows.size,
         min_row_visits=int(visits[visits > 0].min()) if (visits > 0).any() else 0,
     )

@@ -181,28 +181,19 @@ class RateSolution:
 
     ``r[i]`` is the arrival rate seen by node v_{i+1} (r[0] is the
     source output rate), ``pb[i]`` the blocking probability node
-    v_{i+1} presents upstream (pb[h-1] = 0 for the destination), and
-    ``phi[j]`` the occupancy distribution of intermediate node j.
+    v_{i+1} presents upstream (pb[h-1] = 0 for the destination),
+    ``phi[j]`` the occupancy distribution of intermediate node j,
+    ``occupancy_mean[j]`` its mean, and ``mean_delay`` the total mean
+    occupancy over the capacity (Little's law).
     """
 
     r: np.ndarray
     pb: np.ndarray
     phi: list[np.ndarray]
+    occupancy_mean: np.ndarray
+    mean_delay: float
     iterations: int
     residual: float
-
-    def occupancy_means(self) -> np.ndarray:
-        return np.array([float(np.arange(len(p)) @ p) for p in self.phi])
-
-
-def solve(spec: NetworkSpec, tol: float = 1e-12) -> RateSolution:
-    """Run forward sweeps to the unique rate/blocking fixed point of one line."""
-    buffers = np.array([spec.buffers])
-    r, pb, it, residual = _fixed_point(spec.eps, buffers, tol)
-    phi = [
-        occupancy_phi(r[0, j], spec.eps[j + 1], pb[0, j + 1], m) for j, m in enumerate(spec.buffers)
-    ]
-    return RateSolution(r=r[0], pb=pb[0], phi=phi, iterations=it, residual=residual)
 
 
 def _conserved_flow(r: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -218,6 +209,27 @@ def _conserved_flow(r: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return flows[..., -1]
 
 
+def _derive(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray):
+    """Capacity (the conserved flow), per-node mean occupancy and mean delay
+    (total mean occupancy over capacity, Little's law) of K fixed points."""
+    cap = _conserved_flow(r, pb)
+    occupancy_mean = np.stack(
+        [_node_moments(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])[2] for j in range(buffers.shape[1])],
+        axis=1,
+    )
+    return cap, occupancy_mean, occupancy_mean.sum(axis=1) / cap
+
+
+def solve(spec: NetworkSpec, tol: float = 1e-12) -> RateSolution:
+    """Run forward sweeps to the unique rate/blocking fixed point of one line."""
+    buffers = np.array([spec.buffers])
+    r, pb, it, residual = _fixed_point(spec.eps, buffers, tol)
+    _, occupancy_mean, mean_delay = _derive(spec.eps, buffers, r, pb)
+    phi = [occupancy_phi(r[0, j], spec.eps[j + 1], pb[0, j + 1], m) for j, m in enumerate(spec.buffers)]
+    return RateSolution(r=r[0], pb=pb[0], phi=phi, occupancy_mean=occupancy_mean[0],
+                        mean_delay=float(mean_delay[0]), iterations=it, residual=residual)
+
+
 def capacity(sol: RateSolution) -> float:
     """Conserved storage rate r_i (1 - pb_i); any node gives the same value."""
     return float(_conserved_flow(sol.r, sol.pb))
@@ -227,26 +239,21 @@ def solve_batch(eps, buffers: np.ndarray, tol: float = 1e-10) -> dict:
     """Fixed point for many buffer allocations of one erasure profile.
 
     ``buffers`` is (K, h-1).  The K lines are swept together, each row
-    exactly as :func:`solve` sweeps it.  Returns capacity, rates,
+    exactly as :func:`solve` sweeps and derives it, so a row reports what
+    :func:`solve` of that line does, to the bit.  Returns capacity, rates,
     blocking probabilities, per-node occupancy means and mean delay as
-    arrays, and the number of sweeps.
+    arrays, the number of sweeps and the largest final residual.
     """
     eps = tuple(float(e) for e in eps)
     buffers = np.asarray(buffers, dtype=np.int64)
-    r, pb, it, _ = _fixed_point(eps, buffers, tol)
-    occupancy_mean = np.stack(
-        [
-            _node_moments(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])[2]
-            for j in range(buffers.shape[1])
-        ],
-        axis=1,
-    )
-    cap = r[:, -1] * (1.0 - pb[:, -1])
+    r, pb, it, residual = _fixed_point(eps, buffers, tol)
+    cap, occupancy_mean, mean_delay = _derive(eps, buffers, r, pb)
     return {
         "capacity": cap,
         "r": r,
         "pb": pb,
         "occupancy_mean": occupancy_mean,
-        "mean_delay": occupancy_mean.sum(axis=1) / cap,
+        "mean_delay": mean_delay,
         "iterations": it,
+        "residual": residual,
     }

@@ -129,8 +129,7 @@ def delay_results():
     for m, spec in EIGHT_HOP.items():
         dsol = dbie.solve(spec)
         prof = delay.delay_profile(spec, delay.psi_rho_from_dbie(dsol, spec))
-        rsol = rbie.solve(spec)
-        little, _ = delay.mean_delay_little(rsol, spec)
+        little = rbie.solve(spec).mean_delay
         stats_ = sim.simulate_delay_fcfs(spec, 10**6, seed=505 + m)
         out[m] = (prof, little, stats_)
     return out

@@ -88,7 +88,8 @@ def test_reported_scores_are_the_single_line_solves_to_the_bit(budget_30):
         sol = rbie.solve(NetworkSpec(EPS_30, cand.buffers), tol=1e-12)
         cap = rbie.capacity(sol)
         assert cand.capacity == cap
-        assert cand.mean_delay == pytest.approx(float(sol.occupancy_means().sum()) / cap, rel=1e-14, abs=0)
+        assert cand.mean_delay == sol.mean_delay
+        assert sol.mean_delay == float(sol.occupancy_mean.sum()) / cap
 
 
 def _winner(cands, caps, delays):

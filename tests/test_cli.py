@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 
@@ -250,6 +251,24 @@ def test_non_integer_buffer_exits_validation(buffers, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"eps": [0.5, 0.5], "buffers": 2}, '"eps" and "buffers" arrays'),
+        ({"eps": [0.5, None], "buffers": [2]}, "eps[1]=None must be a number"),
+        ({"eps": ["0.5", "0.25"], "buffers": [2]}, "eps[0]='0.5' must be a number"),
+        ({"eps": [True, 0.5], "buffers": [2]}, "eps[0]=True must be a number"),
+    ],
+    ids=["scalar-buffers", "null-eps", "string-eps", "bool-eps"],
+)
+def test_malformed_spec_document_exits_validation(doc, message, tmp_path, capsys):
+    # each used to exit 1 with a bare TypeError, or, for strings, to be solved
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["exact", "--spec", str(path)]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, bad",
     [
         (["continuous", "--lambdas", "10,3,2.99", "--buffers", "3,2.5", "--tau", "0.001"], "3,2.5"),
@@ -331,6 +350,29 @@ def test_options_a_command_does_not_read_are_rejected(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
     # the usage line is the subcommand's, so it lists the options the command does take
     assert f"usage: linenet {argv[0]} [-h]" in err
+
+
+def test_allocate_method_option_is_rejected(capsys):
+    # the search is chosen from comb(budget, parts); forcing it skipped that guard
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["allocate", "--eps", "0.3,0.5,0.5", "--budget", "6", "--method", "exhaustive"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method exhaustive" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # every `linenet ...` line of the README's CLI block parses with nothing left unread
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("linenet ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        args, unread = parser.parse_known_args(argv)
+        assert unread == [], line
+        assert args.command == argv[0]
 
 
 def test_matrix_dump_flag(spec_file, tmp_path, capsys):

@@ -84,9 +84,8 @@ def test_profile_is_a_pmf_within_its_tail_budget(spec):
 @pytest.mark.parametrize("psi", [(np.nan, 0.5), (0.5, np.nan)])
 def test_profile_rejects_a_non_finite_waiting_distribution(psi):
     # a NaN fails every comparison, so it must be caught before the convolution
-    inputs = delay.NodeDelayInputs(psi=[np.array(psi)], rho=np.zeros(2), eps_eff=np.array([0.4]))
     with pytest.raises(ConsistencyError, match="waiting distribution 0"):
-        delay.delay_profile(NetworkSpec((0.5, 0.4), (2,)), inputs)
+        delay.NodeDelayInputs(psi=[np.array(psi)], rho=np.zeros(2), eps_eff=np.array([0.4]))
 
 
 def test_node_delay_single_geometric():
@@ -159,26 +158,23 @@ def test_include_source_adds_head_of_line_wait():
 def test_little_two_hop_closed_form():
     spec = NetworkSpec((0.5, 0.5), (2,))
     sol = rbie.solve(spec)
-    mean, contrib = delay.mean_delay_little(sol, spec)
-    assert mean == pytest.approx(3.0, abs=1e-10)
-    np.testing.assert_allclose(contrib, [3.0], atol=1e-10)
+    assert sol.mean_delay == pytest.approx(3.0, abs=1e-10)
+    np.testing.assert_allclose(sol.occupancy_mean / rbie.capacity(sol), [3.0], atol=1e-10)
 
 
 def test_little_starved_network_limit():
     spec = NetworkSpec((0.995, 0.3), (3,))
     sol = rbie.solve(spec)
-    mean, contrib = delay.mean_delay_little(sol, spec)
     # occupancy collapses when the source link starves the relay
-    assert sol.occupancy_means().sum() < 0.02
-    assert mean < 1.5
+    assert sol.occupancy_mean.sum() < 0.02
+    assert sol.mean_delay < 1.5
 
 
 def test_little_agrees_with_profile(eight_hop_solutions):
     for m, (spec, rsol, _) in eight_hop_solutions.items():
         inputs = delay.psi_rho_from_rbie(rsol, spec)
         prof = delay.delay_profile(spec, inputs)
-        lit, _ = delay.mean_delay_little(rsol, spec)
-        assert abs(lit - prof.mean) / prof.mean < 0.02
+        assert abs(rsol.mean_delay - prof.mean) / prof.mean < 0.02
 
 
 def test_benchmark_means_internally_consistent(eight_hop_solutions):

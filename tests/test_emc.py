@@ -384,6 +384,22 @@ def test_flow_crosscheck(paper_four_hop):
     assert emc.capacity_flow_crosscheck(NetworkSpec((0.5, 0.5), (2,))).size == 0
 
 
+@given(line_specs(h_values=(3, 4, 5), m_max=4))
+@settings(max_examples=40, deadline=None)
+def test_flow_crosscheck_matches_per_state_sum(spec):
+    # the crosscheck sums pi per occupancy class; here every state is visited
+    pi = emc.stationary(emc.build_emc(spec))
+    states = enumerate_states(spec)
+    m = np.asarray(spec.buffers, dtype=np.int64)
+    rates = np.zeros(spec.h)
+    for bits in range(2**spec.h):
+        x = np.array([(bits >> a) & 1 for a in range(spec.h)])
+        p = np.prod(np.where(x == 1, 1.0 - np.asarray(spec.eps), spec.eps))
+        rates += p * (pi @ emc.transfer_indicators_batch(states, x, m))
+    got = emc.capacity_flow_crosscheck(spec, pi=pi)
+    np.testing.assert_allclose(got, rates[1 : spec.h - 1], rtol=0, atol=1e-13)
+
+
 def test_block_structure_three_hop():
     report = emc.verify_block_structure(NetworkSpec((0.3, 0.5, 0.7), (2, 2)))
     assert report.down_block_min_diagonal >= report.down_block_diagonal_bound > 0

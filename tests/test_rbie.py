@@ -164,6 +164,11 @@ def test_phi_retained_on_solution(paper_four_hop):
         assert phi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _pmf_means(sol) -> np.ndarray:
+    """Each node's mean occupancy, summed term by term from its pmf."""
+    return np.array([float(np.arange(len(p)) @ p) for p in sol.phi])
+
+
 def test_solve_batch_matches_scalar(paper_four_hop):
     buffers = np.array([[5, 5, 5], [1, 2, 3], [4, 4, 4]])
     out = rbie.solve_batch(paper_four_hop.eps, buffers, tol=1e-12)
@@ -172,7 +177,7 @@ def test_solve_batch_matches_scalar(paper_four_hop):
         sol = rbie.solve(spec)
         assert out["capacity"][k] == pytest.approx(rbie.capacity(sol), abs=1e-12)
         assert out["mean_delay"][k] == pytest.approx(
-            float(sol.occupancy_means().sum()) / rbie.capacity(sol), rel=1e-12
+            float(_pmf_means(sol).sum()) / rbie.capacity(sol), rel=1e-12
         )
 
 
@@ -197,6 +202,11 @@ def test_batch_rows_conserve_flow_and_match_solve(case):
         assert out["capacity"][k] == pytest.approx(rbie.capacity(sol), abs=1e-12)
         np.testing.assert_allclose(out["r"][k], sol.r, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out["pb"][k], sol.pb, rtol=0, atol=1e-12)
+        # every reported quantity comes from one derivation, so these agree to the bit
+        assert out["capacity"][k] == rbie.capacity(sol)
+        np.testing.assert_array_equal(out["occupancy_mean"][k], sol.occupancy_mean)
+        assert out["mean_delay"][k] == sol.mean_delay
+        assert out["residual"] <= 1e-12 and sol.residual <= 1e-12
 
 
 def test_batch_mean_delay_matches_phi_near_equal_rates():
@@ -207,7 +217,7 @@ def test_batch_mean_delay_matches_phi_near_equal_rates():
     for row in ((7, 2, 21), (9, 2, 5), (6, 6, 4), (15, 9, 6), (7, 2, 17)):
         k = int(np.flatnonzero((cands == row).all(axis=1))[0])
         sol = rbie.solve(NetworkSpec(eps, row))
-        expected = float(sol.occupancy_means().sum()) / rbie.capacity(sol)
+        expected = float(_pmf_means(sol).sum()) / rbie.capacity(sol)
         assert out["mean_delay"][k] == pytest.approx(expected, rel=1e-12)
 
 
