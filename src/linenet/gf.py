@@ -81,15 +81,22 @@ class GF2m:
         """
         return self._exp.take(la + self._log.take(b))
 
+    def exps(self, la):
+        """The elements whose reduced logs are ``la``; inverse of :meth:`logs`."""
+        return self._exp.take(la)
+
+    def quotient_logs(self, a, b):
+        """Reduced logs of ``a / b``, ``b`` a nonzero scalar, for :meth:`mul_logs`.
+
+        log a + (q - 1 - log b) is at most 2q - 3 for a nonzero ``a``, inside
+        ``exp``'s periodic part; a zero ``a`` lands in its zero tail."""
+        return self._log.take(self._exp.take(self._log.take(a) + (self.q - 1 - self._log[b])))
+
     def inv(self, a):
         a = np.asarray(a, dtype=np.uint32)
         if not a.all():
             raise ZeroDivisionError("zero has no inverse")
         return self._exp.take((self.q - 1) - self._log.take(a))
-
-    def axpy(self, c, x, y):
-        """y + c * x elementwise (xor accumulate)."""
-        return np.bitwise_xor(y, self.mul(np.uint32(c), x))
 
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.q, size=size, dtype=np.uint32)
@@ -122,4 +129,4 @@ def _reduce(gf: GF2m, v: np.ndarray, pivots: dict[int, np.ndarray]) -> np.ndarra
         piv = pivots.get(c)
         if piv is None:
             return v
-        v = gf.axpy(v[c], piv, v)
+        v = v ^ gf.mul(v[c], piv)

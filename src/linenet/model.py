@@ -44,6 +44,9 @@ def _entries(values, name: str, kinds: tuple, what: str) -> tuple:
     return tuple(out)
 
 
+_NUMBERS = (float, int, np.floating, np.integer)
+
+
 def _buffer_sizes(buffers: Sequence[int]) -> tuple[int, ...]:
     """Buffer sizes as Python ints; a non-integer entry is refused, not truncated."""
     return _entries(buffers, "buffer size buffers", (int, np.integer), "an integer")
@@ -66,7 +69,7 @@ class NetworkSpec:
     buffers: tuple[int, ...]
 
     def __post_init__(self):
-        eps = _entries(self.eps, "erasure probability eps", (float, int, np.floating, np.integer), "a number")
+        eps = _entries(self.eps, "erasure probability eps", _NUMBERS, "a number")
         buffers = _buffer_sizes(self.buffers)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "buffers", buffers)

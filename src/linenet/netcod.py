@@ -54,13 +54,10 @@ _LOG_PIECE = 1 << 13
 class _Workspace:
     """Shared coordinate frame for all coefficient rows.
 
-    Every row lives in one ``(S + n + 1, width)`` array: the S buffer
-    slots in node order, viewed as ``slots``, then the rows in flight
-    this epoch: the source's injection, then the packet each of the n
-    nodes sends.  ``sent[i]`` is node i's packet and ``heard[a]`` is what
-    node a hears on link a, which is the injection for node 0.  The
-    destination's span is the zero subspace by construction: every row
-    is reduced against each innovative arrival the moment the
+    The S buffer slots, in node order, are the rows of one ``(S, width)``
+    array, ``slots``; only its first ``active`` columns can be nonzero.
+    The destination's span is the zero subspace by construction: every
+    slot is reduced against each innovative arrival the moment the
     destination stores it, so innovation testing is a nonzero check and
     coefficient width stays near the total buffer budget: ``max(96, 4 S)``
     columns, or ``capacity_hint``, which lets a test compact often.
@@ -72,13 +69,12 @@ class _Workspace:
         n = len(self.buffers)
         self.total_slots = S = sum(self.buffers)
         self.width_cap = max(96, 4 * S) if capacity_hint is None else capacity_hint
-        self.rows = np.zeros((S + n + 1, self.width_cap), dtype=np.uint32)
+        self.slots = np.zeros((S, self.width_cap), dtype=np.uint32)
         self.active = 0
-        self.slots = self.rows[:S]
-        self.heard = self.rows[S:-1]
-        self.sent = self.rows[S + 1 :]
         self._node = node = np.repeat(np.arange(n), self.buffers)
         self._offsets = np.concatenate(([0], np.cumsum(self.buffers)[:-1]))
+        # node a >= 1 hears node a - 1's packet
+        self._upstream = node[self.buffers[0] :] - 1
         within = np.arange(S) - self._offsets[node]
         width = max(self.buffers)
         # flat positions of the transmit, then the fold, weights of every
@@ -109,36 +105,31 @@ class _Workspace:
         """One feedback-free epoch; True iff the destination's rank grew.
 
         Every node transmits a combination of its start-of-epoch slots,
-        then arrivals land: the destination absorbs, and every node whose
-        link delivers folds the packet it hears into its slots (node 0
-        hears a fresh source packet).  ``x[k]`` tells whether link k
-        delivers.  ``logs`` is a ``(2, S, 1)`` block of weight logs: slot
-        j transmits with ``logs[0, j]`` and folds with ``logs[1, j]``, the
-        zero sentinel on an erased link.
+        then every node whose link delivers folds what it hears into its
+        slots, and the destination absorbs.  ``x[k]`` tells whether link
+        k delivers.  ``logs`` is a ``(2, S, 1)`` block of weight logs:
+        slot j transmits with ``logs[0, j]`` and folds with ``logs[1, j]``,
+        the zero sentinel on an erased link.  Node 0's fold of the fresh
+        source packet writes its weights into column ``active``; the
+        destination's reduction, one linear map on every row, runs after
+        the folds, on the columns below it (``notes/decisions.md``).
         """
         if self.active >= self.width_cap:
             self._compact()
-        gf = self.gf
-        n = len(self.buffers)
-        np.bitwise_xor.reduceat(
-            gf.mul_logs(logs[0], self.slots), self._offsets, axis=0, out=self.sent
-        )
-        grew = False
-        if x[n]:
-            pkt = self.sent[n - 1]
-            nz = pkt.nonzero()[0]
-            if nz.size:
-                c = nz[0]
-                k = gf.mul(self.rows[:, c], gf.inv(pkt[c]))
-                self.rows ^= gf.mul(k[:, None], pkt)
-                grew = True
+        gf, m0, a = self.gf, self.buffers[0], self.active
         if x[0]:
-            inject = self.heard[0]
-            inject[:] = 0
-            inject[self.active] = 1
+            self.slots[:m0, a] = gf.exps(logs[1, :m0, 0])
             self.active += 1
-        self.slots ^= gf.mul_logs(logs[1], self.heard.take(self._node, axis=0))
-        return grew
+        if not any(x[1:]):
+            return False
+        live = self.slots[:, :a]
+        sent = np.bitwise_xor.reduceat(gf.mul_logs(logs[0], live), self._offsets, axis=0)
+        live[m0:] ^= gf.mul_logs(logs[1, m0:], sent.take(self._upstream, axis=0))
+        pkt = sent[-1]
+        nz = pkt.nonzero()[0] if x[-1] else ()
+        if len(nz):
+            live ^= gf.mul_logs(gf.quotient_logs(live[:, nz[0]], pkt[nz[0]])[:, None], pkt)
+        return len(nz) > 0
 
     def _compact(self) -> None:
         """Keep only each slot's entries on the pivot columns of its span.
@@ -150,7 +141,7 @@ class _Workspace:
         pivots: dict[int, np.ndarray] = {}
         self.active = rank(self.gf, self.slots, pivots)
         kept = self.slots[:, sorted(pivots)]
-        self.rows[:] = 0
+        self.slots[:] = 0
         self.slots[:, : self.active] = kept
 
     def eta_vector(self) -> tuple[int, ...]:
@@ -196,8 +187,7 @@ def simulate_no_feedback(
     rank_dest = 0
 
     block = 1 << 12
-    done = 0
-    while done < epochs:
+    for done in range(0, epochs, block):
         todo = min(block, epochs - done)
         xs = rng.random((todo, h)) >= eps
         # one draw per epoch: transmit weights for every node, then fold weights
@@ -205,7 +195,6 @@ def simulate_no_feedback(
         grew = np.array([ws.epoch(x, lg) for x, lg in zip(xs, logs)])
         rank_dest += int(np.count_nonzero(grew))
         growth.add(done, grew)
-        done += todo
 
     _, rate, se = growth.result()
     return NoFeedbackStats(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import emc
 from .errors import SpecValidationError
-from .model import NetworkSpec, _buffer_sizes, enumerate_states, make_rng
+from .model import _NUMBERS, NetworkSpec, _buffer_sizes, _entries, enumerate_states, make_rng
 
 __all__ = [
     "SimStats",
@@ -377,16 +377,17 @@ class ContinuousSpec:
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        lambdas = _entries(self.lambdas, "service rate lambdas", _NUMBERS, "a number")
+        object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "buffers", _buffer_sizes(self.buffers))
-        if self.tau <= 0:
-            raise SpecValidationError("discretization step tau must be positive")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, _NUMBERS) or not 0 < self.tau < np.inf:
+            raise SpecValidationError(f"discretization step tau={self.tau!r} must be positive and finite")
         if len(self.lambdas) != len(self.buffers) + 1:
             raise SpecValidationError(
                 f"expected {len(self.buffers) + 1} service rates, got {len(self.lambdas)}"
             )
         for i, lam in enumerate(self.lambdas):
-            if lam <= 0:
+            if not lam > 0:
                 raise SpecValidationError(f"service rate lambdas[{i}]={lam} must be positive")
             if lam * self.tau >= 1.0:
                 raise SpecValidationError(

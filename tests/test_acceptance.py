@@ -263,6 +263,11 @@ def test_criterion_8_coding_limit():
     assert abs(big.innovative_rate - exact) < 1e-2
 
     small = netcod.simulate_no_feedback(spec, 2, 10**6, seed=89)
+    # exact GF(q) arithmetic and a fixed draw order pin both runs bit for bit
+    assert (big.destination_rank, big.innovative_rate, big.innovative_rate_se) == (
+        360581, 0.36085222222222224, 0.00033480429276395757)
+    assert (small.destination_rank, small.innovative_rate, small.innovative_rate_se) == (
+        165153, 0.16506222222222222, 0.0002499797722207062)
     gap = big.innovative_rate - small.innovative_rate
     sigma = np.hypot(big.innovative_rate_se, small.innovative_rate_se)
     assert gap > 3 * sigma

@@ -5,7 +5,7 @@ import pytest
 
 from linenet import emc, netcod
 from linenet.errors import SpecValidationError
-from linenet.gf import GF2m, rank
+from linenet.gf import SUPPORTED_FIELD_SIZES, GF2m, rank
 from linenet.model import NetworkSpec, make_rng
 
 
@@ -15,12 +15,23 @@ def test_field_spec_validation():
         GF2m(8)
 
 
-def one_node(gf, slots):
-    """A one-node workspace whose slots hold ``slots``."""
+def workspace(gf, buffers, slots):
+    """A workspace on ``buffers`` whose slots hold ``slots``, every given column active.
+
+    One spare column keeps the next epoch from compacting, and the
+    columns at or past ``active`` stay zero, as every epoch expects.
+    """
     slots = np.asarray(slots, dtype=np.uint32)
-    ws = netcod._Workspace(gf, (slots.shape[0],), capacity_hint=slots.shape[1])
-    ws.slots[:] = slots
+    ws = netcod._Workspace(gf, buffers, capacity_hint=slots.shape[1] + 1)
+    ws.slots[:, : slots.shape[1]] = slots
+    ws.active = slots.shape[1]
     return ws
+
+
+def sender(gf, slots):
+    """A two-node workspace: node 0 holds ``slots``, node 1 one empty slot."""
+    slots = np.asarray(slots, dtype=np.uint32)
+    return workspace(gf, (slots.shape[0], 1), np.vstack([slots, np.zeros_like(slots[:1])]))
 
 
 def run_epoch(ws, x, weights):
@@ -31,11 +42,18 @@ def run_epoch(ws, x, weights):
 
 
 def transmit(ws, w):
-    """Node 0's packet in one epoch of a one-node workspace, every link erased."""
-    cf = np.zeros((2, ws.total_slots), dtype=np.uint32)
+    """Node 0's packet in one epoch of a :func:`sender` workspace.
+
+    Only the link from node 0 to node 1 delivers, and node 1 folds the
+    packet with weight 1 into its emptied slot, where it is read.
+    """
+    m = ws.buffers[0]
+    ws.slots[m] = 0
+    cf = np.zeros((4, m), dtype=np.uint32)
     cf[0] = w
-    run_epoch(ws, [False, False], cf)
-    return ws.sent[0].copy()
+    cf[3, 0] = 1
+    run_epoch(ws, [False, True, False], cf)
+    return ws.slots[m, : ws.active].copy()
 
 
 def fold(gf, slots, pkt, w):
@@ -45,19 +63,17 @@ def fold(gf, slots, pkt, w):
     only the link from node 0 to node 1 delivers.
     """
     m, width = slots.shape
-    ws = netcod._Workspace(gf, (1, m), capacity_hint=width)
-    ws.slots[0] = pkt
-    ws.slots[1:] = slots
+    ws = workspace(gf, (1, m), np.vstack([pkt, slots]))
     cf = np.zeros((4, m), dtype=np.uint32)
     cf[0, 0] = 1
     cf[3] = w
     run_epoch(ws, [False, True, False], cf)
-    return ws.slots[1:].copy()
+    return ws.slots[1:, :width].copy()
 
 
 def test_transmit_zero_buffer_emits_zero():
     gf = GF2m(16)
-    ws = one_node(gf, np.zeros((2, 8)))
+    ws = sender(gf, np.zeros((2, 8)))
     rng = make_rng(0)
     for _ in range(10):
         assert not nc_any(transmit(ws, gf.random_elements(rng, 2)))
@@ -70,7 +86,7 @@ def nc_any(row):
 def test_transmit_uniform_over_span():
     # rank-2 buffer: the output lies in a fixed 1-dim subspace with prob 1/q
     gf = GF2m(16)
-    ws = one_node(gf, np.eye(2, 4))
+    ws = sender(gf, np.eye(2, 4))
     rng = make_rng(3)
     n = 40_000
     hits = 0
@@ -86,7 +102,7 @@ def test_transmit_uniform_over_span():
 def test_transmit_single_slot_scalar_multiple():
     gf = GF2m(256)
     slot = np.array([3, 7, 0, 1], dtype=np.uint32)
-    ws = one_node(gf, slot[None, :])
+    ws = sender(gf, slot[None, :])
     rng = make_rng(5)
     for _ in range(50):
         out = transmit(ws, gf.random_elements(rng, 1))
@@ -264,7 +280,70 @@ def test_compaction_keeps_ranks_and_clears_the_columns_past_active():
     assert ws.eta_vector() == eta
     assert rank(gf, ws.slots) == span
     assert ws.active == span
-    assert not ws.rows[:, ws.active :].any()
+    assert not ws.slots[:, ws.active :].any()
+
+
+def random_coded_lines(seed, count=12):
+    """Workspaces on seeded random lines: h 2-6, buffers 1-5, every field
+    size, and a width of S + 4 that compacts every few epochs."""
+    rng = make_rng(seed)
+    for _ in range(count):
+        h = int(rng.integers(2, 7))
+        buffers = tuple(int(m) for m in rng.integers(1, 6, h - 1))
+        gf = GF2m(int(rng.choice(SUPPORTED_FIELD_SIZES)))
+        yield netcod._Workspace(gf, buffers, capacity_hint=sum(buffers) + 4), rng.uniform(0.1, 0.6, h), rng
+
+
+def random_epochs(ws, eps, rng, count=150):
+    """``x`` and weight logs of ``count`` epochs, drawn as the η comparison draws them."""
+    for _ in range(count):
+        x = rng.random(len(eps)) >= eps
+        yield x, netcod._epoch_logs(ws.gf, rng, x, ws.buffers)
+
+
+def test_epochs_touch_only_the_active_columns():
+    # a twin with garbage past the columns an epoch may touch must end
+    # the epoch with the same active columns and the garbage intact
+    for ws, eps, rng in random_coded_lines(31):
+        twin = netcod._Workspace(ws.gf, ws.buffers, capacity_hint=ws.width_cap)
+        for x, logs in random_epochs(ws, eps, rng):
+            a = ws.active
+            compacts = a >= ws.width_cap
+            if not compacts:
+                twin.slots[:] = ws.slots
+                twin.active = a
+                garbage = ws.gf.random_elements(rng, twin.slots[:, a + 1 :].shape)
+                twin.slots[:, a + 1 :] = garbage
+            grew = ws.epoch(x, logs)
+            assert not ws.slots[:, ws.active :].any()
+            if not compacts:
+                assert twin.epoch(x, logs) == grew
+                np.testing.assert_array_equal(twin.slots[:, : a + 1], ws.slots[:, : a + 1])
+                np.testing.assert_array_equal(twin.slots[:, a + 1 :], garbage)
+
+
+def test_idle_epoch_only_writes_node_0s_new_column():
+    def no_products(*args):
+        raise AssertionError("an epoch where no link past the source delivers multiplies")
+
+    checked = 0
+    for ws, eps, rng in random_coded_lines(32):
+        gf, m0 = ws.gf, ws.buffers[0]
+        for x, logs in random_epochs(ws, eps, rng):
+            if ws.active >= ws.width_cap or any(x[1:]):
+                ws.epoch(x, logs)
+                continue
+            before, a = ws.slots.copy(), ws.active
+            gf.mul = gf.mul_logs = gf.quotient_logs = no_products
+            try:
+                assert not ws.epoch(x, logs)
+            finally:
+                del gf.mul, gf.mul_logs, gf.quotient_logs
+            assert ws.active == a + x[0]
+            before[:m0, a] = ws.slots[:m0, a]
+            np.testing.assert_array_equal(ws.slots, before)
+            checked += 1
+    assert checked > 50
 
 
 def test_weight_logs_overwrite_the_drawn_block():
@@ -336,6 +415,7 @@ def test_eta_transition_distance_small():
         ((0.3, 0.45, 0.5, 0.2), (2, 3, 1), 256, 8341, 0.4175, 0.002962305272123811),
         ((0.2, 0.3, 0.4, 0.3, 0.1), (1, 4, 2, 3), 65536, 10374, 0.5177222222222222, 0.0029584298235424715),
         ((0.2, 0.3, 0.4, 0.3, 0.1), (1, 4, 2, 3), 2, 3707, 0.18638888888888888, 0.0017803975506425402),
+        ((0.3,) * 8, (1, 1, 1, 1, 1, 1, 40), 256, 7036, 0.35244444444444445, 0.0020776784458031833),
     ],
 )
 def test_simulate_no_feedback_matches_pinned_values(eps, buffers, q, rank_dest, rate, se):

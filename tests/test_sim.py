@@ -260,6 +260,24 @@ def test_discretize_rejects_coarse_step():
         sim.ContinuousSpec((10.0, 3.0), (3,), 0.2)
 
 
+@pytest.mark.parametrize("bad", ["10", True, None, float("nan"), -1.0, 0.0])
+def test_continuous_rates_must_be_positive_numbers(bad):
+    # refused at construction, by the entry check NetworkSpec uses, not converted
+    with pytest.raises(SpecValidationError, match=r"lambdas\[1\]"):
+        sim.ContinuousSpec((10.0, bad, 3.0), (3, 3), 0.001)
+
+
+def test_continuous_rates_of_numpy_numbers_accepted():
+    c = sim.ContinuousSpec((np.float32(10.0), np.int64(3), 2.99), (3, 3), 0.001)
+    assert c.lambdas == (10.0, 3.0, 2.99) and all(type(v) is float for v in c.lambdas)
+
+
+@pytest.mark.parametrize("bad", ["0.001", True, None, float("nan"), float("inf"), 0.0, -0.001])
+def test_continuous_tau_must_be_a_positive_finite_number(bad):
+    with pytest.raises(SpecValidationError, match="tau"):
+        sim.ContinuousSpec((10.0, 3.0), (3,), bad)
+
+
 def test_continuous_bridge_against_ctmc_oracle():
     """tau -> 0 limit of the scaled discrete capacity equals the
     independently solved continuous-time chain."""
