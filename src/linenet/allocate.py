@@ -24,7 +24,7 @@ from . import dbie, emc, rbie
 from .errors import SpecValidationError
 from .model import NetworkSpec
 
-__all__ = ["AllocationResult", "Candidate", "allocate", "compositions_at_most"]
+__all__ = ["allocate"]
 
 EXHAUSTIVE_LIMIT = 10**5
 # Every candidate is swept to this tolerance once; its capacity is the one reported.

@@ -27,8 +27,6 @@ from .emc import (
 from .model import NetworkSpec, make_rng
 
 __all__ = [
-    "BoundsResult",
-    "step_amc_batch",
     "build_amc",
     "capacity_lower",
     "capacity_upper",

@@ -39,12 +39,7 @@ from .errors import (
 from .mixtures import GeometricMixture
 from .model import NetworkSpec, effective_failure
 
-__all__ = [
-    "DistSolution",
-    "dj_distribution",
-    "solve",
-    "capacity",
-]
+__all__ = ["dj_distribution", "solve", "capacity"]
 
 _DJ_HARD_CAP = 100_000
 # the D_j series stops once its mass is within _DJ_TAIL of 1

@@ -23,7 +23,6 @@ from .rbie import RateSolution
 
 __all__ = [
     "NodeDelayInputs",
-    "DelayProfile",
     "psi_rho_from_rbie",
     "psi_rho_from_dbie",
     "node_delay",

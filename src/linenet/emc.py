@@ -32,16 +32,13 @@ from .errors import (
     StateSpaceCapError,
     StructureViolationError,
 )
-from .model import NetworkSpec, enumerate_states
+from .model import NetworkSpec, _radix_weights, enumerate_states
 
 __all__ = [
-    "SparseStochasticMatrix",
-    "step_emc_batch",
     "build_emc",
     "stationary",
     "capacity_exact",
     "capacity_flow_crosscheck",
-    "verify_block_structure",
     "h_matrix_bound",
     "STATE_CAP",
 ]
@@ -147,7 +144,10 @@ def _build_chain(
     the same to the bit.
     The CSR arrays are then filled row chunk by row chunk; their size
     follows from the class counts before anything is allocated.  A spec
-    over ``STATE_CAP`` states raises StateSpaceCapError first.
+    over ``STATE_CAP`` states raises StateSpaceCapError first.  Each row
+    must sum to 1 within 1e-12 and have at most min(3^(h-1), num_states)
+    non-zeros, because every component moves by at most one per epoch;
+    ConsistencyError is raised otherwise.
     """
     n = spec.num_states
     if n > STATE_CAP:
@@ -156,7 +156,7 @@ def _build_chain(
             "chain and the bounds cannot be built, use rbie, dbie or the simulator instead"
         )
     m = np.asarray(spec.buffers, dtype=np.int64)
-    weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
+    weights = _radix_weights(m)
     reps, cls = _state_classes(spec)
 
     x, probs = _channel_outcomes(spec.eps)
@@ -193,26 +193,21 @@ def _build_chain(
         src = np.repeat(pat_start[cls[a:b]] - indptr[a:b], cnt) + np.arange(lo, hi)
         indices[lo:hi] = np.repeat(np.arange(a, b), cnt) + pat_off[src]
         data[lo:hi] = pat_prob[src]
-    return SparseStochasticMatrix(
-        n=n, probs=sparse.csr_matrix((data, indices, indptr), shape=(n, n)), buffers=spec.buffers
-    )
+    probs = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    if np.max(np.abs(np.asarray(probs.sum(axis=1)).ravel() - 1.0)) > 1e-12:
+        raise ConsistencyError("transition rows do not sum to 1")
+    if class_nnz.max() > min(3 ** (spec.h - 1), n):
+        raise ConsistencyError("row support exceeds the single-step movement bound")
+    return SparseStochasticMatrix(n=n, probs=probs, buffers=spec.buffers)
 
 
 def build_emc(spec: NetworkSpec) -> SparseStochasticMatrix:
     """Transition matrix of the exact chain.
 
     Entry (s, s') sums the probabilities of the channel realizations
-    that move s to s'.  Each row has at most min(3^(h-1), num_states)
-    non-zeros because every component moves by at most one per epoch.
+    that move s to s'.
     """
-    mat = _build_chain(spec, step_emc_batch)
-    sums = np.asarray(mat.probs.sum(axis=1)).ravel()
-    if np.max(np.abs(sums - 1.0)) > 1e-12:
-        raise ConsistencyError("transition rows do not sum to 1")
-    bound = min(3 ** (spec.h - 1), spec.num_states)
-    if np.diff(mat.probs.indptr).max() > bound:
-        raise ConsistencyError("row support exceeds the single-step movement bound")
-    return mat
+    return _build_chain(spec, step_emc_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +329,21 @@ def _solve_levels(P: sparse.csr_matrix, buffers: tuple[int, ...], k: int, b: int
     return _eliminate_levels(permuted, b)[0][inv]
 
 
-def stationary(P: SparseStochasticMatrix | sparse.csr_matrix, tol: float = 1e-12) -> np.ndarray:
+def stationary(P: SparseStochasticMatrix, tol: float = 1e-12) -> np.ndarray:
     """Stationary distribution of an irreducible row-stochastic matrix.
 
     A chain from ``build_emc`` or ``amc.build_amc`` whose levels (states
     sharing one occupancy of the node with the largest buffer) are small
-    is solved by block elimination over those levels.  Any other matrix,
-    a raw CSR one included, gets one GCROT(m, k) run from the uniform
-    vector on pi (P - I) = 0, the last equation replaced by sum(pi) = 1,
-    applying P^T without forming the system matrix; it stops at a fixed
-    relative residual near double precision or after a fixed number of
-    outer cycles.  ``tol`` bounds max |pi P - pi| of the clipped,
+    is solved by block elimination over those levels.  Any other chain,
+    one with ``buffers=()`` included, gets one GCROT(m, k) run from the
+    uniform vector on pi (P - I) = 0, the last equation replaced by
+    sum(pi) = 1, applying P^T without forming the system matrix; it stops
+    at a fixed relative residual near double precision or after a fixed
+    number of outer cycles.  ``tol`` bounds max |pi P - pi| of the clipped,
     normalized result; ConvergenceError, naming the path, is raised
     above it, or when the chain is not irreducible.
     """
-    mat = P.probs if isinstance(P, SparseStochasticMatrix) else sparse.csr_matrix(P)
+    mat = P.probs
     n = mat.shape[0]
     ncomp, _ = connected_components(mat, directed=True, connection="strong")
     if ncomp != 1:
@@ -356,7 +351,7 @@ def stationary(P: SparseStochasticMatrix | sparse.csr_matrix, tol: float = 1e-12
             f"chain is not irreducible ({ncomp} strongly connected components)"
         )
     mat_t = mat.T
-    plan = _level_plan(P.buffers) if isinstance(P, SparseStochasticMatrix) else None
+    plan = _level_plan(P.buffers)
     if plan is not None:
         pi = _solve_levels(mat, P.buffers, *plan)
         iterations = n // plan[1]

@@ -24,13 +24,7 @@ import numpy as np
 
 from .errors import InvalidStateError, SpecValidationError
 
-__all__ = [
-    "NetworkSpec",
-    "state_index",
-    "index_state",
-    "enumerate_states",
-    "effective_failure",
-]
+__all__ = ["NetworkSpec", "state_index", "index_state"]
 
 
 def _entries(values, name: str, kinds: tuple, what: str) -> tuple:
@@ -135,9 +129,6 @@ class NetworkSpec:
     def to_dict(self) -> dict:
         return {"eps": list(self.eps), "buffers": list(self.buffers)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _check_state(s: Sequence[int], spec: NetworkSpec) -> tuple[int, ...]:
     s = tuple(int(v) for v in s)
@@ -177,6 +168,11 @@ def index_state(k: int, spec: NetworkSpec) -> tuple[int, ...]:
         rem, v = divmod(rem, m + 1)
         out.append(v)
     return tuple(out)
+
+
+def _radix_weights(buffers) -> np.ndarray:
+    """Weight of each node's occupancy in the 0-based index of :func:`state_index`."""
+    return np.concatenate(([1], np.cumprod(np.asarray(buffers, dtype=np.int64) + 1)[:-1]))
 
 
 def enumerate_states(spec: NetworkSpec) -> np.ndarray:

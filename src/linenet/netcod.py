@@ -27,12 +27,7 @@ from .gf import GF2m, rank
 from .model import NetworkSpec, make_rng, state_index
 from .sim import _BatchMeans, _check_warmup
 
-__all__ = [
-    "simulate_no_feedback",
-    "eta_transition_comparison",
-    "NoFeedbackStats",
-    "EtaComparisonReport",
-]
+__all__ = ["simulate_no_feedback"]
 
 
 @dataclass

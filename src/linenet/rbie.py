@@ -17,14 +17,7 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError
 from .model import NetworkSpec, effective_failure
 
-__all__ = [
-    "RateSolution",
-    "local_params",
-    "occupancy_phi",
-    "solve",
-    "capacity",
-    "solve_batch",
-]
+__all__ = ["solve", "capacity", "solve_batch"]
 
 # sweeps allowed before a line counts as not converging
 _MAX_SWEEPS = 10**5

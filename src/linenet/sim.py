@@ -20,16 +20,11 @@ import numpy as np
 
 from . import emc
 from .errors import SpecValidationError
-from .model import _NUMBERS, NetworkSpec, _buffer_sizes, _entries, enumerate_states, make_rng
+from .model import (
+    _NUMBERS, NetworkSpec, _buffer_sizes, _entries, _radix_weights, enumerate_states, make_rng,
+)
 
-__all__ = [
-    "SimStats",
-    "ContinuousSpec",
-    "simulate_feedback",
-    "simulate_delay_fcfs",
-    "discretize",
-    "default_warmup",
-]
+__all__ = ["ContinuousSpec", "simulate_feedback", "simulate_delay_fcfs", "discretize"]
 
 _BLOCK = 1 << 10  # channel rows drawn at a time; any size gives the same draws
 _TABLE_CAP = 1 << 16  # entries of one block table (see _runs)
@@ -134,7 +129,7 @@ class _Block:
         sub = NetworkSpec(spec.eps[nodes.start : nodes.stop + 1], spec.buffers[nodes])
         g = sub.h - 1
         m = np.asarray(sub.buffers, dtype=np.int64)
-        weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
+        weights = _radix_weights(m)
         self.nodes = nodes
         self.g = g
         self.width = 1 << (g + 1)
@@ -274,9 +269,8 @@ def simulate_feedback(
     for goodness-of-fit testing).
     """
     warmup = _check_warmup(epochs, warmup)
-    m = np.asarray(spec.buffers)
-    occupancy = np.zeros((spec.h - 1, max(m) + 1), dtype=np.int64)
-    weights = np.concatenate(([1], np.cumprod(m + 1)[:-1]))
+    occupancy = np.zeros((spec.h - 1, max(spec.buffers) + 1), dtype=np.int64)
+    weights = _radix_weights(spec.buffers)
     joint = np.zeros(spec.num_states, dtype=np.int64) if joint_stride > 0 else None
 
     deliveries = _BatchMeans(epochs, warmup)
@@ -323,7 +317,7 @@ def simulate_delay_fcfs(
     occupancy = np.zeros((spec.h - 1, max(spec.buffers) + 1), dtype=np.int64)
     waiting = np.empty(0, dtype=np.int64)
     delays = []
-    delivered = 0
+    deliveries = _BatchMeans(epochs, warmup)
     for t0, _, n, y_in, y_out in _chunks(spec, epochs, seed):
         t = np.arange(t0, t0 + len(n))
         tin = t[y_in > 0]
@@ -331,11 +325,10 @@ def simulate_delay_fcfs(
         waiting = np.concatenate((waiting, np.where(tin >= warmup, tin, -1)))
         tags, waiting = waiting[: tout.size], waiting[tout.size :]
         delays.append(tout[tags >= 0] - tags[tags >= 0])
-        lo = max(warmup - t0, 0)
-        delivered += int(np.count_nonzero(y_out[lo:]))
-        occupancy += _histogram(n[lo:], occupancy.shape[1])
+        deliveries.add(t0, y_out)
+        occupancy += _histogram(n[max(warmup - t0, 0) :], occupancy.shape[1])
 
-    measured = epochs - warmup
+    total, throughput, throughput_se = deliveries.result()
     darr = np.concatenate(delays)
     if darr.size:
         counts = np.bincount(darr)
@@ -352,9 +345,9 @@ def simulate_delay_fcfs(
         epochs=epochs,
         warmup=warmup,
         seed=seed,
-        packets_delivered=delivered,
-        throughput=delivered / measured,
-        throughput_se=float("nan"),
+        packets_delivered=total,
+        throughput=throughput,
+        throughput_se=throughput_se,
         occupancy_counts=occupancy,
         delay_mean=delay_mean,
         delay_se=delay_se,

@@ -1,7 +1,11 @@
+import ast
+import functools
 import importlib
 import json
 import os
+import pathlib
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +18,7 @@ from linenet import cli
 from linenet import netcod as netcod_mod
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(linenet.__path__))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -165,8 +170,18 @@ def test_delay_simulation_report_is_strict_json(spec_file, capsys):
     )
     assert code == 0
     res = json.loads(out, parse_constant=reject)["result"]
-    assert res["throughput_se"] is None
+    assert res["throughput_se"] > 0
     assert res["delay_mean"] > 0
+    # over four hops no packet admitted after warm-up arrives within 4 epochs:
+    # the delay statistics are NaN and must be written as null
+    code, out = run(
+        ["simulate", "--spec", spec_file, "--mode", "delay", "--epochs", "4", "--warmup", "2"],
+        capsys,
+    )
+    assert code == 0
+    res = json.loads(out, parse_constant=reject)["result"]
+    assert res["delay_samples"] == 0
+    assert res["delay_mean"] is None
 
 
 def test_continuous_command(capsys):
@@ -438,3 +453,26 @@ def test_every_export_resolves(name):
     mod = importlib.import_module(f"linenet.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+@functools.cache
+def _used_names() -> frozenset[str]:
+    """Names that cli.py refers to, README.md names in backticks, or a linebench file names."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        names |= set(re.findall(r"\w+", span))
+    for path in (ROOT / "linebench").rglob("*"):
+        if path.suffix in (".py", ".md"):
+            names |= set(re.findall(r"\w+", path.read_text()))
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_has_a_user(name):
+    # a name only the package's own tests reach stays internal, so it can change freely
+    mod = importlib.import_module(f"linenet.{name}")
+    unused = [n for n in getattr(mod, "__all__", ()) if n not in _used_names()]
+    assert unused == []

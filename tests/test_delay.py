@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -204,7 +205,7 @@ def test_monotone_mean_and_variance_in_buffers(eight_hop_solutions):
 
 def test_profile_csv(tmp_path, paper_four_hop, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(paper_four_hop.to_json())
+    spec_path.write_text(json.dumps(paper_four_hop.to_dict()))
     path = tmp_path / "delay.csv"
     argv = ["delay", "--method", "rbie", "--spec", str(spec_path), "--pmf-out", str(path)]
     assert cli.main(argv) == 0

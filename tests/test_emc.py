@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from linenet import amc, cli, emc
-from linenet.errors import ConvergenceError, StateSpaceCapError, StructureViolationError
+from linenet.errors import (
+    ConsistencyError,
+    ConvergenceError,
+    StateSpaceCapError,
+    StructureViolationError,
+)
 from linenet.model import NetworkSpec, enumerate_states
 from conftest import line_specs, random_spec, step1
 
@@ -106,6 +112,19 @@ def test_rows_sum_to_one_and_support_bound():
         assert np.diff(mat.probs.indptr).max() <= min(3 ** (spec.h - 1), spec.num_states)
 
 
+@pytest.mark.parametrize("build", [emc.build_emc, amc.build_amc], ids=["emc", "amc"])
+def test_both_chain_builders_check_their_rows(build, monkeypatch):
+    outcomes = emc._channel_outcomes
+
+    def inflated(eps):
+        x, probs = outcomes(eps)
+        return x, probs * (1 + 1e-9)
+
+    monkeypatch.setattr(emc, "_channel_outcomes", inflated)
+    with pytest.raises(ConsistencyError, match="do not sum to 1"):
+        build(NetworkSpec((0.3, 0.5, 0.7), (2, 2)))
+
+
 def per_outcome_chain(spec, step_batch):
     """Reference build: one CSR matrix per channel realization, added in bit order."""
     n, h = spec.num_states, spec.h
@@ -201,10 +220,15 @@ def test_stationary_birth_death():
     np.testing.assert_allclose(pi, [0.2, 0.4, 0.4], atol=1e-11)
 
 
+def _no_levels(P: sparse.csr_matrix) -> emc.SparseStochasticMatrix:
+    """The chain without its buffers, so that it has no level plan: the GCROT path."""
+    return emc.SparseStochasticMatrix(P.shape[0], P)
+
+
 def test_stationary_rejects_reducible():
     eye = sparse.eye(4, format="csr")
     with pytest.raises(ConvergenceError):
-        emc.stationary(eye)
+        emc.stationary(_no_levels(eye))
 
 
 def test_stationary_rejects_residual_above_tol(paper_four_hop):
@@ -216,9 +240,8 @@ def test_stationary_rejects_residual_above_tol(paper_four_hop):
 
 
 def test_stationary_gmres_failure_names_its_path(paper_four_hop):
-    # a raw CSR matrix carries no levels: the GCROT path
     with pytest.raises(ConvergenceError, match="GCROT stationary solve") as err:
-        emc.stationary(emc.build_emc(paper_four_hop).probs, tol=1e-30)
+        emc.stationary(_no_levels(emc.build_emc(paper_four_hop).probs), tol=1e-30)
     assert err.value.residual > 1e-30
     assert err.value.iterations > 0
     assert f"{err.value.iterations} operator applications" in str(err.value)
@@ -273,7 +296,7 @@ def test_capacity_exact_reversal_on_the_permuted_path():
 def test_level_and_gmres_paths_agree(build, spec):
     chain = build(spec)
     assert emc._level_plan(chain.buffers) is not None
-    levels, gmres = emc.stationary(chain), emc.stationary(chain.probs)
+    levels, gmres = emc.stationary(chain), emc.stationary(_no_levels(chain.probs))
     assert np.max(np.abs(levels - gmres)) <= 1e-12
     for pi in (levels, gmres):
         assert np.max(np.abs(pi @ chain.probs - pi)) <= 1e-12
@@ -318,7 +341,7 @@ def test_stationary_residual_contract(spec):
 def test_krylov_path_matches_dense_solve_slow_mixing():
     # 169 states, nearly every transmission erased: restarted GMRES(50) is 1.8e-12 off here
     mat = emc.build_emc(NetworkSpec((0.99, 0.997, 0.99701), (12, 12))).probs
-    pi = emc.stationary(mat)
+    pi = emc.stationary(_no_levels(mat))
     system = mat.toarray().T - np.eye(mat.shape[0])
     system[-1, :] = 1.0
     rhs = np.zeros(mat.shape[0])
@@ -499,7 +522,7 @@ def test_h_matrix_relation_residual():
         P = emc.build_emc(spec).probs
         b = emc._tail_block_size(spec)
         _, factors = emc._eliminate_levels(P, b)
-        levels = emc.stationary(P).reshape(-1, b)
+        levels = emc.stationary(_no_levels(P)).reshape(-1, b)
         for i, R in enumerate(factors):
             assert np.max(np.abs(levels[i] @ R - levels[i + 1])) <= 1e-12, (spec, i)
 
@@ -548,7 +571,7 @@ def test_h_matrix_bound_brackets_the_exact_capacity():
 def test_matrix_csv_dump(tmp_path, capsys):
     spec = NetworkSpec((0.5, 0.5), (2,))
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(spec.to_json())
+    spec_path.write_text(json.dumps(spec.to_dict()))
     path = tmp_path / "mat.csv"
     assert cli.main(["exact", "--spec", str(spec_path), "--dump-matrix", str(path)]) == 0
     lines = path.read_text().strip().splitlines()

@@ -132,7 +132,7 @@ def test_json_round_trip(tmp_path):
     assert spec.h == 4
     assert spec.to_dict() == doc
     path = tmp_path / "net.json"
-    path.write_text(spec.to_json())
+    path.write_text(json.dumps(spec.to_dict()))
     assert NetworkSpec.load(path) == spec
     with pytest.raises(SpecValidationError):
         NetworkSpec.from_json("not json")

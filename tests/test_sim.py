@@ -160,6 +160,22 @@ def test_simulators_match_pinned_values():
     )
 
 
+@pytest.mark.parametrize(
+    "eps, buffers, blocks",
+    [((0.3, 0.5, 0.7), (2, 2), 1), ((0.3, 0.45, 0.5, 0.2, 0.35), (7, 7, 7, 7), 2), ((0.4, 0.6), (3,), 1)],
+    ids=["one_block", "two_blocks", "two_hop"],
+)
+def test_fcfs_and_feedback_count_the_same_deliveries(eps, buffers, blocks):
+    # both walk the same chunks; FCFS only adds the delay bookkeeping
+    spec = NetworkSpec(eps, buffers)
+    assert len(sim._runs(spec.buffers)) == blocks
+    fb = sim.simulate_feedback(spec, 20_000, warmup=2_000, seed=5)
+    fcfs = sim.simulate_delay_fcfs(spec, 20_000, warmup=2_000, seed=5)
+    for key in ("packets_delivered", "throughput", "throughput_se"):
+        assert getattr(fcfs, key) == getattr(fb, key), key
+    assert fcfs.occupancy_counts.tolist() == fb.occupancy_counts.tolist()
+
+
 @pytest.mark.parametrize("cap,blocks,epochs", [(sim._TABLE_CAP, 1, 10**5), (16, 2, 10**4)])
 def test_feedback_memory_does_not_grow_with_epochs(cap, blocks, epochs, monkeypatch):
     # per-epoch records live for one chunk, so ten times the epochs cost no more
