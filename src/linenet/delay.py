@@ -2,22 +2,27 @@
 
 Delay is counted from the epoch a packet is stored at the first
 intermediate node to the epoch the destination receives it.  A packet
-that finds k packets queued ahead waits for k + 1 effective service
-completions, each geometric; the per-node waiting pmfs are therefore
-mixtures of negative binomials, and the whole-path profile is their
-convolution under the standing assumption that per-node delays are
-independent.  The occupancy seen by a stored arrival and the blocking
-probabilities come from either iterative estimate.
+that finds i packets queued ahead waits for i + 1 effective service
+completions, each geometric: a discrete phase-type gap over "services
+left", entered with the waiting-position weights.  Under the standing
+assumption that per-node delays are independent, the whole path is one
+gap, the nodes' gaps chained by ``GeometricMixture.convolve``; its mean
+and variance are closed forms, and its pmf is emitted until the mass
+left falls below ``_TAIL_BUDGET``.  The occupancy seen by a stored
+arrival and the blocking probabilities come from either iterative
+estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .dbie import DistSolution
-from .errors import ConsistencyError, TruncationError
+from .errors import ConsistencyError
+from .mixtures import GeometricMixture
 from .model import NetworkSpec, effective_failure
 from .rbie import RateSolution
 
@@ -25,14 +30,11 @@ __all__ = [
     "NodeDelayInputs",
     "psi_rho_from_rbie",
     "psi_rho_from_dbie",
-    "node_delay",
     "delay_profile",
 ]
 
-# the profile may drop at most _TAIL_BUDGET of mass; each factor's support
-# is cut where its own tail falls below _FACTOR_TAIL
-_TAIL_BUDGET = 1e-6
-_FACTOR_TAIL = 1e-9
+# the profile's pmf is emitted until the mass left falls below this
+_TAIL_BUDGET = 1e-9
 # a waiting distribution may miss unit mass, or dip below zero, by this much
 _PSI_SLACK = 1e-9
 
@@ -109,34 +111,31 @@ def psi_rho_from_dbie(sol: DistSolution, spec: NetworkSpec) -> NodeDelayInputs:
     return NodeDelayInputs(psi=psi, rho=rho, eps_eff=eps_eff)
 
 
-def node_delay(psi_j: np.ndarray, eps_eff_j: float) -> np.ndarray:
-    """Waiting pmf of one node: a psi-mixture of negative binomials.
+def _node_gap(psi_j: np.ndarray, eps_eff_j: float) -> GeometricMixture:
+    """Waiting gap of one node: a psi-mixture of negative binomials.
 
-    The wait is a discrete phase-type gap over "i + 1 services left",
-    entered with weight psi_j[i]; each epoch a service completes with
-    probability 1 - eps_eff_j, and completing the last one ends the wait.
-    The pmf is emitted epoch by epoch until the mass left is below
-    ``_FACTOR_TAIL``.
+    Phase l of the k = len(psi_j) phases has k - l services left and is
+    entered with weight psi_j[k - 1 - l]; each epoch a service completes
+    with probability 1 - eps_eff_j, and completing the last one ends the
+    wait.
     """
     e = float(eps_eff_j)
-    # at e = 1 no service ever completes and the recursion would not end
+    # at e = 1 no service ever completes and the wait would not end
     if not 0.0 <= e < 1.0:
         raise ConsistencyError(f"effective failure probability {e} outside [0, 1)")
-    v = np.array(psi_j[::-1], dtype=float)  # v[-1]: one service left
-    out = [0.0]
-    while v.sum() >= _FACTOR_TAIL:
-        out.append((1.0 - e) * v[-1])
-        v[1:] = e * v[1:] + (1.0 - e) * v[:-1]
-        v[0] *= e
-    return np.array(out)
+    k = len(psi_j)
+    T = np.diag(np.full(k, e)) + np.diag(np.full(k - 1, 1.0 - e), 1)
+    return GeometricMixture(np.array(psi_j[::-1], dtype=float), T, 0.0)
 
 
 @dataclass(frozen=True)
 class DelayProfile:
-    """Truncated whole-path delay pmf with its moments.
+    """Whole-path delay pmf, cut at ``_TAIL_BUDGET``, with its exact moments.
 
-    ``pmf[t]`` is the probability of a total delay of t epochs; the
-    tracked truncated tail mass stays within the profile budget.
+    ``pmf[t]`` is the probability of a total delay of t epochs, emitted
+    until the mass left, ``tail_mass_dropped``, falls below the budget.
+    ``mean`` and ``variance`` are the path gap's closed forms, so the cut
+    does not touch them.
     """
 
     pmf: np.ndarray
@@ -153,27 +152,16 @@ def delay_profile(
     inputs: NodeDelayInputs,
     include_source: bool = False,
 ) -> DelayProfile:
-    """Convolve the per-node waiting pmfs into the end-to-end profile.
+    """Chain the per-node waiting gaps into the end-to-end profile.
 
     The source's own head-of-line wait is excluded by default because
     the delay clock starts at storage in the first intermediate node;
-    ``include_source`` prepends that wait, a single service of the
-    source's head packet.
+    ``include_source`` puts that wait first, a one-phase gap for a
+    single service of the source's head packet.
     """
-    factors = [
-        node_delay(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)
-    ]
+    gaps = [_node_gap(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)]
     if include_source:
-        factors.insert(0, node_delay(np.ones(1), effective_failure(spec.eps[0], inputs.rho[0])))
-    pmf = factors[0]
-    for f in factors[1:]:
-        pmf = np.convolve(pmf, f)
-    dropped = 1.0 - float(pmf.sum())
-    if dropped > _TAIL_BUDGET:
-        raise TruncationError(
-            f"delay profile dropped {dropped:.3e} of mass, over budget {_TAIL_BUDGET}"
-        )
-    ts = np.arange(pmf.size)
-    mean = float(ts @ pmf) / float(pmf.sum())
-    var = float((ts - mean) ** 2 @ pmf) / float(pmf.sum())
-    return DelayProfile(pmf=pmf, mean=mean, variance=var, tail_mass_dropped=dropped)
+        gaps.insert(0, _node_gap(np.ones(1), effective_failure(spec.eps[0], inputs.rho[0])))
+    gap = reduce(GeometricMixture.convolve, gaps)
+    pmf, left = gap.pmf_head(_TAIL_BUDGET)
+    return DelayProfile(pmf=pmf, mean=gap.mean(), variance=gap.variance(), tail_mass_dropped=left)

@@ -26,12 +26,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, gcrotmk
 
-from .errors import (
-    ConsistencyError,
-    ConvergenceError,
-    StateSpaceCapError,
-    StructureViolationError,
-)
+from .errors import ConsistencyError, ConvergenceError, StateSpaceCapError
 from .model import NetworkSpec, _radix_weights, enumerate_states
 
 __all__ = [
@@ -44,7 +39,7 @@ __all__ = [
 ]
 
 # states above which no chain is built: every exact entry point (the chain,
-# its capacity, the bounds, the block checks) refuses larger specs
+# its capacity, the bounds, the H-matrix bound) refuses larger specs
 STATE_CAP = 10**7
 
 
@@ -452,83 +447,6 @@ def capacity_flow_crosscheck(
 # ---------------------------------------------------------------------------
 # level blocks of the transition matrix
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockStructureReport:
-    """Sizes and down-block diagonal margin of a chain that passed the checks.
-
-    ``verify_block_structure`` raises on any violated property, so a
-    report exists only for a chain that has them all.
-    """
-
-    h: int
-    last_buffer: int
-    block_size: int
-    down_block_min_diagonal: float
-    down_block_diagonal_bound: float
-
-
-def verify_block_structure(spec: NetworkSpec) -> BlockStructureReport:
-    """Check the algebraic structure of the level blocks.
-
-    Verifies that (a) all interior levels share the same three blocks,
-    (b) every down-block is upper triangular and each of its diagonal
-    entries is at least (1-eps_h) * prod_{k<h} eps_k > 0, the probability
-    of the one realization where only the last link delivers, (c) for
-    h > 2 the up-blocks are lower triangular with the all-empty diagonal
-    entry exactly zero, hence singular, and (d) I minus each stay-block
-    is invertible.  Raises at the first level with a violated property.
-    Each level is checked on its dense row band (``_level_band``), one
-    level at a time.
-    """
-    P = build_emc(spec).probs
-    top = spec.buffers[-1]
-    block = _tail_block_size(spec)
-    diag_bound = (1.0 - spec.eps[-1]) * float(np.prod(spec.eps[:-1]))
-    min_diag = np.inf
-    eye = np.eye(block)
-    first = None
-    for i in range(top + 1):
-        band = _level_band(P, i, block)
-        down, stay, up = np.hsplit(band, 3)
-        if i == 1:
-            first = (down, stay, up)
-        elif 1 < i < top:
-            for name, mine, ref in zip(("down", "stay", "up"), (down, stay, up), first):
-                if not np.array_equal(mine, ref):
-                    raise StructureViolationError(
-                        f"interior {name}-block {i} differs from block 1"
-                    )
-
-        if i > 0:
-            if np.tril(down, -1).any():
-                raise StructureViolationError(f"down-block {i} is not upper triangular")
-            diag = float(np.diag(down).min())
-            min_diag = min(min_diag, diag)
-            if diag < diag_bound * (1 - 1e-9):
-                raise StructureViolationError(
-                    f"down-block {i} diagonal entry {diag:.3e} below bound {diag_bound:.3e}"
-                )
-
-        if spec.h > 2 and i < top:
-            if np.triu(up, 1).any():
-                raise StructureViolationError(f"up-block {i} is not lower triangular")
-            if up[0, 0] != 0.0:
-                raise StructureViolationError(
-                    f"up-block {i} has a feasible all-empty diagonal transition"
-                )
-
-        if abs(float(np.linalg.det(eye - stay))) < 1e-300:
-            raise StructureViolationError(f"I - stay-block {i} is singular")
-
-    return BlockStructureReport(
-        h=spec.h,
-        last_buffer=top,
-        block_size=block,
-        down_block_min_diagonal=min_diag,
-        down_block_diagonal_bound=diag_bound,
-    )
-
 
 def h_matrix_bound(spec: NetworkSpec) -> float:
     """Capacity upper bound from the level-relation matrices.

@@ -30,10 +30,6 @@ class ConvergenceError(LineNetError):
         self.iterations = iterations
 
 
-class StructureViolationError(LineNetError):
-    """A structural property of the transition matrix failed to hold."""
-
-
 class ConsistencyError(LineNetError):
     """Internally redundant quantities disagree beyond tolerance."""
 

@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .emc import build_emc
 from .gf import GF2m, rank
-from .model import NetworkSpec, make_rng, state_index
+from .model import NetworkSpec, make_rng
 from .sim import _BatchMeans, _check_warmup
 
 __all__ = ["simulate_no_feedback"]
@@ -201,71 +199,4 @@ def simulate_no_feedback(
         destination_rank=rank_dest,
         innovative_rate=rate,
         innovative_rate_se=se,
-    )
-
-
-@dataclass
-class EtaComparisonReport:
-    q: int
-    epochs: int
-    max_distance: float
-    rows_compared: int
-    min_row_visits: int
-
-
-def _epoch_logs(gf: GF2m, rng: np.random.Generator, x, buffers) -> np.ndarray:
-    """One epoch's ``(2, S, 1)`` weight logs, drawn as the epoch reads them.
-
-    The transmit weights of every slot are drawn first, in node order,
-    then the fold weights of nodes n-1..0.  A fold that an erasure skips
-    draws nothing, and its weights stay zero.
-    """
-    ends = np.cumsum(buffers)
-    w = np.zeros((2, ends[-1]), dtype=np.uint32)
-    w[0] = gf.random_elements(rng, ends[-1])
-    for a in range(len(buffers) - 1, -1, -1):
-        if x[a]:
-            w[1, ends[a] - buffers[a] : ends[a]] = gf.random_elements(rng, buffers[a])
-    return gf.logs(w).reshape(2, -1, 1)
-
-
-def eta_transition_comparison(
-    spec: NetworkSpec,
-    q: int,
-    epochs: int,
-    seed: int = 0,
-    min_visits: int = 200,
-) -> EtaComparisonReport:
-    """Empirical useful-occupancy transitions versus the exact feedback chain.
-
-    Estimates the transition matrix of the useful-occupancy process
-    from one long run and reports the max-norm distance to the exact
-    chain's matrix over rows visited at least ``min_visits`` times.
-    """
-    h = spec.h
-    eps = np.asarray(spec.eps)
-    gf = GF2m(q)
-    rng = make_rng(seed)
-    ws = _Workspace(gf, spec.buffers)
-    path = np.empty(epochs + 1, dtype=np.int64)
-    path[0] = state_index(ws.eta_vector(), spec) - 1
-    for t in range(epochs):
-        x = rng.random(h) >= eps
-        ws.epoch(x, _epoch_logs(gf, rng, x, spec.buffers))
-        path[t + 1] = state_index(ws.eta_vector(), spec) - 1
-
-    # empirical transition frequencies, one entry per visited (from, to) pair
-    n = spec.num_states
-    visits = np.bincount(path[:-1], minlength=n)
-    pairs, counts = np.unique(path[:-1] * n + path[1:], return_counts=True)
-    frm, to = np.divmod(pairs, n)
-    freq = sparse.csr_matrix((counts / visits[frm], (frm, to)), shape=(n, n))
-    rows = np.flatnonzero(visits >= min_visits)
-    gap = (build_emc(spec).probs - freq)[rows]
-    return EtaComparisonReport(
-        q=q,
-        epochs=epochs,
-        max_distance=float(np.abs(gap.data).max(initial=0.0)),
-        rows_compared=rows.size,
-        min_row_visits=int(visits[visits > 0].min()) if (visits > 0).any() else 0,
     )

@@ -15,7 +15,7 @@ from scipy import stats
 
 from linenet import allocate, amc, dbie, delay, emc, netcod, rbie, sim
 from linenet.model import NetworkSpec, effective_failure, enumerate_states, index_state, state_index
-from conftest import QueueOracle, diagonal_mixture, random_spec
+from conftest import QueueOracle, diagonal_mixture, random_spec, verify_block_structure
 
 FOUR_HOP = NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5))
 EIGHT_HOP = {m: NetworkSpec((0.25,) * 8, (m,) * 7) for m in (5, 10, 15)}
@@ -282,7 +282,7 @@ def test_criterion_8_coding_limit():
 def test_criterion_9a_block_structure():
     rng = np.random.default_rng(9991)
     for _ in range(50):
-        emc.verify_block_structure(random_spec(rng, h_choices=(2, 3, 4), m_max=4))
+        verify_block_structure(random_spec(rng, h_choices=(2, 3, 4), m_max=4))
     _stamp("criterion 9a", "(block structure on 50 specs)")
 
 

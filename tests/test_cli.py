@@ -455,13 +455,19 @@ def test_every_export_resolves(name):
     assert missing == []
 
 
-@functools.cache
-def _used_names() -> frozenset[str]:
-    """Names that cli.py refers to, README.md names in backticks, or a linebench file names."""
-    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+def _referenced(path: pathlib.Path) -> set[str]:
+    """Names that a module's code refers to: by name, as an attribute, or in an import."""
+    tree = ast.parse(path.read_text())
     names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return names
+
+
+@functools.cache
+def _used_names() -> frozenset[str]:
+    """Names that cli.py refers to, README.md names in backticks, or a linebench file names."""
+    names = _referenced(pathlib.Path(cli.__file__))
     for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
         names |= set(re.findall(r"\w+", span))
     for path in (ROOT / "linebench").rglob("*"):
@@ -476,3 +482,13 @@ def test_every_export_has_a_user(name):
     mod = importlib.import_module(f"linenet.{name}")
     unused = [n for n in getattr(mod, "__all__", ()) if n not in _used_names()]
     assert unused == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_definition_has_a_user(name):
+    # a top-level def or class that only the package's own tests reach belongs with those tests
+    src = pathlib.Path(linenet.__file__).parent
+    used = set(_used_names()).union(*(_referenced(path) for path in src.glob("*.py")))
+    tree = ast.parse((src / f"{name}.py").read_text())
+    defined = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    assert [n for n in defined if n not in used] == []

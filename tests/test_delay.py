@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from conftest import line_specs
 from linenet import cli, dbie, delay, rbie
 from linenet.errors import ConsistencyError
-from linenet.model import NetworkSpec
+from linenet.mixtures import GeometricMixture
+from linenet.model import NetworkSpec, effective_failure
 
 
 def brute_nbinom(k, failure, t_max):
@@ -90,9 +92,10 @@ def test_profile_rejects_a_non_finite_waiting_distribution(psi):
 
 
 def test_node_delay_single_geometric():
-    pmf = delay.node_delay(np.array([1.0]), 0.5)
-    mean = float(np.arange(pmf.size) @ pmf)
-    assert mean == pytest.approx(2.0, abs=1e-6)
+    gap = delay._node_gap(np.array([1.0]), 0.5)
+    pmf, _ = gap.pmf_head(delay._TAIL_BUDGET)
+    assert gap.mean() == pytest.approx(2.0, abs=1e-6)
+    assert float(np.arange(pmf.size) @ pmf) == pytest.approx(2.0, abs=1e-6)
     assert pmf[0] == 0.0
     assert pmf[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -100,17 +103,16 @@ def test_node_delay_single_geometric():
 @pytest.mark.parametrize("e", [1.0, float("nan")])
 def test_node_delay_rejects_a_wait_that_never_ends(e):
     with pytest.raises(ConsistencyError, match="effective failure probability"):
-        delay.node_delay(np.array([0.5, 0.5]), e)
+        delay._node_gap(np.array([0.5, 0.5]), e)
 
 
 def test_node_delay_mixture_mean():
-    pmf = delay.node_delay(np.array([0.5, 0.5]), 0.5)
-    mean = float(np.arange(pmf.size) @ pmf)
-    assert mean == pytest.approx(0.5 * 2 + 0.5 * 4, abs=1e-6)
+    gap = delay._node_gap(np.array([0.5, 0.5]), 0.5)
+    assert gap.mean() == pytest.approx(0.5 * 2 + 0.5 * 4, abs=1e-6)
 
 
 def test_node_delay_matches_brute_convolution():
-    pmf = delay.node_delay(np.array([0.0, 0.0, 1.0]), 0.35)
+    pmf, _ = delay._node_gap(np.array([0.0, 0.0, 1.0]), 0.35).pmf_head(delay._TAIL_BUDGET)
     oracle = brute_nbinom(3, 0.35, pmf.size - 1)
     np.testing.assert_allclose(pmf, oracle, atol=1e-12)
 
@@ -129,10 +131,10 @@ def test_profile_mean_additivity(paper_four_hop):
     inputs = delay.psi_rho_from_rbie(sol, paper_four_hop)
     prof = delay.delay_profile(paper_four_hop, inputs)
     parts = [
-        delay.node_delay(inputs.psi[j], inputs.eps_eff[j])
+        delay._node_gap(inputs.psi[j], inputs.eps_eff[j])
         for j in range(3)
     ]
-    expect = sum(float(np.arange(p.size) @ p) for p in parts)
+    expect = sum(p.mean() for p in parts)
     assert prof.mean == pytest.approx(expect, rel=1e-9)
     assert prof.tail_mass_dropped <= 1e-6
 
@@ -142,8 +144,47 @@ def test_profile_two_hop_single_factor():
     sol = rbie.solve(spec)
     inputs = delay.psi_rho_from_rbie(sol, spec)
     prof = delay.delay_profile(spec, inputs)
-    part = delay.node_delay(inputs.psi[0], inputs.eps_eff[0])
-    assert prof.mean == pytest.approx(float(np.arange(part.size) @ part), rel=1e-6)
+    part = delay._node_gap(inputs.psi[0], inputs.eps_eff[0])
+    assert prof.mean == pytest.approx(part.mean(), rel=1e-6)
+
+
+def nbinom_mixture_moments(psi, e):
+    """Mean and variance of a psi-mixture of negative binomials: i + 1
+    geometric services, each ending with probability 1 - e."""
+    k = np.arange(1, len(psi) + 1)
+    means = k / (1 - e)
+    mean = float(psi @ means)
+    return mean, float(psi @ (k * e / (1 - e) ** 2 + means**2)) - mean**2
+
+
+@pytest.mark.parametrize("estimate", ["rbie", "dbie"])
+@pytest.mark.parametrize("include_source", [False, True])
+def test_profile_moments_are_the_per_node_closed_forms(paper_four_hop, estimate, include_source):
+    spec = paper_four_hop
+    if estimate == "rbie":
+        inputs = delay.psi_rho_from_rbie(rbie.solve(spec), spec)
+    else:
+        inputs = delay.psi_rho_from_dbie(dbie.solve(spec), spec)
+    nodes = [(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)]
+    if include_source:
+        nodes.append((np.ones(1), effective_failure(spec.eps[0], inputs.rho[0])))
+    # the waits are independent, so both moments add over the nodes
+    mean, var = np.sum([nbinom_mixture_moments(psi, e) for psi, e in nodes], axis=0)
+    prof = delay.delay_profile(spec, inputs, include_source=include_source)
+    assert prof.mean == pytest.approx(mean, rel=1e-12)
+    assert prof.variance == pytest.approx(var, rel=1e-12)
+
+
+def test_profile_pmf_is_the_gap_recursion(paper_four_hop):
+    spec = paper_four_hop
+    inputs = delay.psi_rho_from_dbie(dbie.solve(spec), spec)
+    gaps = [delay._node_gap(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)]
+    gap = functools.reduce(GeometricMixture.convolve, gaps)
+    prof = delay.delay_profile(spec, inputs)
+    ks = range(min(prof.pmf.size, 201))
+    np.testing.assert_allclose(prof.pmf[: len(ks)], [gap.pmf(k) for k in ks], rtol=1e-12, atol=1e-17)
+    assert 0.0 <= prof.tail_mass_dropped < delay._TAIL_BUDGET
+    assert prof.tail_mass_dropped == pytest.approx(1.0 - prof.pmf.sum(), abs=1e-12)
 
 
 def test_include_source_adds_head_of_line_wait():

@@ -8,14 +8,9 @@ import numpy as np
 import pytest
 
 from linenet import amc, cli, emc
-from linenet.errors import (
-    ConsistencyError,
-    ConvergenceError,
-    StateSpaceCapError,
-    StructureViolationError,
-)
+from linenet.errors import ConsistencyError, ConvergenceError, StateSpaceCapError
 from linenet.model import NetworkSpec, enumerate_states
-from conftest import line_specs, random_spec, step1
+from conftest import StructureViolationError, line_specs, random_spec, step1, verify_block_structure
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,7 +195,7 @@ def test_state_cap():
     assert spec.num_states == 2**24 > emc.STATE_CAP
     entries = (
         emc.build_emc, amc.build_amc, amc.capacity_lower, amc.capacity_upper, amc.bounds,
-        emc.capacity_exact, emc.capacity_flow_crosscheck, emc.verify_block_structure,
+        emc.capacity_exact, emc.capacity_flow_crosscheck, verify_block_structure,
         emc.h_matrix_bound,
     )
     for entry in entries:
@@ -424,13 +419,13 @@ def test_flow_crosscheck_matches_per_state_sum(spec):
 
 
 def test_block_structure_three_hop():
-    report = emc.verify_block_structure(NetworkSpec((0.3, 0.5, 0.7), (2, 2)))
+    report = verify_block_structure(NetworkSpec((0.3, 0.5, 0.7), (2, 2)))
     assert report.down_block_min_diagonal >= report.down_block_diagonal_bound > 0
 
 
 def test_block_structure_down_diagonal_bound_does_not_underflow():
     # 343-state levels: the product of a down-block's diagonal underflows to 0
-    report = emc.verify_block_structure(NetworkSpec((0.3, 0.4, 0.5, 0.6, 0.35), (6, 6, 6, 6)))
+    report = verify_block_structure(NetworkSpec((0.3, 0.4, 0.5, 0.6, 0.35), (6, 6, 6, 6)))
     assert report.block_size == 343
     assert report.down_block_min_diagonal >= report.down_block_diagonal_bound > 0
 
@@ -452,7 +447,7 @@ def test_block_structure_randomized():
     rng = np.random.default_rng(42)
     for _ in range(50):
         spec = random_spec(rng, h_choices=(2, 3, 4), m_max=4)
-        emc.verify_block_structure(spec)
+        verify_block_structure(spec)
 
 
 @pytest.mark.parametrize(
@@ -476,7 +471,7 @@ def test_block_structure_rejects_corrupted_blocks(monkeypatch, edits, message):
     bad = emc.SparseStochasticMatrix(n=15, probs=sparse.csr_matrix(dense))
     monkeypatch.setattr(emc, "build_emc", lambda spec: bad)
     with pytest.raises(StructureViolationError, match=message):
-        emc.verify_block_structure(spec)
+        verify_block_structure(spec)
 
 
 def test_levels_rebuild_the_chain():
@@ -498,7 +493,7 @@ def test_block_structure_allocates_no_dense_chain():
     spec = NetworkSpec((0.3, 0.5, 0.7), (4, 200))
     tracemalloc.start()
     try:
-        emc.verify_block_structure(spec)
+        verify_block_structure(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -90,6 +90,38 @@ def test_mean_additivity():
     assert float(conv.mean()) == pytest.approx(float(a.mean() + b.mean()), rel=1e-12)
 
 
+def test_variance_of_a_geometric_and_additivity():
+    g = GeometricMixture.geometric(0.8)
+    assert g.variance() == pytest.approx(0.8 / 0.2**2, rel=1e-12)
+    a = diagonal_mixture([(0.7, 0.2), (0.3, 0.8)])
+    assert a.convolve(g).variance() == pytest.approx(a.variance() + g.variance(), rel=1e-12)
+
+
+def test_variance_matches_the_pmf_with_a_mass_at_zero():
+    # a non-diagonal T and an atom at zero, summed far into the tail
+    a = GeometricMixture(np.array([0.5, 0.3]), np.array([[0.4, 0.35], [0.0, 0.6]]), 0.2)
+    g = a.convolve(diagonal_mixture([(0.6, 0.3), (0.4, 0.7)]))
+    ks = np.arange(400)
+    pmf = np.array([g.pmf(int(k)) for k in ks])
+    mean = float(ks @ pmf)
+    assert g.mean() == pytest.approx(mean, rel=1e-12)
+    assert g.variance() == pytest.approx(float((ks - mean) ** 2 @ pmf), rel=1e-12)
+
+
+def test_pmf_head_is_the_matrix_power_pmf():
+    a = GeometricMixture(np.array([0.5, 0.3]), np.array([[0.4, 0.35], [0.0, 0.6]]), 0.2)
+    g = a.convolve(diagonal_mixture([(0.6, 0.3), (0.4, 0.97)]))
+    tail = 1e-9
+    pmf, left = g.pmf_head(tail)
+    assert pmf.size > 201
+    ks = range(201)
+    np.testing.assert_allclose(pmf[:201], [g.pmf(k) for k in ks], rtol=1e-12, atol=1e-17)
+    # the mass left is P(gap > last k emitted): below the cut, and not before it
+    assert 0.0 <= left < tail
+    assert left == pytest.approx(1.0 - pmf.sum(), abs=1e-13)
+    assert 1.0 - pmf[:-1].sum() >= tail
+
+
 def test_coincident_parameters_give_negative_binomial():
     theta = 0.5
     g = GeometricMixture.geometric(theta)

@@ -1,12 +1,81 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from linenet import emc, netcod
 from linenet.errors import SpecValidationError
 from linenet.gf import SUPPORTED_FIELD_SIZES, GF2m, rank
-from linenet.model import NetworkSpec, make_rng
+from linenet.model import NetworkSpec, make_rng, state_index
+
+
+@dataclass
+class EtaComparisonReport:
+    q: int
+    epochs: int
+    max_distance: float
+    rows_compared: int
+    min_row_visits: int
+
+
+def epoch_logs(gf: GF2m, rng: np.random.Generator, x, buffers) -> np.ndarray:
+    """One epoch's ``(2, S, 1)`` weight logs, drawn as the epoch reads them.
+
+    The transmit weights of every slot are drawn first, in node order,
+    then the fold weights of nodes n-1..0.  A fold that an erasure skips
+    draws nothing, and its weights stay zero.
+    """
+    ends = np.cumsum(buffers)
+    w = np.zeros((2, ends[-1]), dtype=np.uint32)
+    w[0] = gf.random_elements(rng, ends[-1])
+    for a in range(len(buffers) - 1, -1, -1):
+        if x[a]:
+            w[1, ends[a] - buffers[a] : ends[a]] = gf.random_elements(rng, buffers[a])
+    return gf.logs(w).reshape(2, -1, 1)
+
+
+def eta_transition_comparison(
+    spec: NetworkSpec,
+    q: int,
+    epochs: int,
+    seed: int = 0,
+    min_visits: int = 200,
+) -> EtaComparisonReport:
+    """Empirical useful-occupancy transitions versus the exact feedback chain.
+
+    Estimates the transition matrix of the useful-occupancy process
+    from one long run and reports the max-norm distance to the exact
+    chain's matrix over rows visited at least ``min_visits`` times.
+    """
+    h = spec.h
+    eps = np.asarray(spec.eps)
+    gf = GF2m(q)
+    rng = make_rng(seed)
+    ws = netcod._Workspace(gf, spec.buffers)
+    path = np.empty(epochs + 1, dtype=np.int64)
+    path[0] = state_index(ws.eta_vector(), spec) - 1
+    for t in range(epochs):
+        x = rng.random(h) >= eps
+        ws.epoch(x, epoch_logs(gf, rng, x, spec.buffers))
+        path[t + 1] = state_index(ws.eta_vector(), spec) - 1
+
+    # empirical transition frequencies, one entry per visited (from, to) pair
+    n = spec.num_states
+    visits = np.bincount(path[:-1], minlength=n)
+    pairs, counts = np.unique(path[:-1] * n + path[1:], return_counts=True)
+    frm, to = np.divmod(pairs, n)
+    freq = sparse.csr_matrix((counts / visits[frm], (frm, to)), shape=(n, n))
+    rows = np.flatnonzero(visits >= min_visits)
+    gap = (emc.build_emc(spec).probs - freq)[rows]
+    return EtaComparisonReport(
+        q=q,
+        epochs=epochs,
+        max_distance=float(np.abs(gap.data).max(initial=0.0)),
+        rows_compared=rows.size,
+        min_row_visits=int(visits[visits > 0].min()) if (visits > 0).any() else 0,
+    )
 
 
 def test_field_spec_validation():
@@ -231,7 +300,7 @@ def check_against_brute_force(spec, capacity_hint):
     for t in range(epochs):
         x = xs[t]
         active = ws.active
-        if ws.epoch(x, netcod._epoch_logs(gf, rng, x, spec.buffers)):
+        if ws.epoch(x, epoch_logs(gf, rng, x, spec.buffers)):
             rank_dest += 1
         compactions += ws.active < active
         brute.step(x)
@@ -298,7 +367,7 @@ def random_epochs(ws, eps, rng, count=150):
     """``x`` and weight logs of ``count`` epochs, drawn as the η comparison draws them."""
     for _ in range(count):
         x = rng.random(len(eps)) >= eps
-        yield x, netcod._epoch_logs(ws.gf, rng, x, ws.buffers)
+        yield x, epoch_logs(ws.gf, rng, x, ws.buffers)
 
 
 def test_epochs_touch_only_the_active_columns():
@@ -400,9 +469,9 @@ def test_starved_source_rate_zero():
 
 def test_eta_transition_distance_small():
     spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
-    rep = netcod.eta_transition_comparison(spec, 65536, 120_000, seed=9)
+    rep = eta_transition_comparison(spec, 65536, 120_000, seed=9)
     assert rep.max_distance < 0.015
-    rep2 = netcod.eta_transition_comparison(spec, 2, 120_000, seed=9)
+    rep2 = eta_transition_comparison(spec, 2, 120_000, seed=9)
     assert rep2.max_distance > rep.max_distance
 
 
@@ -426,14 +495,14 @@ def test_simulate_no_feedback_matches_pinned_values(eps, buffers, q, rank_dest, 
 
 def test_eta_transition_comparison_matches_pinned_values():
     spec = NetworkSpec((0.5, 0.5, 0.5), (2, 2))
-    rep = netcod.eta_transition_comparison(spec, 65536, 5_000, seed=9)
+    rep = eta_transition_comparison(spec, 65536, 5_000, seed=9)
     assert rep.max_distance == 0.04326923076923078
     assert rep.min_row_visits == 184
 
 
 def test_eta_transition_comparison_matches_pinned_values_on_unequal_buffers():
     spec = NetworkSpec((0.3, 0.4, 0.5, 0.35), (1, 3, 2))
-    rep = netcod.eta_transition_comparison(spec, 256, 3000, seed=5, min_visits=20)
+    rep = eta_transition_comparison(spec, 256, 3000, seed=5, min_visits=20)
     assert (rep.max_distance, rep.rows_compared, rep.min_row_visits) == (0.14893939393939393, 22, 6)
 
 
@@ -443,7 +512,7 @@ def test_eta_transition_comparison_memory_stays_below_dense_chain():
     assert spec.num_states == 9261
     tracemalloc.start()
     try:
-        rep = netcod.eta_transition_comparison(spec, 256, 300, seed=3, min_visits=1)
+        rep = eta_transition_comparison(spec, 256, 300, seed=3, min_visits=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
