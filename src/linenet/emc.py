@@ -11,22 +11,30 @@ A chain built here is block-tridiagonal over the occupancy levels of
 any one node.  Its stationary distribution comes from block elimination
 over the levels of the node with the largest buffer when those levels
 are small, and from one GCROT(m, k) Krylov solve of the normalized
-balance equations otherwise; the ``tol`` callers pass bounds
-max |pi P - pi| of the result and is not a solver setting.
+balance equations otherwise.  The Krylov solve starts from rbie's
+product form and, on large chains, applies P^T as column blocks on
+threads that live only for that solve; the blocks follow from the
+matrix alone, so the result does not depend on the machine.  The
+``tol`` callers pass bounds max |pi P - pi| of the result and is not a
+solver setting.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csc_matvec  # y += A x; releases the GIL
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, gcrotmk
 
-from .errors import ConsistencyError, ConvergenceError, StateSpaceCapError
+from . import rbie
+from .errors import ConsistencyError, ConvergenceError, LineNetError, StateSpaceCapError
 from .model import NetworkSpec, _radix_weights, enumerate_states
 
 __all__ = [
@@ -82,14 +90,20 @@ class SparseStochasticMatrix:
     """Row-stochastic transition matrix in CSR form.
 
     Row ``i`` holds the one-step distribution out of the state with
-    0-based index ``i`` under the canonical state ordering.  ``buffers``
-    are the buffer sizes of the spec the chain was built from, which fix
-    its level structure; () when they are not known.
+    0-based index ``i`` under the canonical state ordering.  ``spec`` is
+    the spec the chain was built from, None when it is not known: its
+    buffer sizes fix the level structure, and its rbie product form is
+    the Krylov path's start vector.
     """
 
     n: int
     probs: sparse.csr_matrix = field(repr=False)
-    buffers: tuple[int, ...] = ()
+    spec: NetworkSpec | None = None
+
+    @property
+    def buffers(self) -> tuple[int, ...]:
+        """Buffer sizes of ``spec``; () when it is not known."""
+        return () if self.spec is None else self.spec.buffers
 
 
 def _channel_outcomes(eps) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +207,7 @@ def _build_chain(
         raise ConsistencyError("transition rows do not sum to 1")
     if class_nnz.max() > min(3 ** (spec.h - 1), n):
         raise ConsistencyError("row support exceeds the single-step movement bound")
-    return SparseStochasticMatrix(n=n, probs=probs, buffers=spec.buffers)
+    return SparseStochasticMatrix(n=n, probs=probs, spec=spec)
 
 
 def build_emc(spec: NetworkSpec) -> SparseStochasticMatrix:
@@ -221,6 +235,15 @@ _KRYLOV_RTOL = 1e-15
 _GCROT_M = 20
 _GCROT_K = 5
 _GCROT_MAX_CYCLES = 250  # about 5 000 operator applications
+
+# The Krylov path applies P^T in column blocks of about equal stored entries,
+# each product on its own thread (scipy's sparse products release the GIL).
+# The block count follows from nnz alone, never from the CPU count, so the
+# partial sums, and pi, are the same on every machine.  Below two blocks of
+# _BLOCK_NNZ_MIN entries the threads cost more than they save; a third block
+# on two cores costs more than it saves (notes/decisions.md).
+_BLOCK_NNZ_MIN = 300_000
+_BLOCKS_MAX = 2
 
 # Level elimination costs O(n b^2) for levels of b states and GCROT about
 # O(n 3^(h-1)) per operator application; measured crossover in
@@ -324,17 +347,86 @@ def _solve_levels(P: sparse.csr_matrix, buffers: tuple[int, ...], k: int, b: int
     return _eliminate_levels(permuted, b)[0][inv]
 
 
+def _column_blocks(P: sparse.csr_matrix) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """P^T as column blocks ``(a, b, indptr, indices, data)`` of about equal stored entries.
+
+    Columns a..b-1 of P^T, the CSC view of P, are rows a..b-1 of P, so a
+    block's indices and data are slices of P's own arrays; only its
+    indptr, rebased to 0, is new.
+    """
+    count = min(_BLOCKS_MAX, max(1, P.nnz // _BLOCK_NNZ_MIN))
+    cuts = [0, *np.searchsorted(P.indptr, np.arange(1, count) * (P.nnz / count)).tolist(), P.shape[0]]
+    blocks = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        lo, hi = P.indptr[a], P.indptr[b]
+        blocks.append((a, b, P.indptr[a : b + 1] - lo, P.indices[lo:hi], P.data[lo:hi]))
+    return blocks
+
+
+def _blocked_product(blocks, v: np.ndarray, parts: list[np.ndarray], run=map) -> np.ndarray:
+    """P^T v from :func:`_column_blocks`, one partial vector per block summed in block order.
+
+    Block k's product overwrites ``parts[k]``, which the caller allocates;
+    ``run`` maps the block products, for instance a thread pool's ``map``.
+    The products write into those vectors rather than return new ones:
+    arrays allocated on worker threads come from per-thread malloc arenas,
+    which kept about 20 MB more resident over the benchmark's exact
+    workload (notes/decisions.md).
+    """
+    def product(k: int) -> None:
+        a, b, indptr, indices, data = blocks[k]
+        parts[k].fill(0.0)
+        csc_matvec(len(v), b - a, indptr, indices, data, v[a:b], parts[k])
+
+    for _ in run(product, range(len(blocks))):
+        pass
+    out = parts[0].copy()
+    for part in parts[1:]:
+        out += part
+    return out
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _start_vector(P: SparseStochasticMatrix) -> tuple[np.ndarray, str]:
+    """The Krylov path's x0 and its name.
+
+    With the chain's spec known, x0 is rbie's product form: the outer
+    product of rbie's per-node occupancy laws, the last node on the most
+    significant axis as in the canonical order, normalized (the classic
+    first approximation of a queueing chain's stationary law; Stewart
+    1994, ch. 3).  Without a spec, or where rbie fails, x0 is uniform.
+    """
+    if P.spec is not None:
+        try:
+            phi = rbie.solve(P.spec).phi
+        except LineNetError:
+            pass
+        else:
+            x0 = functools.reduce(np.multiply.outer, reversed(phi)).ravel()
+            return x0 / x0.sum(), "product-form"
+    return np.full(P.n, 1.0 / P.n), "uniform"
+
+
 def stationary(P: SparseStochasticMatrix, tol: float = 1e-12) -> np.ndarray:
     """Stationary distribution of an irreducible row-stochastic matrix.
 
     A chain from ``build_emc`` or ``amc.build_amc`` whose levels (states
     sharing one occupancy of the node with the largest buffer) are small
     is solved by block elimination over those levels.  Any other chain,
-    one with ``buffers=()`` included, gets one GCROT(m, k) run from the
-    uniform vector on pi (P - I) = 0, the last equation replaced by
-    sum(pi) = 1, applying P^T without forming the system matrix; it stops
-    at a fixed relative residual near double precision or after a fixed
-    number of outer cycles.  ``tol`` bounds max |pi P - pi| of the clipped,
+    one without a spec included, gets one GCROT(m, k) run on
+    pi (P - I) = 0, the last equation replaced by sum(pi) = 1, applying
+    P^T in column blocks on threads that live only for this call, without
+    forming the system matrix.  It starts from rbie's product form when
+    the spec is known, from the uniform vector otherwise, and stops at a
+    fixed relative residual near double precision or after a fixed number
+    of outer cycles.  ``tol`` bounds max |pi P - pi| of the clipped,
     normalized result; ConvergenceError, naming the path, is raised
     above it, or when the chain is not irreducible.
     """
@@ -352,23 +444,35 @@ def stationary(P: SparseStochasticMatrix, tol: float = 1e-12) -> np.ndarray:
         iterations = n // plan[1]
         path = f"level-elimination stationary solve ({iterations} levels of {plan[1]} states)"
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        blocks = _column_blocks(mat)
+        x0, start = _start_vector(P)
+        parts = [np.empty(n) for _ in blocks]
+        workers = min(_worker_count(), len(blocks))
         applied = 0
-
-        def balance(v: np.ndarray) -> np.ndarray:
-            nonlocal applied
-            applied += 1
-            out = mat_t @ v - v
-            out[-1] = v.sum()
-            return out
-
         b = np.zeros(n)
         b[-1] = 1.0
-        pi, info = gcrotmk(
-            LinearOperator((n, n), matvec=balance, dtype=float), b, x0=np.full(n, 1.0 / n),
-            rtol=_KRYLOV_RTOL, atol=0.0, m=_GCROT_M, k=_GCROT_K, maxiter=_GCROT_MAX_CYCLES,
-        )
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            run = pool.map if workers > 1 else map
+
+            def balance(v: np.ndarray) -> np.ndarray:
+                nonlocal applied
+                applied += 1
+                out = _blocked_product(blocks, v, parts, run)
+                out -= v
+                out[-1] = v.sum()
+                return out
+
+            pi, info = gcrotmk(
+                LinearOperator((n, n), matvec=balance, dtype=float), b, x0=x0,
+                rtol=_KRYLOV_RTOL, atol=0.0, m=_GCROT_M, k=_GCROT_K, maxiter=_GCROT_MAX_CYCLES,
+            )
         iterations = applied
-        path = f"GCROT stationary solve ({applied} operator applications, info {info})"
+        path = (
+            f"GCROT stationary solve ({start} start, column blocks {len(blocks)}, "
+            f"{applied} operator applications, info {info})"
+        )
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     residual = float(np.max(np.abs(mat_t @ pi - pi)))

@@ -72,20 +72,31 @@ def _geom_sums(y: np.ndarray, m: np.ndarray):
     2k by appending a copy scaled by y^k, then term 2k is appended when
     the digit is set.  K rows cost O(K log max m) time and O(K) memory,
     and every step adds or multiplies nonnegative numbers, so nothing
-    cancels near y = 1.
+    cancels near y = 1.  A step that would add only zeros on every row
+    (k = 0, or the digit clear) is skipped, and a digit set on every row
+    needs no mask; the AND and OR of the digits over the rows tell which.
     """
     n = m - 1
-    g, h, top = np.zeros_like(y), np.zeros_like(y), np.ones_like(y)  # over i < k; y^k
-    for shift in range(int(n.max()).bit_length() - 1, -1, -1):
-        k = n >> (shift + 1)
-        h += top * (h + k * g)
-        g += top * g
-        top *= top
-        bit = (n >> shift) & 1
-        add = bit * top
-        g += add
-        h += 2 * k * add
-        top = np.where(bit, top * y, top)
+    every, some = int(np.bitwise_and.reduce(n)), int(np.bitwise_or.reduce(n))
+    g, h, top = np.zeros(y.shape), np.zeros(y.shape), np.ones(y.shape)  # over i < k; y^k
+    for shift in range(some.bit_length() - 1, -1, -1):
+        k = n >> (shift + 1) if some >> (shift + 1) else None
+        if k is not None:
+            h += top * (h + k * g)
+            g += top * g
+            top *= top
+        if (every >> shift) & 1:
+            g += top
+            if k is not None:
+                h += 2 * k * top
+            top *= y
+        elif (some >> shift) & 1:
+            bit = (n >> shift) & 1
+            add = bit * top
+            g += add
+            if k is not None:
+                h += 2 * k * add
+            top = np.where(bit, top * y, top)
     return g + top, h + n * top, top
 
 
@@ -107,11 +118,11 @@ def _node_moments(r: np.ndarray, eps_next: float, pb_next: np.ndarray, m: np.nda
         phim = np.where(rising, 1.0, top) / total
         # state k holds y^(k-1) when falling, y^(m-k) when rising
         mean = np.where(rising, m * g - h, g + h) / total
-    stuck = beta == 0.0
-    if stuck.any():
+    if not beta.all():
+        stuck = beta == 0.0
         phi0[stuck], phim[stuck], mean[stuck] = 0.0, 1.0, m[stuck]
-    idle = alpha0 == 0.0
-    if idle.any():
+    if not alpha0.all():
+        idle = alpha0 == 0.0
         phi0[idle], phim[idle], mean[idle] = 1.0, 0.0, 0.0
     return phi0, phim, mean
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linenet import amc, cli, emc
+from linenet import amc, cli, emc, rbie
 from linenet.errors import ConsistencyError, ConvergenceError, StateSpaceCapError
 from linenet.model import NetworkSpec, enumerate_states
 from conftest import StructureViolationError, line_specs, random_spec, step1, verify_block_structure
@@ -234,12 +235,106 @@ def test_stationary_rejects_residual_above_tol(paper_four_hop):
     assert err.value.iterations == 6
 
 
-def test_stationary_gmres_failure_names_its_path(paper_four_hop):
+def test_stationary_gmres_failure_names_its_path(paper_four_hop, monkeypatch):
     with pytest.raises(ConvergenceError, match="GCROT stationary solve") as err:
         emc.stationary(_no_levels(emc.build_emc(paper_four_hop).probs), tol=1e-30)
     assert err.value.residual > 1e-30
     assert err.value.iterations > 0
     assert f"{err.value.iterations} operator applications" in str(err.value)
+    # no spec: the uniform start; 2 201 entries: one block
+    assert "uniform start, column blocks 1," in str(err.value)
+
+    # with its spec and no level plan, the chain starts from rbie's product form
+    monkeypatch.setattr(emc, "_LEVEL_BLOCK_MAX", 0)
+    monkeypatch.setattr(emc, "_BLOCK_NNZ_MIN", 1)
+    with pytest.raises(ConvergenceError, match="GCROT stationary solve") as err:
+        emc.stationary(emc.build_emc(paper_four_hop), tol=1e-30)
+    assert f"{err.value.iterations} operator applications" in str(err.value)
+    assert f"product-form start, column blocks {emc._BLOCKS_MAX}," in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def six_hop_chain():
+    """The benchmark's 59 049-state chain: 2.42 M entries, two column blocks."""
+    return emc.build_emc(NetworkSpec((0.25,) * 6, (8,) * 5))
+
+
+def test_blocked_product_matches_the_csc_product(six_hop_chain):
+    P = six_hop_chain.probs
+    blocks = emc._column_blocks(P)
+    assert len(blocks) == 2
+    assert [blk[0] for blk in blocks[1:]] == [blk[1] for blk in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == P.shape[0]
+    assert sum(len(blk[4]) for blk in blocks) == P.nnz
+    v = np.random.default_rng(3).random(P.shape[0])
+    ref = P.T @ v
+    parts = [np.full(P.shape[0], np.nan) for _ in blocks]  # overwritten, not added to
+    for _ in range(2):
+        got = emc._blocked_product(blocks, v, parts)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert not any(np.shares_memory(got, part) for part in parts)
+
+
+def test_column_blocks_are_views_of_the_chain(six_hop_chain):
+    P = six_hop_chain.probs
+    for _, _, _, indices, data in emc._column_blocks(P):
+        assert np.shares_memory(data, P.data)
+        assert np.shares_memory(indices, P.indices)
+
+
+def test_stationary_same_bits_on_one_and_two_workers(six_hop_chain, monkeypatch):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(emc, "_worker_count", lambda workers=workers: workers)
+        runs.append(emc.stationary(six_hop_chain))
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_stationary_leaves_no_thread_behind(six_hop_chain, monkeypatch):
+    monkeypatch.setattr(emc, "_worker_count", lambda: 2)
+    before = threading.active_count()
+    emc.stationary(six_hop_chain)
+    assert threading.active_count() == before
+    with pytest.raises(ConvergenceError, match="column blocks 2"):
+        emc.stationary(six_hop_chain, tol=1e-30)
+    assert threading.active_count() == before
+
+
+def test_capacity_exact_six_hop_matches_the_pinned_value(six_hop_chain):
+    # linebench's pinned capacity of this chain
+    spec = six_hop_chain.spec
+    pi = emc.stationary(six_hop_chain)
+    assert abs(emc.capacity_exact(spec, pi=pi) - 0.705603931493604) <= 1e-10
+
+
+def test_product_form_start_orders_nodes_as_the_states():
+    spec = NetworkSpec((0.3, 0.5, 0.7, 0.4), (2, 3, 4))
+    x0, start = emc._start_vector(emc.build_emc(spec))
+    assert start == "product-form" and x0.sum() == pytest.approx(1.0, abs=1e-15)
+    grid = x0.reshape([m + 1 for m in reversed(spec.buffers)])  # axis 0 is the last node
+    for j, phi in enumerate(rbie.solve(spec).phi):
+        axis = len(spec.buffers) - 1 - j
+        others = tuple(a for a in range(grid.ndim) if a != axis)
+        np.testing.assert_allclose(grid.sum(axis=others), phi, rtol=0, atol=1e-15)
+    assert emc._start_vector(_no_levels(emc.build_emc(spec).probs))[1] == "uniform"
+
+
+@pytest.mark.parametrize(
+    "build, spec",
+    [
+        (emc.build_emc, NetworkSpec((0.25,) * 5, (10,) * 4)),
+        (emc.build_emc, NetworkSpec((0.005,) * 5, (7,) * 4)),
+        (amc.build_amc, NetworkSpec((0.25,) * 5, amc.prefix_sum_buffers((3, 3, 3, 3)))),
+        (emc.build_emc, NetworkSpec((0.1, 0.6, 0.2, 0.7, 0.3), (9,) * 4)),
+    ],
+    ids=["emc_14641", "slow_mixing_4096", "amc_upper_3640", "mixed_eps_10000"],
+)
+def test_product_form_start_gives_the_uniform_starts_pi(build, spec):
+    chain = build(spec)
+    assert emc._level_plan(chain.buffers) is None
+    assert emc._start_vector(chain)[1] == "product-form"
+    pi = emc.stationary(chain)
+    assert np.max(np.abs(pi - emc.stationary(_no_levels(chain.probs)))) <= 1e-12
 
 
 def two_hop_closed_form(e1: float, e2: float, m: int) -> float:
