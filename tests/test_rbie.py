@@ -100,6 +100,20 @@ def test_two_hop_immediate_convergence():
     assert rbie.capacity(sol) == pytest.approx(emc.capacity_exact(spec), abs=1e-9)
 
 
+def test_near_critical_line_converges_by_aitken_steps():
+    # source and last hop both deliver 0.0547 per epoch; plain sweeps shrink
+    # the change by 1.7e-4 per sweep and stop after 102 472, past _MAX_SWEEPS
+    eps = (0.9453125, 0.087078368759064, 0.125, 0.9453125)
+    sol = rbie.solve(NetworkSpec(eps, (3, 3, 3)))
+    assert sol.iterations < 10 * rbie._AITKEN_EVERY and sol.residual <= 1e-12
+    # what 102 472 plain sweeps reach
+    assert rbie.capacity(sol) == pytest.approx(0.05468651491886923, abs=1e-12)
+    out = rbie.solve_batch(eps, np.array([[3, 3, 3], [1, 1, 1], [3, 1, 2]]), tol=1e-12)
+    assert out["capacity"][0] == rbie.capacity(sol)
+    np.testing.assert_array_equal(out["r"][0], sol.r)
+    np.testing.assert_array_equal(out["pb"][0], sol.pb)
+
+
 def sweep_iterates(spec: NetworkSpec, pb0: float, sweeps: int = 100):
     """(r, pb) after each of ``sweeps`` shared sweep steps on one line, from pb = pb0."""
     buffers = np.array([spec.buffers])
