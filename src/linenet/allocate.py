@@ -7,9 +7,9 @@ balanced split when the composition count is too large.  Each
 candidate is swept once, and all are ranked by one total order:
 capacity to a resolution of 1e-10, then mean delay, then the buffer
 vector (``min-delay`` puts reaching the floor first and capacity after
-delay).  The winners are reported with those scores; optionally also
-with the distribution-based estimate and, at feasible sizes, the exact
-solve.
+delay).  The winners are reported with those scores; the first few also
+with the distribution-based estimate, and those with at most
+``emc.OPTIONAL_STATE_CAP`` states with the exact solve.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .model import NetworkSpec
 __all__ = ["allocate"]
 
 EXHAUSTIVE_LIMIT = 10**5
+# winners, best first, that are also scored by the distribution-based estimate
+_DBIE_RESCORED = 3
 # Every candidate is swept to this tolerance once; its capacity is the one reported.
 _SWEEP_TOL = 1e-12
 # Capacities that round to the same multiple of this rank as equal.  It
@@ -95,10 +97,7 @@ def allocate(
     budget: int,
     objective: str = "max-throughput",
     floor: float | None = None,
-    method: str = "auto",
     top: int = 10,
-    rescore_dbie: int = 3,
-    rescore_exact_cap: int = 200_000,
 ) -> AllocationResult:
     """Pick the buffer vector optimizing the objective within the budget.
 
@@ -106,32 +105,27 @@ def allocate(
     ``min-delay`` minimizes the estimated mean delay among vectors
     whose capacity estimate reaches ``floor``.  Candidates are ranked
     by :func:`_ranking` and the first ``top`` reported; the best
-    ``rescore_dbie`` also get distribution-based estimates, and exact
-    capacities are attached when the state space is small enough.
+    ``_DBIE_RESCORED`` also get distribution-based estimates, and exact
+    capacities are attached up to ``emc.OPTIONAL_STATE_CAP`` states.  The
+    search is exhaustive when comb(budget, parts) <= ``EXHAUSTIVE_LIMIT``
+    and a neighborhood descent otherwise.
     """
-    eps = tuple(float(e) for e in eps)
+    # the one check of eps, made before any sweep
+    eps = NetworkSpec(eps, (1,) * (len(eps) - 1)).eps
     parts = len(eps) - 1
-    if parts < 1:
-        raise SpecValidationError("need at least 2 hops to allocate buffers")
     if budget < parts:
         raise SpecValidationError(
             f"budget {budget} cannot give every one of {parts} nodes a slot"
         )
 
-    if method == "auto":
-        method = (
-            # comb(budget, parts) positive vectors have sum <= budget
-            "exhaustive" if comb(budget, parts) <= EXHAUSTIVE_LIMIT
-            else "neighborhood"
-        )
-
-    if method == "exhaustive":
+    # comb(budget, parts) positive vectors have sum <= budget
+    if comb(budget, parts) <= EXHAUSTIVE_LIMIT:
+        method = "exhaustive"
         cands = compositions_at_most(budget, parts)
         scores = _scores(eps, cands)
-    elif method == "neighborhood":
-        cands, scores = _neighborhood_search(eps, budget, objective, floor)
     else:
-        raise SpecValidationError(f"unknown method {method!r}")
+        method = "neighborhood"
+        cands, scores = _neighborhood_search(eps, budget, objective, floor)
 
     caps, delays = scores["capacity"], scores["mean_delay"]
     picked = _ranking(objective, cands, caps, delays, floor)[: max(top, 1)]
@@ -146,9 +140,9 @@ def allocate(
 
     for i, cand in enumerate(ranked):
         spec = NetworkSpec(eps, cand.buffers)
-        if i < rescore_dbie:
+        if i < _DBIE_RESCORED:
             cand.capacity_dbie = dbie.capacity(dbie.solve(spec))
-        if spec.num_states <= rescore_exact_cap:
+        if spec.num_states <= emc.OPTIONAL_STATE_CAP:
             cand.capacity_exact = emc.capacity_exact(spec)
 
     return AllocationResult(

@@ -69,14 +69,13 @@ def capacity_lower(spec: NetworkSpec, tol: float = 1e-12) -> float:
     return capacity_exact(spec, pi=pi)
 
 
-def prefix_sum_buffers(buffers) -> tuple[int, ...]:
-    """Buffer expansion used by the upper bound: running prefix sums."""
-    out = []
-    total = 0
-    for m in buffers:
-        total += m
-        out.append(total)
-    return tuple(out)
+def prefix_sum_buffers(buffers):
+    """Buffer expansion used by the upper bound: running sums along the last axis.
+
+    One network's buffers give a tuple of ints, a (K, h-1) batch an array.
+    """
+    sums = np.cumsum(buffers, axis=-1)
+    return tuple(sums.tolist()) if sums.ndim == 1 else sums
 
 
 def capacity_upper(spec: NetworkSpec, tol: float = 1e-12) -> float:
@@ -142,8 +141,6 @@ def coupled_bounds_batch(
     buffers: np.ndarray,
     epochs: int,
     seed: int,
-    swap_roles: bool = False,
-    expand_buffers: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive the exact and both drop-on-full chains on shared channel streams.
 
@@ -154,9 +151,7 @@ def coupled_bounds_batch(
     the drop-on-full chain at every node and epoch.  ``upper_ok`` is
     True iff the drop-on-full chain with prefix-summed buffers held at
     least as many packets as the exact chain in every suffix of nodes,
-    the destination's receipts included, at every epoch.  The mutations
-    ``swap_roles`` (inverts the lower comparison) and ``expand_buffers=
-    False`` (the upper chain keeps the original buffers) must fail.
+    the destination's receipts included, at every epoch.
 
     Channel rows are drawn a chunk of epochs at a time and dominance is
     checked once per chunk; the walk stops once both vectors are all
@@ -166,7 +161,7 @@ def coupled_bounds_batch(
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     buffers = np.atleast_2d(np.asarray(buffers, dtype=np.int64))
     K, n = buffers.shape
-    m_drop = np.concatenate([buffers, np.cumsum(buffers, axis=1) if expand_buffers else buffers])
+    m_drop = np.concatenate([buffers, prefix_sum_buffers(buffers)])
     chunk = max(1, _CHUNK_ELEMENTS // (3 * K * (n + 1)))
     # row 0 carries the last epoch of the previous chunk; each chain's
     # last column counts the destination's receipts
@@ -188,8 +183,7 @@ def coupled_bounds_batch(
             drop[t, :, :n] = prev[:, :n] + stored - sent[:, 1:]
             drop[t, :, n] = prev[:, n] + sent[:, n]
         ex, low, up = exact[1:todo + 1], drop[1:todo + 1, :K], drop[1:todo + 1, K:]
-        hi, lo = (low, ex) if swap_roles else (ex, low)
-        lower_ok &= np.all(hi[..., :n] >= lo[..., :n], axis=(0, 2))
+        lower_ok &= np.all(ex[..., :n] >= low[..., :n], axis=(0, 2))
         suffix_up, suffix_ex = (np.cumsum(a[..., ::-1], axis=-1) for a in (up, ex))
         upper_ok &= np.all(suffix_up >= suffix_ex, axis=(0, 2))
         exact[0], drop[0] = exact[todo], drop[todo]

@@ -297,18 +297,15 @@ def cmd_allocate(args) -> int:
 # figure-style dataset reproduction
 # ---------------------------------------------------------------------------
 
-def _sweep_row(spec: NetworkSpec, epochs: int, seed: int, build_cap: float):
-    lo = hi = ex = None
-    try:
-        if spec.num_states * 2 ** spec.h <= build_cap:
-            ex = emc.capacity_exact(spec)
-        expanded = spec.with_buffers(amc.prefix_sum_buffers(spec.buffers))
-        if spec.num_states * 2 ** spec.h <= build_cap:
-            lo = amc.capacity_lower(spec)
-        if expanded.num_states * 2 ** spec.h <= build_cap:
-            hi = amc.capacity_upper(spec)
-    except StateSpaceCapError:
-        pass
+def _sweep_row(spec: NetworkSpec, epochs: int, seed: int):
+    """One sweep row; an exact or bound column whose chain has more than
+    ``emc.OPTIONAL_STATE_CAP`` states is left blank."""
+    cap = emc.OPTIONAL_STATE_CAP
+    small = spec.num_states <= cap
+    ex = emc.capacity_exact(spec) if small else None
+    lo = amc.capacity_lower(spec) if small else None
+    expanded = spec.with_buffers(amc.prefix_sum_buffers(spec.buffers))
+    hi = amc.capacity_upper(spec) if expanded.num_states <= cap else None
     rb = rbie.capacity(rbie.solve(spec))
     db = dbie.capacity(dbie.solve(spec))
     simv = sim.simulate_feedback(spec, epochs, seed=seed).throughput if epochs else None
@@ -326,18 +323,18 @@ def cmd_reproduce(args) -> int:
         for e in (0.25, 0.5):
             for h in range(2, args.max_hops + 1):
                 spec = NetworkSpec((e,) * h, (5,) * (h - 1))
-                rows.append([h, e, *_sweep_row(spec, args.epochs, args.seed, args.build_cap)])
+                rows.append([h, e, *_sweep_row(spec, args.epochs, args.seed)])
     elif fig == "capacity-vs-memory":
         header = ["m", "eps", "exact", "lower", "upper", "rbie", "dbie", "sim"]
         for e in (0.25, 0.5):
             for m in range(1, args.max_memory + 1):
                 spec = NetworkSpec((e,) * 5, (m,) * 4)
-                rows.append([m, e, *_sweep_row(spec, args.epochs, args.seed, args.build_cap)])
+                rows.append([m, e, *_sweep_row(spec, args.epochs, args.seed)])
     elif fig == "capacity-vs-eps":
         header = ["eps", "exact", "lower", "upper", "rbie", "dbie", "sim", "min_cut"]
         for e in np.linspace(0.05, 0.5, 10):
             spec = NetworkSpec((float(e),) * 5, (5,) * 4)
-            rows.append([float(e), *_sweep_row(spec, args.epochs, args.seed, args.build_cap), 1 - float(e)])
+            rows.append([float(e), *_sweep_row(spec, args.epochs, args.seed), 1 - float(e)])
     elif fig == "delay-profile":
         header = ["m", "method", "mean", "variance"]
         for m in (5, 10, 15):
@@ -373,6 +370,14 @@ def cmd_reproduce(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """A solver tolerance: a finite positive float, else argparse exits 2."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every call."""
@@ -387,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     # options several subcommands share; each registers only those its handler reads
     shared = {
         "spec": ("--spec", dict(help='path to network JSON {"eps": [...], "buffers": [...]}')),
-        "tol": ("--tol", dict(type=float, default=1e-10, help="solver tolerance")),
+        "tol": ("--tol", dict(type=_tolerance, default=1e-10, help="solver tolerance")),
         "seed": ("--seed", dict(type=int, default=0)),
         "epochs": ("--epochs", dict(type=int, default=10**5)),
         "warmup": ("--warmup", dict(type=int, default=None)),
@@ -450,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--figure", required=True, help=f"one of: {', '.join(FIGURES)}")
     sp.add_argument("--max-hops", type=int, default=8, dest="max_hops")
     sp.add_argument("--max-memory", type=int, default=8, dest="max_memory")
-    sp.add_argument(
-        "--build-cap",
-        type=float,
-        default=3e7,
-        dest="build_cap",
-        help="skip exact curves when states * 2^h exceeds this",
-    )
 
     return p
 

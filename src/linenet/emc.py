@@ -49,6 +49,9 @@ __all__ = [
 # states above which no chain is built: every exact entry point (the chain,
 # its capacity, the bounds, the H-matrix bound) refuses larger specs
 STATE_CAP = 10**7
+# states above which a caller leaves out an exact value it only adds to its
+# report: allocate's exact rescoring and reproduce's exact and bound columns
+OPTIONAL_STATE_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------

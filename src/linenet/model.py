@@ -197,5 +197,10 @@ def effective_failure(eps, pb):
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; distinct seeds give independent streams."""
+    """Counter-based generator; distinct seeds give independent streams.
+
+    The seed is Philox's 128-bit key, so it must lie in [0, 2^128).
+    """
+    if not 0 <= seed < 1 << 128:
+        raise SpecValidationError(f"seed {seed} must lie in [0, 2^128)")
     return np.random.Generator(np.random.Philox(key=seed))

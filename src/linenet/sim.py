@@ -43,8 +43,6 @@ class SimStats:
     throughput: float
     throughput_se: float
     occupancy_counts: np.ndarray = field(repr=False)
-    joint_counts: np.ndarray | None = field(repr=False, default=None)
-    joint_stride: int = 1
     delay_mean: float | None = None
     delay_se: float | None = None
     delay_var: float | None = None
@@ -260,29 +258,14 @@ def simulate_feedback(
     epochs: int,
     warmup: int | None = None,
     seed: int = 0,
-    joint_stride: int = 0,
 ) -> SimStats:
-    """Occupancy-level simulation; counts destination receipts.
-
-    ``joint_stride`` > 0 additionally samples the joint occupancy state
-    every that many epochs (thinned, so the samples decorrelate enough
-    for goodness-of-fit testing).
-    """
+    """Occupancy-level simulation; counts destination receipts."""
     warmup = _check_warmup(epochs, warmup)
     occupancy = np.zeros((spec.h - 1, max(spec.buffers) + 1), dtype=np.int64)
-    weights = _radix_weights(spec.buffers)
-    joint = np.zeros(spec.num_states, dtype=np.int64) if joint_stride > 0 else None
-
     deliveries = _BatchMeans(epochs, warmup)
     for t0, _, n, _, delivered in _chunks(spec, epochs, seed):
         deliveries.add(t0, delivered)
-        lo = max(warmup - t0, 0)
-        if lo >= len(n):
-            continue
-        occupancy += _histogram(n[lo:], occupancy.shape[1])
-        if joint is not None:
-            t = np.arange(t0 + lo - warmup, t0 + len(n) - warmup)
-            np.add.at(joint, n[lo:][t % joint_stride == 0] @ weights, 1)
+        occupancy += _histogram(n[max(warmup - t0, 0) :], occupancy.shape[1])
 
     total, throughput, throughput_se = deliveries.result()
     return SimStats(
@@ -294,8 +277,6 @@ def simulate_feedback(
         throughput=throughput,
         throughput_se=throughput_se,
         occupancy_counts=occupancy,
-        joint_counts=joint,
-        joint_stride=joint_stride,
     )
 
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from linenet import emc
+from linenet import emc, sim
 from linenet.errors import LineNetError
 from linenet.mixtures import GeometricMixture
-from linenet.model import NetworkSpec
+from linenet.model import NetworkSpec, _radix_weights
 
 
 def random_spec(rng: np.random.Generator, h_choices=(2, 3, 4), m_max=4) -> NetworkSpec:
@@ -33,6 +33,22 @@ def line_specs(draw, h_values=(2, 3, 4), m_max=3) -> NetworkSpec:
     eps = [draw(e)] * h if draw(st.booleans()) else draw(st.lists(e, min_size=h, max_size=h))
     buffers = draw(st.lists(st.integers(1, m_max), min_size=h - 1, max_size=h - 1))
     return NetworkSpec(tuple(eps), tuple(buffers))
+
+
+def joint_counts(spec: NetworkSpec, epochs: int, warmup: int, seed: int, stride: int) -> np.ndarray:
+    """Visits of each joint occupancy state in the feedback simulator's walk.
+
+    Samples every ``stride``-th epoch after ``warmup`` (thinned, so the
+    samples decorrelate enough for goodness-of-fit testing), from the
+    occupancy rows of ``sim._chunks`` that ``simulate_feedback`` reads at
+    the same seed.  Indexed as ``model.state_index`` minus one.
+    """
+    weights = _radix_weights(spec.buffers)
+    joint = np.zeros(spec.num_states, dtype=np.int64)
+    for t0, _, n, _, _ in sim._chunks(spec, epochs, seed):
+        t = np.arange(t0, t0 + len(n)) - warmup
+        np.add.at(joint, n[(t >= 0) & (t % stride == 0)] @ weights, 1)
+    return joint
 
 
 def step1(kernel, s, x, spec: NetworkSpec) -> tuple[int, ...]:

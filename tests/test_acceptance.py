@@ -15,7 +15,7 @@ from scipy import stats
 
 from linenet import allocate, amc, dbie, delay, emc, netcod, rbie, sim
 from linenet.model import NetworkSpec, effective_failure, enumerate_states, index_state, state_index
-from conftest import QueueOracle, diagonal_mixture, random_spec, verify_block_structure
+from conftest import QueueOracle, diagonal_mixture, joint_counts, random_spec, verify_block_structure
 
 FOUR_HOP = NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5))
 EIGHT_HOP = {m: NetworkSpec((0.25,) * 8, (m,) * 7) for m in (5, 10, 15)}
@@ -96,7 +96,7 @@ def test_criterion_3_sandwich():
 
 # -- criterion 4: coupled trajectory checks -----------------------------------
 
-def test_criterion_4_coupling():
+def test_criterion_4_coupling(monkeypatch):
     rng = np.random.default_rng(40404)
     total = 0
     epochs = 10**5
@@ -110,11 +110,11 @@ def test_criterion_4_coupling():
         total += k
     assert total == 1000
 
+    # the mutated upper check: the upper chain keeps the original buffers
+    monkeypatch.setattr(amc, "prefix_sum_buffers", lambda buffers: buffers)
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     mutated_fails = sum(
-        not amc.coupled_bounds_batch(
-            [spec.eps], [spec.buffers], 5000, seed=s, swap_roles=True, expand_buffers=False
-        )[1][0]
+        not amc.coupled_bounds_batch([spec.eps], [spec.buffers], 5000, seed=s)[1][0]
         for s in range(10)
     )
     assert mutated_fails >= 1
@@ -223,27 +223,27 @@ def test_criterion_6c_tau_trend():
 
 # -- criterion 7: allocation reproduction --------------------------------------
 
-def test_criterion_7_allocation():
+def test_criterion_7_allocation(monkeypatch):
+    # the ranking alone is checked, so no winner is rescored by dbie
+    monkeypatch.setattr(allocate, "_DBIE_RESCORED", 0)
     t0 = time.perf_counter()
-    res_a = allocate.allocate((0.3, 0.5, 0.5, 0.2), 30, "max-throughput", rescore_dbie=0)
+    res_a = allocate.allocate((0.3, 0.5, 0.5, 0.2), 30, "max-throughput")
     t_a = time.perf_counter() - t0
     assert res_a.best.buffers == (5, 21, 4)
     assert res_a.best.capacity == pytest.approx(0.4871, abs=1e-4)
     assert t_a < 60
 
     t0 = time.perf_counter()
-    res_b = allocate.allocate(
-        (0.3, 0.5, 0.5, 0.2), 30, "min-delay", floor=0.485, rescore_dbie=0
-    )
+    res_b = allocate.allocate((0.3, 0.5, 0.5, 0.2), 30, "min-delay", floor=0.485)
     t_b = time.perf_counter() - t0
     assert res_b.best.buffers == (4, 20, 6)
     assert res_b.best.mean_delay == pytest.approx(28.46, abs=0.1)
     assert t_b < 60
 
+    # nor by the exact solve
+    monkeypatch.setattr(emc, "OPTIONAL_STATE_CAP", 0)
     t0 = time.perf_counter()
-    res_c = allocate.allocate(
-        (0.51, 0.50, 0.49, 0.48), 60, "max-throughput", rescore_dbie=0, rescore_exact_cap=0
-    )
+    res_c = allocate.allocate((0.51, 0.50, 0.49, 0.48), 60, "max-throughput")
     t_c = time.perf_counter() - t0
     assert res_c.best.buffers == (27, 20, 13)
     assert t_c < 60
@@ -343,11 +343,8 @@ def test_criterion_9d_occupancy_chi_square():
     rng = np.random.default_rng(9994)
     for trial in range(10):
         spec = random_spec(rng, h_choices=(2, 3), m_max=3)
-        stats_ = sim.simulate_feedback(
-            spec, 180_000, warmup=20_000, seed=7000 + trial, joint_stride=64
-        )
+        counts = joint_counts(spec, 180_000, 20_000, seed=7000 + trial, stride=64).astype(float)
         pi = emc.stationary(emc.build_emc(spec))
-        counts = stats_.joint_counts.astype(float)
         n = counts.sum()
         expected = pi * n
         # pool sparse cells so the chi-square approximation is sound

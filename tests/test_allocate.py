@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linenet import allocate, rbie
+from linenet import allocate, emc, rbie
 from linenet.errors import SpecValidationError
 from linenet.model import NetworkSpec
 
@@ -18,9 +18,21 @@ def test_compositions_enumeration():
     assert len(rows) == 10
 
 
-def test_small_exhaustive_dominance():
+@pytest.fixture()
+def no_dbie(monkeypatch):
+    """No winner is rescored by dbie: these tests check the ranking alone."""
+    monkeypatch.setattr(allocate, "_DBIE_RESCORED", 0)
+
+
+@pytest.fixture()
+def no_rescoring(no_dbie, monkeypatch):
+    """Nor by the exact solve."""
+    monkeypatch.setattr(emc, "OPTIONAL_STATE_CAP", 0)
+
+
+def test_small_exhaustive_dominance(no_dbie):
     eps = (0.4, 0.5, 0.3)
-    res = allocate.allocate(eps, 6, "max-throughput", rescore_dbie=0)
+    res = allocate.allocate(eps, 6, "max-throughput")
     # re-enumerate independently with the scalar solver
     best = None
     for rows in allocate.compositions_at_most(6, 2):
@@ -47,17 +59,20 @@ def test_budget_too_small():
         allocate.allocate((0.5, 0.5, 0.5), 1, "max-throughput")
 
 
-def test_results_respect_budget_and_order():
-    res = allocate.allocate((0.45, 0.5, 0.55), 9, "max-throughput", rescore_dbie=0)
+def test_results_respect_budget_and_order(no_dbie):
+    res = allocate.allocate((0.45, 0.5, 0.55), 9, "max-throughput")
     assert sum(res.best.buffers) <= 9
     caps = [res.best.capacity] + [r.capacity for r in res.runners_up]
     assert caps == sorted(caps, reverse=True)
 
 
-def test_neighborhood_matches_exhaustive_small():
+def test_neighborhood_matches_exhaustive_small(no_dbie, monkeypatch):
     eps = (0.4, 0.5, 0.3)
-    a = allocate.allocate(eps, 10, "max-throughput", method="exhaustive", rescore_dbie=0)
-    b = allocate.allocate(eps, 10, "max-throughput", method="neighborhood", rescore_dbie=0)
+    a = allocate.allocate(eps, 10, "max-throughput")
+    # a limit below comb(10, 2) = 45 makes the same call search by descent
+    monkeypatch.setattr(allocate, "EXHAUSTIVE_LIMIT", 0)
+    b = allocate.allocate(eps, 10, "max-throughput")
+    assert (a.method, b.method) == ("exhaustive", "neighborhood")
     assert a.best.buffers == b.best.buffers
     assert b.evaluated < a.evaluated
 
@@ -74,7 +89,9 @@ BUDGET_30_TOP = {
 @pytest.fixture(scope="module", params=sorted(BUDGET_30_TOP))
 def budget_30(request):
     floor = 0.485 if request.param == "min-delay" else None
-    return allocate.allocate(EPS_30, 30, request.param, floor=floor, rescore_dbie=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocate, "_DBIE_RESCORED", 0)
+        return allocate.allocate(EPS_30, 30, request.param, floor=floor)
 
 
 def test_budget_30_winners_and_top_10_are_pinned(budget_30):
@@ -96,7 +113,7 @@ def _winner(cands, caps, delays):
     return tuple(int(v) for v in cands[allocate._ranking("max-throughput", cands, caps, delays, None)[0]])
 
 
-def test_saturated_winner_is_pinned_and_stable():
+def test_saturated_winner_is_pinned_and_stable(no_rescoring):
     """Budget 447 on eps (0.3, 0.5, 0.2): some 72 000 rows reach capacity 0.5.
 
     Compared as raw floats, rounding in the last bits picks among those
@@ -106,7 +123,7 @@ def test_saturated_winner_is_pinned_and_stable():
     tolerances 1e-10, 1e-12 and 1e-13.
     """
     eps = (0.3, 0.5, 0.2)
-    res = allocate.allocate(eps, 447, rescore_dbie=0, rescore_exact_cap=0)
+    res = allocate.allocate(eps, 447)
     assert res.best.buffers == (26, 18)
     cands = allocate.compositions_at_most(447, 2)
     for tol in (1e-10, 1e-12, 1e-13):
@@ -126,9 +143,11 @@ def test_saturated_winner_is_pinned_and_stable():
         ((0.2, 0.4, 0.3, 0.5, 0.1), 200, "max-throughput", None),
     ],
 )
-def test_neighborhood_result_is_a_local_optimum(eps, budget, objective, floor):
-    res = allocate.allocate(eps, budget, objective, floor=floor, method="neighborhood",
-                            rescore_dbie=0, rescore_exact_cap=0)
+def test_neighborhood_result_is_a_local_optimum(eps, budget, objective, floor, no_rescoring,
+                                                monkeypatch):
+    monkeypatch.setattr(allocate, "EXHAUSTIVE_LIMIT", 0)  # search by descent at every budget
+    res = allocate.allocate(eps, budget, objective, floor=floor)
+    assert res.method == "neighborhood"
     best = np.array(res.best.buffers)
     rows = [best]
     for i in range(best.size):

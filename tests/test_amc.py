@@ -82,13 +82,30 @@ def test_monotone_gap_in_buffer_size():
         assert b <= a + 1e-9
 
 
-def test_coupled_boundedness():
+def _mutate(monkeypatch, never_drop: bool, keep_buffers: bool) -> None:
+    """Break the coupled check's lower relation, its upper one, or both.
+
+    ``never_drop`` stores every arrival in the drop-on-full chains, so they
+    can hold more than the exact chain; ``keep_buffers`` leaves the upper
+    chain on the original buffers instead of their prefix sums.
+    """
+    if never_drop:
+        drop = amc._drop
+
+        def store_all(states, x, m):
+            sent, _ = drop(states, x, m)
+            return sent, sent[:, :-1]
+
+        monkeypatch.setattr(amc, "_drop", store_all)
+    if keep_buffers:
+        monkeypatch.setattr(amc, "prefix_sum_buffers", lambda buffers: buffers)
+
+
+def test_coupled_boundedness(monkeypatch):
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
     assert amc.coupled_bounds_batch([spec.eps], [spec.buffers], 30_000, seed=1)[0][0]
-    # both relations mutated, so that the walk stops once both have failed
-    assert not amc.coupled_bounds_batch(
-        [spec.eps], [spec.buffers], 30_000, seed=1, swap_roles=True, expand_buffers=False
-    )[0][0]
+    _mutate(monkeypatch, never_drop=True, keep_buffers=False)
+    assert not amc.coupled_bounds_batch([spec.eps], [spec.buffers], 30_000, seed=1)[0][0]
 
 
 def test_coupled_boundedness_two_hop_trivial():
@@ -101,12 +118,11 @@ def test_coupled_upper(paper_four_hop):
     assert amc.coupled_bounds_batch([spec.eps], [spec.buffers], 30_000, seed=2)[1][0]
 
 
-def test_coupled_upper_mutation_fails():
+def test_coupled_upper_mutation_fails(monkeypatch):
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
+    _mutate(monkeypatch, never_drop=False, keep_buffers=True)
     failed = any(
-        not amc.coupled_bounds_batch(
-            [spec.eps], [spec.buffers], 5_000, seed=s, swap_roles=True, expand_buffers=False
-        )[1][0]
+        not amc.coupled_bounds_batch([spec.eps], [spec.buffers], 5_000, seed=s)[1][0]
         for s in range(8)
     )
     assert failed
@@ -122,10 +138,14 @@ def test_batch_matches_scalar_checks():
     assert out_up.all()
 
 
-def _coupled_oracle(eps, buffers, epochs, seed, swap_roles, expand_buffers):
-    """Per-epoch reference walk: each chain steps alone, checks run every epoch."""
+def _coupled_oracle(eps, buffers, epochs, seed, keep_buffers):
+    """Per-epoch reference walk: each chain steps alone, checks run every epoch.
+
+    It steps the drop-on-full chains with ``amc._drop``, so a mutation of
+    that rule reaches it too.
+    """
     K, n = buffers.shape
-    expanded = np.cumsum(buffers, axis=1) if expand_buffers else buffers
+    expanded = buffers if keep_buffers else np.cumsum(buffers, axis=1)
     rng = make_rng(seed)
     n_exact, n_low, n_up = (np.zeros((K, n), dtype=np.int64) for _ in range(3))
     dest_exact, dest_up = np.zeros(K, dtype=np.int64), np.zeros(K, dtype=np.int64)
@@ -138,7 +158,7 @@ def _coupled_oracle(eps, buffers, epochs, seed, swap_roles, expand_buffers):
         n_exact = emc.step_emc_batch(n_exact, x, buffers)
         n_low = amc.step_amc_batch(n_low, x, buffers)
         n_up = amc.step_amc_batch(n_up, x, expanded)
-        lower_ok &= np.all(n_low >= n_exact if swap_roles else n_exact >= n_low, axis=1)
+        lower_ok &= np.all(n_exact >= n_low, axis=1)
         suffix = [np.cumsum(np.column_stack([s, d])[:, ::-1], axis=1)
                   for s, d in ((n_exact, dest_exact), (n_up, dest_up))]
         upper_ok &= np.all(suffix[1] >= suffix[0], axis=1)
@@ -154,26 +174,27 @@ def mixed_batch():
 
 
 @pytest.mark.parametrize("small_chunks", [False, True])
-@pytest.mark.parametrize("swap_roles, expand_buffers",
-                         [(False, True), (True, True), (False, False), (True, False)])
-def test_coupled_bounds_matches_per_epoch_walk(mixed_batch, swap_roles, expand_buffers, small_chunks,
+@pytest.mark.parametrize("never_drop, keep_buffers",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_coupled_bounds_matches_per_epoch_walk(mixed_batch, never_drop, keep_buffers, small_chunks,
                                                monkeypatch):
     eps, buf = mixed_batch
     K, n = buf.shape
+    _mutate(monkeypatch, never_drop, keep_buffers)
     if small_chunks:
         # three epochs per chunk: the chains must carry their state across chunks
         monkeypatch.setattr(amc, "_CHUNK_ELEMENTS", 3 * (3 * K * (n + 1)))
     chunk = amc._CHUNK_ELEMENTS // (3 * K * (n + 1))
     for epochs in (1, chunk - 1, chunk, chunk + 1, max(3 * chunk + 2, 300)):
-        got = amc.coupled_bounds_batch(eps, buf, epochs, seed=9, swap_roles=swap_roles,
-                                       expand_buffers=expand_buffers)
-        want = _coupled_oracle(eps, buf, epochs, 9, swap_roles, expand_buffers)
+        got = amc.coupled_bounds_batch(eps, buf, epochs, seed=9)
+        want = _coupled_oracle(eps, buf, epochs, 9, keep_buffers)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-    # at the longest walk the mutated relations hold on some networks and fail on others
+    # at the longest walk the mutated relations hold on some networks and fail on
+    # others; a chain that drops nothing dominates in suffix sums at any buffer sizes
     lower, upper = got
-    assert lower.all() if not swap_roles else 0 < lower.sum() < K
-    assert upper.all() if expand_buffers else 0 < upper.sum() < K
+    assert lower.all() if not never_drop else 0 < lower.sum() < K
+    assert upper.all() if never_drop or not keep_buffers else 0 < upper.sum() < K
 
 
 def test_coupled_bounds_memory_flat_in_epochs(mixed_batch):

@@ -1,4 +1,5 @@
 import ast
+import csv
 import functools
 import importlib
 import json
@@ -9,12 +10,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+import types
 
 import numpy as np
 import pytest
 
 import linenet
-from linenet import cli
+from linenet import amc, cli, dbie, emc, rbie, sim
 from linenet import netcod as netcod_mod
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(linenet.__path__))
@@ -375,6 +378,72 @@ def test_allocate_method_option_is_rejected(capsys):
     assert "unrecognized arguments: --method exhaustive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0.3,1.5,0.5", "1.0,0.5,0.5"])
+def test_allocate_checks_eps_before_any_sweep(eps, monkeypatch, capsys):
+    # the search used to run first: 10^5 sweeps and exit 3, or a divide warning and exit 2
+    calls = []
+    monkeypatch.setattr(rbie, "solve_batch", lambda *a, **k: calls.append(a))
+    t0 = time.perf_counter()
+    assert cli.main(["allocate", "--eps", eps, "--budget", "5"]) == cli.EXIT_VALIDATION
+    assert time.perf_counter() - t0 < 1
+    assert calls == []
+    assert "strictly inside (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["exact", "bounds", "rbie", "dbie", "delay"])
+def test_tolerance_must_be_finite_and_positive(command, tol, spec_file, capsys):
+    # inf stopped dbie after one sweep and switched off exact's residual check;
+    # -1 swept rbie 10^5 times, and nan broke its flow conservation
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--spec", spec_file, "--tol", tol])
+    assert exc.value.code == 2
+    assert f"argument --tol: {tol!r} is not a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("command", ["simulate", "netcod"])
+def test_seed_outside_the_philox_key_range_exits_validation(command, seed, spec_file, capsys):
+    # a negative seed used to end in a ValueError traceback from np.random.Philox
+    argv = [command, "--spec", spec_file, "--seed", seed, "--epochs", "2000"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"seed {seed} must lie in [0, 2^128)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, small, expanded_small",
+    [
+        # a row's exact and lower cells are solved when its chain has at most 200 000
+        # states, its upper cell when the prefix-summed chain has; x is the row's first column
+        (["--figure", "capacity-vs-hops"], lambda h: h <= 7, lambda h: h <= 5),
+        (["--figure", "capacity-vs-hops", "--max-hops", "12"], lambda h: h <= 7, lambda h: h <= 5),
+        (["--figure", "capacity-vs-memory"], lambda m: True, lambda m: True),
+        # the upper chain at m = 10 has 293 601 states
+        (["--figure", "capacity-vs-memory", "--max-memory", "10"], lambda m: True, lambda m: m <= 9),
+        (["--figure", "capacity-vs-eps"], lambda e: True, lambda e: True),
+    ],
+    ids=["hops", "hops-12", "memory", "memory-10", "eps"],
+)
+def test_reproduce_solves_the_pinned_exact_and_bound_cells(argv, small, expanded_small, tmp_path,
+                                                          monkeypatch):
+    # every solver is a stub, so the test pins the cells and runs no solve
+    for mod, name in ((emc, "capacity_exact"), (amc, "capacity_lower"), (amc, "capacity_upper"),
+                      (rbie, "capacity"), (dbie, "capacity")):
+        monkeypatch.setattr(mod, name, lambda arg: 0.5)
+    monkeypatch.setattr(rbie, "solve", lambda spec: None)
+    monkeypatch.setattr(dbie, "solve", lambda spec: None)
+    monkeypatch.setattr(sim, "simulate_feedback", lambda *a, **k: types.SimpleNamespace(throughput=0.5))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["reproduce", *argv, "--out", str(out)]) == cli.EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert rows
+    for row in rows:
+        x = float(next(iter(row.values())))
+        assert bool(row["exact"]) == bool(row["lower"]) == small(x), row
+        assert bool(row["upper"]) == expanded_small(x), row
+        assert row["rbie"] and row["dbie"] and row["sim"], row
+
+
 def test_readme_cli_examples_parse():
     # every `linenet ...` line of the README's CLI block parses with nothing left unread
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -492,3 +561,42 @@ def test_every_definition_has_a_user(name):
     tree = ast.parse((src / f"{name}.py").read_text())
     defined = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
     assert [n for n in defined if n not in used] == []
+
+
+@functools.cache
+def _calls() -> tuple[ast.Call, ...]:
+    """Every call in the package's modules and in the benchmark's top-level files."""
+    paths = [*pathlib.Path(linenet.__file__).parent.glob("*.py"), *(ROOT / "linebench").glob("*.py")]
+    return tuple(n for path in paths for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Call))
+
+
+def _passes(call: ast.Call, func: str, arg: str, position: int | None) -> bool:
+    """Whether ``call`` calls a function named ``func`` and passes it ``arg``."""
+    callee = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+    if callee != func:
+        return False
+    if any(k.arg in (arg, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_parameter_has_a_caller(name):
+    # a defaulted parameter that only the tests set is a knob without a user: the
+    # tests reach the same path through a module constant or a monkeypatched kernel
+    mod = importlib.import_module(f"linenet.{name}")
+    tree = ast.parse(pathlib.Path(mod.__file__).read_text())
+    unset = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in getattr(mod, "__all__", ()):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args
+        defaulted = [(p.arg, i) for i, p in enumerate(params) if i >= len(params) - len(a.defaults)]
+        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        unset += [f"{fn.name}({arg}=)" for arg, i in defaulted
+                  if not any(_passes(c, fn.name, arg, i) for c in _calls())]
+    assert unset == []

@@ -7,7 +7,7 @@ from scipy import stats
 from linenet import delay, emc, rbie, sim
 from linenet.errors import SpecValidationError
 from linenet.model import NetworkSpec
-from conftest import random_spec
+from conftest import joint_counts, random_spec
 
 
 def test_reproducible_bit_identical():
@@ -121,13 +121,12 @@ PINNED_DELAY_BLOCKS = {
 
 def test_simulators_match_pinned_values():
     p = PINNED_FEEDBACK
-    st_ = sim.simulate_feedback(
-        NetworkSpec(p["eps"], p["buffers"]), 20_000, warmup=2_000, seed=4, joint_stride=7
-    )
+    spec = NetworkSpec(p["eps"], p["buffers"])
+    st_ = sim.simulate_feedback(spec, 20_000, warmup=2_000, seed=4)
     assert st_.packets_delivered == p["packets_delivered"]
     assert st_.throughput_se == p["throughput_se"]
     assert st_.occupancy_counts.tolist() == p["occupancy_counts"]
-    assert st_.joint_counts.tolist() == p["joint_counts"]
+    assert joint_counts(spec, 20_000, 2_000, seed=4, stride=7).tolist() == p["joint_counts"]
 
     p = PINNED_DELAY
     st_ = sim.simulate_delay_fcfs(NetworkSpec(p["eps"], p["buffers"]), 20_000, warmup=2_000, seed=11)
@@ -141,11 +140,11 @@ def test_simulators_match_pinned_values():
     p = PINNED_FEEDBACK_BLOCKS
     spec = NetworkSpec(p["eps"], p["buffers"])
     assert len(sim._runs(spec.buffers)) == 2
-    st_ = sim.simulate_feedback(spec, 20_000, warmup=2_000, seed=4, joint_stride=401)
+    st_ = sim.simulate_feedback(spec, 20_000, warmup=2_000, seed=4)
     assert st_.packets_delivered == p["packets_delivered"]
     assert st_.throughput_se == p["throughput_se"]
     assert st_.occupancy_counts.tolist() == p["occupancy_counts"]
-    joint = st_.joint_counts
+    joint = joint_counts(spec, 20_000, 2_000, seed=4, stride=401)
     assert {int(k): int(joint[k]) for k in np.flatnonzero(joint)} == p["joint_counts"]
 
     p = PINNED_DELAY_BLOCKS
@@ -212,9 +211,8 @@ def test_throughput_paper_network_short_run(paper_four_hop):
 
 def test_occupancy_histogram_matches_stationary():
     spec = NetworkSpec((0.3, 0.5, 0.7), (2, 2))
-    st_ = sim.simulate_feedback(spec, 400_000, warmup=40_000, seed=2, joint_stride=64)
+    counts = joint_counts(spec, 400_000, 40_000, seed=2, stride=64)
     pi = emc.stationary(emc.build_emc(spec))
-    counts = st_.joint_counts
     n = counts.sum()
     expected = pi * n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
