@@ -34,9 +34,5 @@ class ConsistencyError(LineNetError):
     """Internally redundant quantities disagree beyond tolerance."""
 
 
-class TruncationError(LineNetError):
-    """A series or pmf truncation could not meet its tail-mass budget."""
-
-
 class DegenerateDistributionError(LineNetError):
     """A conditional distribution has no mass (e.g. starvation impossible)."""

@@ -24,6 +24,10 @@ _MAX_SWEEPS = 10**5
 # a line still sweeping gets an Aitken step once every this many sweeps;
 # lines in the tests and benchmark stop within 170 sweeps and never take one
 _AITKEN_EVERY = 1000
+# the flow spread allowed at a fixed point: at least _SPREAD_FLOOR, and
+# _SPREAD_PER_RESIDUAL times the change of the sweep that stopped
+_SPREAD_FLOOR = 1e-6
+_SPREAD_PER_RESIDUAL = 10.0
 
 
 def local_params(r: float, eps_next: float, pb_next: float) -> tuple[float, float, float]:
@@ -230,23 +234,27 @@ class RateSolution:
     residual: float
 
 
-def _conserved_flow(r: np.ndarray, pb: np.ndarray) -> np.ndarray:
+def _conserved_flow(r: np.ndarray, pb: np.ndarray, residual: float) -> np.ndarray:
     """Storage rate r (1 - pb) at the destination of each line, along the last axis.
 
-    The fixed point conserves flow, so every node stores at the same rate;
-    a spread above 1e-6 along any line raises :class:`ConsistencyError`.
+    The fixed point conserves flow, so every node stores at the same rate.
+    Sweeps that stopped at a last change of ``residual`` (at most their
+    tolerance) leave a spread of up to a few times it, so a spread above
+    max(``_SPREAD_FLOOR``, ``_SPREAD_PER_RESIDUAL`` * residual) along any
+    line raises :class:`ConsistencyError`.
     """
     flows = r * (1.0 - pb)
     spread = float(np.max(flows.max(axis=-1) - flows.min(axis=-1)))
-    if spread > 1e-6:
+    # written so that a NaN spread is rejected too
+    if not spread <= max(_SPREAD_FLOOR, _SPREAD_PER_RESIDUAL * residual):
         raise ConsistencyError(f"flow conservation violated in rate solution: spread {spread:.3e}")
     return flows[..., -1]
 
 
-def _derive(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray):
+def _derive(eps, buffers: np.ndarray, r: np.ndarray, pb: np.ndarray, residual: float):
     """Capacity (the conserved flow), per-node mean occupancy and mean delay
     (total mean occupancy over capacity, Little's law) of K fixed points."""
-    cap = _conserved_flow(r, pb)
+    cap = _conserved_flow(r, pb, residual)
     occupancy_mean = np.stack(
         [_node_moments(r[:, j], eps[j + 1], pb[:, j + 1], buffers[:, j])[2] for j in range(buffers.shape[1])],
         axis=1,
@@ -258,7 +266,7 @@ def solve(spec: NetworkSpec, tol: float = 1e-12) -> RateSolution:
     """Run forward sweeps to the unique rate/blocking fixed point of one line."""
     buffers = np.array([spec.buffers])
     r, pb, it, residual = _fixed_point(spec.eps, buffers, tol)
-    _, occupancy_mean, mean_delay = _derive(spec.eps, buffers, r, pb)
+    _, occupancy_mean, mean_delay = _derive(spec.eps, buffers, r, pb, residual)
     phi = [occupancy_phi(r[0, j], spec.eps[j + 1], pb[0, j + 1], m) for j, m in enumerate(spec.buffers)]
     return RateSolution(r=r[0], pb=pb[0], phi=phi, occupancy_mean=occupancy_mean[0],
                         mean_delay=float(mean_delay[0]), iterations=it, residual=residual)
@@ -266,7 +274,7 @@ def solve(spec: NetworkSpec, tol: float = 1e-12) -> RateSolution:
 
 def capacity(sol: RateSolution) -> float:
     """Conserved storage rate r_i (1 - pb_i); any node gives the same value."""
-    return float(_conserved_flow(sol.r, sol.pb))
+    return float(_conserved_flow(sol.r, sol.pb, sol.residual))
 
 
 def solve_batch(eps, buffers: np.ndarray, tol: float = 1e-10) -> dict:
@@ -281,7 +289,7 @@ def solve_batch(eps, buffers: np.ndarray, tol: float = 1e-10) -> dict:
     eps = tuple(float(e) for e in eps)
     buffers = np.asarray(buffers, dtype=np.int64)
     r, pb, it, residual = _fixed_point(eps, buffers, tol)
-    cap, occupancy_mean, mean_delay = _derive(eps, buffers, r, pb)
+    cap, occupancy_mean, mean_delay = _derive(eps, buffers, r, pb, residual)
     return {
         "capacity": cap,
         "r": r,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from mpmath import matrix, mp, mpf
 
 from linenet import emc, sim
 from linenet.errors import LineNetError
@@ -151,6 +152,38 @@ def diagonal_mixture(pairs) -> GeometricMixture:
     """The mixture sum_l p_l geometric(theta_l) as a diagonal phase-type gap."""
     ps, thetas = zip(*pairs)
     return GeometricMixture(np.array(ps, dtype=float), np.diag(np.array(thetas, dtype=float)), 0.0)
+
+
+def dj_series(g: GeometricMixture, tt, m: int = 0) -> list:
+    """D_0, D_1, ... at 50 digits: the potential departures during one gap
+    PH(alpha, T) when each epoch brings one with probability 1 - tt.
+
+    Summed term by term: with inv = (I - tt T)^-1, M = (1 - tt) T inv and
+    c = (1 - tt) inv t0, D_0 = tt alpha inv t0 and D_j = alpha inv
+    M^(j-1) c for j >= 1.  Every term is a product of non-negative
+    factors, so a tiny one keeps its digits.  The series runs past D_m
+    until a term is below 1e-30 of the tail T(m) = sum_{n>=m} D_n summed
+    so far, so each tail T(x), x <= m, is the sum of its terms to 30
+    digits.  Returns mpf values.
+    """
+    with mp.workdps(50):
+        tt = mpf(tt)
+        n = g.alpha.size
+        T = matrix(g.T.tolist())
+        t0 = matrix([max(mpf(0), 1 - mp.fsum(T[i, j] for j in range(n))) for i in range(n)])
+        inv = mp.inverse(mp.eye(n) - tt * T)
+        u = matrix([g.alpha.tolist()]) * inv
+        M = (1 - tt) * T * inv
+        c = (1 - tt) * inv * t0
+        d = [tt * (u * t0)[0]]
+        tail = d[0] if m == 0 else mpf(0)
+        while True:
+            d.append((u * c)[0])
+            if len(d) > m:
+                tail += d[-1]
+                if d[-1] < mpf("1e-30") * tail:
+                    return d
+            u = u * M
 
 
 def sample_mixture(mix, rng, n):

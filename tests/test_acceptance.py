@@ -15,7 +15,7 @@ from scipy import stats
 
 from linenet import allocate, amc, dbie, delay, emc, netcod, rbie, sim
 from linenet.model import NetworkSpec, effective_failure, enumerate_states, index_state, state_index
-from conftest import QueueOracle, diagonal_mixture, joint_counts, random_spec, verify_block_structure
+from conftest import QueueOracle, diagonal_mixture, dj_series, joint_counts, random_spec, verify_block_structure
 
 FOUR_HOP = NetworkSpec((0.5, 0.4999, 0.4998, 0.4), (5, 5, 5))
 EIGHT_HOP = {m: NetworkSpec((0.25,) * 8, (m,) * 7) for m in (5, 10, 15)}
@@ -312,7 +312,7 @@ def test_criterion_9c_queue_oracle():
     theta, q, m = 0.5, 0.2, 2
     oracle = QueueOracle(g, m, theta, q, 250_000, seed=9993)
     tt = effective_failure(theta, q)
-    d = dbie.dj_distribution(g, tt)
+    d = np.array(dj_series(g, tt), dtype=float)
     n = oracle.potential.size
     for j in range(6):
         p = float(d[j])

@@ -401,6 +401,28 @@ def test_tolerance_must_be_finite_and_positive(command, tol, spec_file, capsys):
     assert f"argument --tol: {tol!r} is not a finite positive number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["1e-6", "1e-4"])
+@pytest.mark.parametrize("command", ["rbie", "delay"])
+def test_flow_check_follows_the_sweep_tolerance(command, tol, tmp_path, monkeypatch, capsys):
+    # eight hops at eps 0.25 stop with a flow spread of about 2.4 times the
+    # sweeps' tolerance: 2.2e-6 at tol 1e-6, above a fixed bound of 1e-6
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps({"eps": [0.25] * 8, "buffers": [10] * 7}))
+    argv = [command, "--spec", str(path), "--tol", tol]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    fixed_point = rbie._fixed_point
+
+    def corrupted(*args):
+        r, pb, it, residual = fixed_point(*args)
+        r[:, 1] += 1e-2
+        return r, pb, it, residual
+
+    monkeypatch.setattr(rbie, "_fixed_point", corrupted)
+    assert cli.main(argv) == 1
+    assert "flow conservation violated" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 @pytest.mark.parametrize("command", ["simulate", "netcod"])
 def test_seed_outside_the_philox_key_range_exits_validation(command, seed, spec_file, capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import lu_solve, matrix, mp, mpf
 
-from conftest import QueueOracle, diagonal_mixture, sample_mixture
-from linenet import dbie, emc
+from conftest import QueueOracle, diagonal_mixture, dj_series, sample_mixture
+from linenet import dbie, emc, mixtures
 from linenet.errors import (
     ConsistencyError,
     ConvergenceError,
@@ -36,12 +36,17 @@ def test_effective_failure_on_arrays_matches_scalars():
     assert got.tolist() == [effective_failure(float(e), float(q)) for e, q in zip(eps, pb)]
 
 
+def dj_floats(g, tt):
+    """The 50-digit departure-count series, rounded to doubles."""
+    return np.array(dj_series(g, tt), dtype=float)
+
+
 def test_dj_closed_form_single_geometric():
     g = GeometricMixture.geometric(0.5)
-    d = dbie.dj_distribution(g, 0.6)
-    assert float(d[0]) == pytest.approx((1 - 0.5) * 0.6 / (1 - 0.5 * 0.6), abs=1e-12)
-    assert float(d[0]) == pytest.approx(series_d0_oracle(0.5, 0.6), abs=1e-10)
-    assert float(sum(d)) == pytest.approx(1.0, abs=1e-10)
+    node = dbie._analyze_node(g, 1, 0.6, 0.0)
+    assert node.d0 == pytest.approx((1 - 0.5) * 0.6 / (1 - 0.5 * 0.6), abs=1e-12)
+    assert node.d0 == pytest.approx(series_d0_oracle(0.5, 0.6), abs=1e-10)
+    assert node.d0 + node.tails[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_dj_nonnegative_and_wald():
@@ -53,7 +58,7 @@ def test_dj_nonnegative_and_wald():
         w = rng.uniform(0.1, 0.9)
         g = diagonal_mixture([(w, t1), (1 - w, t2)])
         tt = rng.uniform(0.2, 0.9)
-        d = dbie.dj_distribution(g, tt)
+        d = dj_floats(g, tt)
         assert all(float(v) >= -1e-12 for v in d)
         mean_count = float(sum(j * v for j, v in enumerate(d)))
         assert mean_count == pytest.approx(float(g.mean()) * (1 - tt), rel=1e-8)
@@ -61,31 +66,39 @@ def test_dj_nonnegative_and_wald():
 
 @pytest.mark.parametrize("tt", [0.0, 1.0, 1.5, -0.2])
 def test_dj_rejects_failure_parameter_outside_unit_interval(tt):
+    # with no downstream blocking the effective failure parameter is eps itself
     with pytest.raises(SpecValidationError):
-        dbie.dj_distribution(GeometricMixture.geometric(0.5), tt)
+        dbie._analyze_node(GeometricMixture.geometric(0.5), 3, tt, 0.0)
 
 
 @pytest.mark.parametrize("part", ["alpha", "T"])
 def test_dj_rejects_a_non_finite_gap_at_once(part):
-    # a NaN never brings the series within its tail, so it is caught before any term
+    # a NaN entry is named before any solve
     gap = diagonal_mixture([(0.5, 0.3), (0.5, 0.6)])
     bad = getattr(gap, part).copy()
     bad.flat[-1] = np.nan
     start = time.perf_counter()
     with pytest.raises(ConsistencyError, match=f"non-finite {part}"):
-        dbie.dj_distribution(dataclasses.replace(gap, **{part: bad}), 0.4)
+        dbie._analyze_node(dataclasses.replace(gap, **{part: bad}), 3, 0.4, 0.0)
     assert time.perf_counter() - start < 0.1
 
 
 def test_nan_starvation_fraction_raises(monkeypatch):
-    starve = dbie._starvation_from_pi
+    # NaN occupancy weights give the starvation gap NaN weights
+    cut = dbie._stationary_from_tails
 
-    def nan_gap(*args):
-        return dataclasses.replace(starve(*args), alpha=np.array([np.nan]))
+    def nan_pi(*args):
+        return np.full_like(cut(*args), np.nan)
 
-    monkeypatch.setattr(dbie, "_starvation_from_pi", nan_gap)
+    monkeypatch.setattr(dbie, "_stationary_from_tails", nan_pi)
     with pytest.raises(ConsistencyError, match="starvation fraction nan"):
         dbie._analyze_node(GeometricMixture.geometric(0.5), 3, 0.4, 0.1)
+
+
+def test_singular_triangular_solve_raises():
+    # a phase that never ends makes I - T singular
+    with pytest.raises(ConsistencyError, match="LAPACK info 2"):
+        dbie._analyze_node(diagonal_mixture([(0.5, 0.3), (0.5, 1.0)]), 3, 0.4, 0.0)
 
 
 def test_dj_on_chained_phases_against_thinning():
@@ -94,7 +107,7 @@ def test_dj_on_chained_phases_against_thinning():
         GeometricMixture.geometric(0.6)
     )
     tt = effective_failure(0.5, 0.3)
-    d = dbie.dj_distribution(g, tt)
+    d = dj_floats(g, tt)
     rng = np.random.default_rng(12)
     n = 200_000
     counts = rng.binomial(sample_mixture(g, rng, n), 1 - tt)
@@ -108,7 +121,7 @@ def test_dj_against_thinning_oracle():
     g = diagonal_mixture([(0.6, 0.3), (0.4, 0.7)])
     theta, q = 0.5, 0.3
     oracle = QueueOracle(g, 2, theta, q, 150_000, seed=8)
-    d = dbie.dj_distribution(g, effective_failure(theta, q))
+    d = dj_floats(g, effective_failure(theta, q))
     n = oracle.potential.size
     for j in range(6):
         p_hat = float((oracle.potential == j).mean())
@@ -120,7 +133,7 @@ def test_dj_against_thinning_oracle():
 def _embedded_matrix(g, m, theta, q):
     """Dense post-arrival transition matrix over occupancies 1..m, entry
     by entry from the departure-count series."""
-    d = dbie.dj_distribution(g, effective_failure(theta, q))
+    d = dj_floats(g, effective_failure(theta, q))
 
     def dval(k: int) -> float:
         return d[k] if 0 <= k < d.size else 0.0
@@ -168,6 +181,50 @@ def _two_term_case(rng):
     return g, rng.uniform(0.2, 0.8), rng.uniform(0, 0.5)
 
 
+def _closed_form_cases(rng):
+    """Two-term diagonal mixtures, a chain of two phases, and a chain of
+    two phases with equal parameters, each with (theta, q)."""
+    chained = GeometricMixture(np.array([0.7]), np.array([[0.3]]), 0.3).convolve(
+        GeometricMixture.geometric(0.6)
+    )
+    equal = GeometricMixture(np.array([0.6]), np.array([[0.5]]), 0.4).convolve(
+        GeometricMixture.geometric(0.5)
+    )
+    return [_two_term_case(rng) for _ in range(3)] + [(chained, 0.5, 0.3), (equal, 0.5, 0.2)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 30, 60])
+def test_tails_match_the_series_at_50_digits(m):
+    # D_0 and T(1..m) in closed form against the series summed term by term
+    for g, theta, q in _closed_form_cases(np.random.default_rng(300 + m)):
+        node = dbie._analyze_node(g, m, theta, q)
+        d = dj_series(g, effective_failure(theta, q), m)
+        with mp.workdps(50):
+            assert abs(node.d0 - d[0]) <= mpf("1e-13") * d[0]
+            assert node.tails.shape == (m,)
+            for x in range(1, m + 1):
+                ref = mp.fsum(d[x:])
+                assert abs(float(node.tails[x - 1]) - ref) <= mpf("1e-13") * ref
+
+
+def test_one_sweep_makes_two_triangular_solves_per_node(paper_four_hop, monkeypatch):
+    # one inverse of I - tt T and one solve against I - T per node; the only
+    # mean taken through the gap class is the destination's, for the capacity
+    calls = {"dbie": 0, "mixtures": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(dbie, "dtrtrs", counted("dbie", dbie.dtrtrs))
+    monkeypatch.setattr(mixtures, "solve_triangular", counted("mixtures", mixtures.solve_triangular))
+    sol = dbie.solve(paper_four_hop, tol=1.0)
+    assert sol.iterations == 1
+    assert calls == {"dbie": 2 * (paper_four_hop.h - 1), "mixtures": 1}
+
+
 def _lu_stationary(P):
     """Dense oracle at 50 digits: (I - P)^T pi = 0 with the balance
     equation of state m replaced by the normalization."""
@@ -198,9 +255,9 @@ def test_stationary_cut_equations_hold(m):
     with mp.workdps(50):
         for _ in range(3):
             g, theta, q = _two_term_case(rng)
-            d = dbie.dj_distribution(g, effective_failure(theta, q))
-            pi, mass = dbie._stationary_from_d(d, m)
-            dm = [mpf(v) for v in d]
+            dm = dj_series(g, effective_failure(theta, q), m)
+            node = dbie._analyze_node(g, m, theta, q)
+            pi, mass = node.pi, float(node.d0 + node.tails[0])
             pm = [mpf(v) for v in pi]
             assert abs(mp.fsum(pm) - 1) < mpf("1e-14")
             assert abs(mass - mp.fsum(dm)) < mpf("1e-14")
@@ -261,10 +318,10 @@ def test_blocking_prob_paper_values(paper_four_hop):
     )
 
 
-def test_starvation_memoryless_single_term():
+def test_starvation_memoryless_single_term(monkeypatch):
     pi = np.array([0.3, 0.7])
-    tt = effective_failure(0.5, 0.0)
-    fx = dbie._starvation_from_pi(GeometricMixture.geometric(0.4), pi, tt)
+    monkeypatch.setattr(dbie, "_stationary_from_tails", lambda d0, tails: pi)
+    fx = dbie._analyze_node(GeometricMixture.geometric(0.4), 2, 0.5, 0.0).starvation
     assert fx.alpha.size == 1
     assert float(fx.alpha[0]) == pytest.approx(1.0, abs=1e-12)
     assert float(fx.T[0, 0]) == pytest.approx(0.4, abs=1e-15)
@@ -377,7 +434,8 @@ def test_non_finite_residual_stops_the_sweeps(paper_four_hop, monkeypatch):
     assert err.value.iterations == 1
 
 
-def test_starvation_degenerate_signal():
+def test_starvation_degenerate_signal(monkeypatch):
     g = GeometricMixture.geometric(0.5)
+    monkeypatch.setattr(dbie, "_stationary_from_tails", lambda d0, tails: np.zeros(2))
     with pytest.raises(DegenerateDistributionError):
-        dbie._starvation_from_pi(g, np.zeros(2), effective_failure(0.5, 0.0))
+        dbie._analyze_node(g, 2, 0.5, 0.0)

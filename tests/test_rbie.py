@@ -242,9 +242,12 @@ def test_capacity_raises_when_flow_is_not_conserved(paper_four_hop):
     r[1] += 1e-5
     with pytest.raises(ConsistencyError, match="flow conservation"):
         rbie.capacity(dataclasses.replace(sol, r=r))
+    r[1] = np.nan
+    with pytest.raises(ConsistencyError, match="flow conservation violated in rate solution: spread nan"):
+        rbie.capacity(dataclasses.replace(sol, r=r))
     # the same rule holds row by row for batches
     out = rbie.solve_batch(paper_four_hop.eps, np.array([[2, 2, 2], [3, 1, 2]]), tol=1e-12)
-    np.testing.assert_array_equal(rbie._conserved_flow(out["r"], out["pb"]), out["capacity"])
+    np.testing.assert_array_equal(rbie._conserved_flow(out["r"], out["pb"], out["residual"]), out["capacity"])
     out["r"][1, 1] += 1e-5
     with pytest.raises(ConsistencyError, match="flow conservation"):
-        rbie._conserved_flow(out["r"], out["pb"])
+        rbie._conserved_flow(out["r"], out["pb"], out["residual"])
