@@ -5,24 +5,25 @@ intermediate node to the epoch the destination receives it.  A packet
 that finds i packets queued ahead waits for i + 1 effective service
 completions, each geometric: a discrete phase-type gap over "services
 left", entered with the waiting-position weights.  Under the standing
-assumption that per-node delays are independent, the whole path is one
-gap, the nodes' gaps chained by ``GeometricMixture.convolve``; its mean
-and variance are closed forms, and its pmf is emitted until the mass
-left falls below ``_TAIL_BUDGET``.  The occupancy seen by a stored
-arrival and the blocking probabilities come from either iterative
-estimate.
+assumption that per-node delays are independent, the path's mean and
+variance are sums of the nodes' closed forms.  Its pmf comes from the
+whole path as one gap, the nodes' blocks chained so that each node's
+last service enters the next node's block; that gap's T is block upper
+bidiagonal and is held by its non-zeros alone.  The pmf is emitted
+until the mass left falls below ``_TAIL_BUDGET``.  The occupancy seen
+by a stored arrival and the blocking probabilities come from either
+iterative estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
+from scipy import sparse
 
 from .dbie import DistSolution
 from .errors import ConsistencyError
-from .mixtures import GeometricMixture
 from .model import NetworkSpec, effective_failure
 from .rbie import RateSolution
 
@@ -111,21 +112,50 @@ def psi_rho_from_dbie(sol: DistSolution, spec: NetworkSpec) -> NodeDelayInputs:
     return NodeDelayInputs(psi=psi, rho=rho, eps_eff=eps_eff)
 
 
-def _node_gap(psi_j: np.ndarray, eps_eff_j: float) -> GeometricMixture:
-    """Waiting gap of one node: a psi-mixture of negative binomials.
+def _path_operator(nodes: list[tuple[np.ndarray, float]]) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The path gap's stacked operator [T^T; t0^T; 1^T] and its entry law.
 
-    Phase l of the k = len(psi_j) phases has k - l services left and is
-    entered with weight psi_j[k - 1 - l]; each epoch a service completes
-    with probability 1 - eps_eff_j, and completing the last one ends the
-    wait.
+    Node j's block has one phase per service left: a phase stays with
+    e_j and moves on with 1 - e_j, and node j's last service enters node
+    j + 1's block with psi_{j+1} reversed, or ends the gap at the last
+    node.  T is block upper bidiagonal, so the operator is assembled
+    from its non-zeros, about three per phase.
     """
-    e = float(eps_eff_j)
-    # at e = 1 no service ever completes and the wait would not end
-    if not 0.0 <= e < 1.0:
-        raise ConsistencyError(f"effective failure probability {e} outside [0, 1)")
-    k = len(psi_j)
-    T = np.diag(np.full(k, e)) + np.diag(np.full(k - 1, 1.0 - e), 1)
-    return GeometricMixture(np.array(psi_j[::-1], dtype=float), T, 0.0)
+    n = sum(psi.size for psi, _ in nodes)
+    # (row, column, value) triples of the operator; its last row sums the mass left
+    triples = [(np.full(n, n + 1), np.arange(n), np.ones(n))]
+    end = 0
+    for j, (psi, e) in enumerate(nodes):
+        phases = np.arange(end, end + psi.size)
+        end += psi.size
+        nxt = nodes[j + 1][0][::-1] if j + 1 < len(nodes) else np.ones(1)
+        triples += [
+            (phases, phases, np.full(psi.size, e)),
+            (phases[1:], phases[:-1], np.full(psi.size - 1, 1.0 - e)),
+            # past the last block, row n is the exit vector t0
+            (np.arange(end, end + nxt.size), np.full(nxt.size, end - 1), (1.0 - e) * nxt),
+        ]
+    rows, cols, vals = map(np.concatenate, zip(*triples))
+    alpha = np.zeros(n)
+    alpha[: nodes[0][0].size] = nodes[0][0][::-1]
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n + 2, n)), alpha
+
+
+def _pmf_head(step: sparse.csr_matrix, alpha: np.ndarray) -> tuple[np.ndarray, float]:
+    """f(0) = 0, f(1), ... and the mass left, once that mass is below ``_TAIL_BUDGET``.
+
+    One forward recursion over v = alpha T^(k-1) on the stacked operator
+    ``step``: each epoch emits f(k) = v t0 while the mass left,
+    v 1 = P(gap >= k), is at least the budget.  A step costs one product
+    over T's non-zeros.  It ends only if every phase can reach an exit.
+    """
+    n = alpha.size
+    out = [0.0]
+    w = step @ alpha
+    while w[n + 1] >= _TAIL_BUDGET:
+        out.append(w[n])
+        w = step @ w[:n]
+    return np.array(out), float(w[n + 1])
 
 
 @dataclass(frozen=True)
@@ -134,8 +164,8 @@ class DelayProfile:
 
     ``pmf[t]`` is the probability of a total delay of t epochs, emitted
     until the mass left, ``tail_mass_dropped``, falls below the budget.
-    ``mean`` and ``variance`` are the path gap's closed forms, so the cut
-    does not touch them.
+    ``mean`` and ``variance`` are sums of the nodes' closed forms, so the
+    cut does not touch them.
     """
 
     pmf: np.ndarray
@@ -152,16 +182,25 @@ def delay_profile(
     inputs: NodeDelayInputs,
     include_source: bool = False,
 ) -> DelayProfile:
-    """Chain the per-node waiting gaps into the end-to-end profile.
+    """Chain the per-node waits into the end-to-end profile.
 
     The source's own head-of-line wait is excluded by default because
     the delay clock starts at storage in the first intermediate node;
-    ``include_source`` puts that wait first, a one-phase gap for a
-    single service of the source's head packet.
+    ``include_source`` puts that wait first, a single service of the
+    source's head packet.
     """
-    gaps = [_node_gap(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)]
+    nodes = [(np.asarray(inputs.psi[j], dtype=float), float(inputs.eps_eff[j])) for j in range(spec.h - 1)]
     if include_source:
-        gaps.insert(0, _node_gap(np.ones(1), effective_failure(spec.eps[0], inputs.rho[0])))
-    gap = reduce(GeometricMixture.convolve, gaps)
-    pmf, left = gap.pmf_head(_TAIL_BUDGET)
-    return DelayProfile(pmf=pmf, mean=gap.mean(), variance=gap.variance(), tail_mass_dropped=left)
+        nodes.insert(0, (np.ones(1), float(effective_failure(spec.eps[0], inputs.rho[0]))))
+    mean = variance = 0.0
+    for psi, e in nodes:
+        # at e = 1 no service ever completes and the wait would not end
+        if not 0.0 <= e < 1.0:
+            raise ConsistencyError(f"effective failure probability {e} outside [0, 1)")
+        # K = i + 1 services, each geometric with mean 1 / (1 - e) and variance e / (1 - e)^2
+        k = np.arange(1, psi.size + 1)
+        ek = float(psi @ k)
+        mean += ek / (1.0 - e)
+        variance += (ek * e + float(psi @ (k - ek) ** 2)) / (1.0 - e) ** 2
+    pmf, left = _pmf_head(*_path_operator(nodes))
+    return DelayProfile(pmf=pmf, mean=mean, variance=variance, tail_mass_dropped=left)

@@ -11,10 +11,12 @@ of geometrics with distinct parameters and a sum of geometrics with equal
 ones are both in the family (Neuts, *Matrix-Geometric Solutions*, 1981;
 Latouche & Ramaswami, 1999, ch. 2).
 
-Every entry is a non-negative probability, and the quantities used here
-are sums and products of such entries, so double precision suffices;
-only ``variance`` subtracts, mean - mean^2, and loses the digits by
-which mean^2 exceeds the variance.
+dbie passes one such gap per hop downstream.  The delay profile does
+not use this class: its path gap is block upper bidiagonal, and
+``delay`` holds it by its non-zeros.  Every entry is a non-negative
+probability, and the quantities used here are sums and products of such
+entries, so double precision suffices; the one difference, ``exit`` =
+1 - row sum, is clipped at zero.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import solve_triangular
 
 __all__ = ["GeometricMixture"]
@@ -63,43 +64,6 @@ class GeometricMixture:
         """alpha (I - T)^-1 1; back substitution adds only non-negative terms."""
         n = self.alpha.size
         return float(self.alpha @ solve_triangular(np.eye(n) - self.T, np.ones(n)))
-
-    def variance(self) -> float:
-        """2 alpha T (I - T)^-2 1 + mean - mean^2, from two triangular solves.
-
-        The first term is the factorial moment E[K(K - 1)].
-        """
-        n = self.alpha.size
-        i_minus_t = np.eye(n) - self.T
-        x = solve_triangular(i_minus_t, np.ones(n))
-        mean = float(self.alpha @ x)
-        second = 2.0 * float(self.alpha @ self.T @ solve_triangular(i_minus_t, x))
-        return second + mean - mean * mean
-
-    def pmf(self, k: int) -> float:
-        if k == 0:
-            return self.atom0
-        if k < 0:
-            return 0.0
-        return float(self.alpha @ np.linalg.matrix_power(self.T, k - 1) @ self.exit)
-
-    def pmf_head(self, tail: float) -> tuple[np.ndarray, float]:
-        """f(0), f(1), ... and the mass left, once that mass is below ``tail``.
-
-        One forward recursion over v = alpha T^(k-1): each epoch emits
-        f(k) = v t0 while the mass left, v 1 = P(gap >= k), is at least
-        ``tail``.  T, t0 and 1 are stacked into one sparse operator, so a
-        step costs one product over T's non-zeros, not over its n^2
-        entries.  It ends only if every phase can reach an exit.
-        """
-        n = self.alpha.size
-        step = sparse.csr_matrix(np.vstack([self.T.T, self.exit, np.ones(n)]))
-        out = [self.atom0]
-        w = step @ self.alpha
-        while w[n + 1] >= tail:
-            out.append(w[n])
-            w = step @ w[:n]
-        return np.array(out), float(w[n + 1])
 
     # -- algebra -----------------------------------------------------------
 

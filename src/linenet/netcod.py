@@ -137,22 +137,6 @@ class _Workspace:
         self.slots[:] = 0
         self.slots[:, : self.active] = kept
 
-    def eta_vector(self) -> tuple[int, ...]:
-        """Useful occupancy per node: suffix-span rank differences.
-
-        One echelon basis grows from the last node backwards, and each
-        suffix's rank is read as that node's slots join it.
-        """
-        pivots: dict[int, np.ndarray] = {}
-        out = []
-        prev_rank = 0
-        for i in range(len(self.buffers) - 1, -1, -1):
-            lo = self._offsets[i]
-            r = rank(self.gf, self.slots[lo : lo + self.buffers[i]], pivots)
-            out.append(r - prev_rank)
-            prev_rank = r
-        return tuple(reversed(out))
-
 
 def simulate_no_feedback(
     spec: NetworkSpec,

@@ -6,6 +6,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,9 @@ from mpmath import matrix, mp, mpf
 
 from linenet import emc, sim
 from linenet.errors import LineNetError
+from linenet.gf import rank
 from linenet.mixtures import GeometricMixture
-from linenet.model import NetworkSpec, _radix_weights
+from linenet.model import NetworkSpec, _radix_weights, effective_failure
 
 
 def random_spec(rng: np.random.Generator, h_choices=(2, 3, 4), m_max=4) -> NetworkSpec:
@@ -154,6 +156,37 @@ def diagonal_mixture(pairs) -> GeometricMixture:
     return GeometricMixture(np.array(ps, dtype=float), np.diag(np.array(thetas, dtype=float)), 0.0)
 
 
+def gap_pmf(g: GeometricMixture, k: int) -> float:
+    """f(k) of a gap from a matrix power: atom0 at 0, alpha T^(k-1) t0 after."""
+    if k == 0:
+        return g.atom0
+    if k < 0:
+        return 0.0
+    return float(g.alpha @ np.linalg.matrix_power(g.T, k - 1) @ g.exit)
+
+
+def node_gap(psi_j, eps_eff_j) -> GeometricMixture:
+    """One node's FCFS wait as a dense gap: a psi-mixture of negative binomials.
+
+    Phase l of the k = len(psi_j) phases has k - l services left and is
+    entered with weight psi_j[k - 1 - l]; each epoch a service completes
+    with probability 1 - eps_eff_j, and completing the last one ends the
+    wait.
+    """
+    e = float(eps_eff_j)
+    k = len(psi_j)
+    T = np.diag(np.full(k, e)) + np.diag(np.full(k - 1, 1.0 - e), 1)
+    return GeometricMixture(np.array(psi_j[::-1], dtype=float), T, 0.0)
+
+
+def path_gap(spec: NetworkSpec, inputs, include_source: bool = False) -> GeometricMixture:
+    """The delay profile's reference: the nodes' dense gaps chained by ``convolve``."""
+    gaps = [node_gap(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)]
+    if include_source:
+        gaps.insert(0, node_gap(np.ones(1), effective_failure(spec.eps[0], inputs.rho[0])))
+    return functools.reduce(GeometricMixture.convolve, gaps)
+
+
 def dj_series(g: GeometricMixture, tt, m: int = 0) -> list:
     """D_0, D_1, ... at 50 digits: the potential departures during one gap
     PH(alpha, T) when each epoch brings one with probability 1 - tt.
@@ -184,6 +217,23 @@ def dj_series(g: GeometricMixture, tt, m: int = 0) -> list:
                 if d[-1] < mpf("1e-30") * tail:
                     return d
             u = u * M
+
+
+def eta_vector(ws) -> tuple[int, ...]:
+    """Useful occupancy per node of a coded workspace: suffix-span rank differences.
+
+    One echelon basis grows from the last node backwards, and each
+    suffix's rank is read as that node's slots join it.
+    """
+    pivots: dict[int, np.ndarray] = {}
+    out = []
+    prev_rank = 0
+    for i in range(len(ws.buffers) - 1, -1, -1):
+        lo = ws._offsets[i]
+        r = rank(ws.gf, ws.slots[lo : lo + ws.buffers[i]], pivots)
+        out.append(r - prev_rank)
+        prev_rank = r
+    return tuple(reversed(out))
 
 
 def sample_mixture(mix, rng, n):

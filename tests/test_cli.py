@@ -575,22 +575,34 @@ def test_every_export_has_a_user(name):
     assert unused == []
 
 
+@functools.cache
+def _program_nodes() -> tuple[ast.AST, ...]:
+    """Every syntax node in the package's modules and in the benchmark's top-level files."""
+    paths = [*pathlib.Path(linenet.__file__).parent.glob("*.py"), *(ROOT / "linebench").glob("*.py")]
+    return tuple(n for path in paths for n in ast.walk(ast.parse(path.read_text())))
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_definition_has_a_user(name):
-    # a top-level def or class that only the package's own tests reach belongs with those tests
+    # a top-level def or class, or a class's method or property, that only the package's
+    # own tests reach belongs with those tests
     src = pathlib.Path(linenet.__file__).parent
     used = set(_used_names()).union(*(_referenced(path) for path in src.glob("*.py")))
     tree = ast.parse((src / f"{name}.py").read_text())
     defined = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-    assert [n for n in defined if n not in used] == []
+    # a method is used only where it is read as an attribute; Python itself calls the
+    # exempt ones: dunder methods, and among them the dataclass hook __post_init__
+    read = {n.attr for n in _program_nodes() if isinstance(n, ast.Attribute)}
+    methods = [f"{c.name}.{f.name}" for c in tree.body if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)
+               and not (f.name.startswith("__") and f.name.endswith("__")) and f.name not in read]
+    assert [n for n in defined if n not in used] + methods == []
 
 
 @functools.cache
 def _calls() -> tuple[ast.Call, ...]:
     """Every call in the package's modules and in the benchmark's top-level files."""
-    paths = [*pathlib.Path(linenet.__file__).parent.glob("*.py"), *(ROOT / "linebench").glob("*.py")]
-    return tuple(n for path in paths for n in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(n, ast.Call))
+    return tuple(n for n in _program_nodes() if isinstance(n, ast.Call))
 
 
 def _passes(call: ast.Call, func: str, arg: str, position: int | None) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import lu_solve, matrix, mp, mpf
 
-from conftest import QueueOracle, diagonal_mixture, dj_series, sample_mixture
+from conftest import QueueOracle, diagonal_mixture, dj_series, gap_pmf, sample_mixture
 from linenet import dbie, emc, mixtures
 from linenet.errors import (
     ConsistencyError,
@@ -341,7 +341,7 @@ def test_starvation_vs_queue_oracle():
     n = oracle.starve.size
     assert n > 10_000
     for k in range(1, 8):
-        p = float(fx.pmf(k))
+        p = float(gap_pmf(fx, k))
         p_hat = float((oracle.starve == k).mean())
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(p_hat - p) < 3.5 * sigma

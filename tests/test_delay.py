@@ -1,18 +1,17 @@
 import dataclasses
-import functools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import line_specs
+from conftest import gap_pmf, line_specs, node_gap, path_gap
 from linenet import cli, dbie, delay, rbie
 from linenet.errors import ConsistencyError
-from linenet.mixtures import GeometricMixture
 from linenet.model import NetworkSpec, effective_failure
 
 
@@ -82,6 +81,10 @@ def test_profile_is_a_pmf_within_its_tail_budget(spec):
         prof = delay.delay_profile(spec, inputs)
         assert prof.pmf.min() >= 0.0
         assert -1e-12 <= prof.tail_mass_dropped <= delay._TAIL_BUDGET
+        # the pmf and the moments come from separate code, so hold them to each other
+        assert prof.pmf.sum() + prof.tail_mass_dropped == pytest.approx(1.0, abs=1e-12)
+        assert float(np.arange(prof.pmf.size) @ prof.pmf) <= prof.mean * (1 + 1e-12)
+        assert prof.variance >= 0.0
 
 
 @pytest.mark.parametrize("psi", [(np.nan, 0.5), (0.5, np.nan)])
@@ -91,10 +94,19 @@ def test_profile_rejects_a_non_finite_waiting_distribution(psi):
         delay.NodeDelayInputs(psi=[np.array(psi)], rho=np.zeros(2), eps_eff=np.array([0.4]))
 
 
+def one_node_profile(psi, e):
+    """The profile of one relay that a packet finds i ahead with psi[i]."""
+    psi = np.asarray(psi, dtype=float)
+    inputs = delay.NodeDelayInputs(psi=[psi], rho=np.zeros(2), eps_eff=np.array([e]))
+    return delay.delay_profile(NetworkSpec((0.5, 0.5), (psi.size,)), inputs)
+
+
 def test_node_delay_single_geometric():
-    gap = delay._node_gap(np.array([1.0]), 0.5)
-    pmf, _ = gap.pmf_head(delay._TAIL_BUDGET)
+    gap = node_gap(np.array([1.0]), 0.5)
+    prof = one_node_profile([1.0], 0.5)
+    pmf = prof.pmf
     assert gap.mean() == pytest.approx(2.0, abs=1e-6)
+    assert prof.mean == pytest.approx(gap.mean(), rel=1e-12)
     assert float(np.arange(pmf.size) @ pmf) == pytest.approx(2.0, abs=1e-6)
     assert pmf[0] == 0.0
     assert pmf[1] == pytest.approx(0.5, abs=1e-12)
@@ -103,18 +115,22 @@ def test_node_delay_single_geometric():
 @pytest.mark.parametrize("e", [1.0, float("nan")])
 def test_node_delay_rejects_a_wait_that_never_ends(e):
     with pytest.raises(ConsistencyError, match="effective failure probability"):
-        delay._node_gap(np.array([0.5, 0.5]), e)
+        one_node_profile([0.5, 0.5], e)
 
 
 def test_node_delay_mixture_mean():
-    gap = delay._node_gap(np.array([0.5, 0.5]), 0.5)
-    assert gap.mean() == pytest.approx(0.5 * 2 + 0.5 * 4, abs=1e-6)
+    gap = node_gap(np.array([0.5, 0.5]), 0.5)
+    mean = one_node_profile([0.5, 0.5], 0.5).mean
+    assert mean == pytest.approx(0.5 * 2 + 0.5 * 4, abs=1e-6)
+    assert mean == pytest.approx(gap.mean(), rel=1e-12)
 
 
 def test_node_delay_matches_brute_convolution():
-    pmf, _ = delay._node_gap(np.array([0.0, 0.0, 1.0]), 0.35).pmf_head(delay._TAIL_BUDGET)
+    pmf = one_node_profile([0.0, 0.0, 1.0], 0.35).pmf
     oracle = brute_nbinom(3, 0.35, pmf.size - 1)
     np.testing.assert_allclose(pmf, oracle, atol=1e-12)
+    gap = node_gap(np.array([0.0, 0.0, 1.0]), 0.35)
+    np.testing.assert_allclose(pmf, [gap_pmf(gap, k) for k in range(pmf.size)], atol=1e-12)
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -130,10 +146,7 @@ def test_profile_mean_additivity(paper_four_hop):
     sol = rbie.solve(paper_four_hop)
     inputs = delay.psi_rho_from_rbie(sol, paper_four_hop)
     prof = delay.delay_profile(paper_four_hop, inputs)
-    parts = [
-        delay._node_gap(inputs.psi[j], inputs.eps_eff[j])
-        for j in range(3)
-    ]
+    parts = [node_gap(inputs.psi[j], inputs.eps_eff[j]) for j in range(3)]
     expect = sum(p.mean() for p in parts)
     assert prof.mean == pytest.approx(expect, rel=1e-9)
     assert prof.tail_mass_dropped <= 1e-6
@@ -144,7 +157,7 @@ def test_profile_two_hop_single_factor():
     sol = rbie.solve(spec)
     inputs = delay.psi_rho_from_rbie(sol, spec)
     prof = delay.delay_profile(spec, inputs)
-    part = delay._node_gap(inputs.psi[0], inputs.eps_eff[0])
+    part = node_gap(inputs.psi[0], inputs.eps_eff[0])
     assert prof.mean == pytest.approx(part.mean(), rel=1e-6)
 
 
@@ -178,13 +191,26 @@ def test_profile_moments_are_the_per_node_closed_forms(paper_four_hop, estimate,
 def test_profile_pmf_is_the_gap_recursion(paper_four_hop):
     spec = paper_four_hop
     inputs = delay.psi_rho_from_dbie(dbie.solve(spec), spec)
-    gaps = [delay._node_gap(inputs.psi[j], inputs.eps_eff[j]) for j in range(spec.h - 1)]
-    gap = functools.reduce(GeometricMixture.convolve, gaps)
+    gap = path_gap(spec, inputs)
     prof = delay.delay_profile(spec, inputs)
     ks = range(min(prof.pmf.size, 201))
-    np.testing.assert_allclose(prof.pmf[: len(ks)], [gap.pmf(k) for k in ks], rtol=1e-12, atol=1e-17)
+    np.testing.assert_allclose(prof.pmf[: len(ks)], [gap_pmf(gap, k) for k in ks], rtol=1e-12, atol=1e-17)
     assert 0.0 <= prof.tail_mass_dropped < delay._TAIL_BUDGET
     assert prof.tail_mass_dropped == pytest.approx(1.0 - prof.pmf.sum(), abs=1e-12)
+
+
+def test_profile_memory_is_linear_in_the_phases():
+    # one dense path gap of 1 000 phases would hold 8 MB
+    spec = NetworkSpec((0.3, 0.9), (1000,))
+    inputs = delay.psi_rho_from_rbie(rbie.solve(spec), spec)
+    tracemalloc.start()
+    try:
+        prof = delay.delay_profile(spec, inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prof.tail_mass_dropped < delay._TAIL_BUDGET
+    assert peak < 2 * 2**20
 
 
 def test_include_source_adds_head_of_line_wait():

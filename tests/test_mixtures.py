@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from scipy import sparse
 
-from conftest import diagonal_mixture
+from conftest import diagonal_mixture, gap_pmf
+from linenet import delay
 from linenet.mixtures import GeometricMixture
 
 
 def brute_convolve_pmf(f, g, kmax):
     """Independent oracle: direct pmf convolution on a truncated grid."""
-    fv = [float(f.pmf(k)) for k in range(kmax + 1)]
-    gv = [float(g.pmf(k)) for k in range(kmax + 1)]
+    fv = [float(gap_pmf(f, k)) for k in range(kmax + 1)]
+    gv = [float(gap_pmf(g, k)) for k in range(kmax + 1)]
     out = np.convolve(fv, gv)[: kmax + 1]
     return out
 
@@ -39,7 +41,7 @@ def test_single_convolution_identity():
     # the same law as the signed mixture 3 geometric(0.5) - 2 geometric(0.25)
     for k in range(1, 60):
         spectral = 3 * 0.5 * 0.5 ** (k - 1) - 2 * 0.75 * 0.25 ** (k - 1)
-        assert res.pmf(k) == pytest.approx(spectral, abs=1e-15)
+        assert gap_pmf(res, k) == pytest.approx(spectral, abs=1e-15)
     assert float(res.mean()) == pytest.approx(2 + 4 / 3, abs=1e-12)
 
 
@@ -48,7 +50,7 @@ def test_convolution_pmf_matches_brute_force():
     oracle = brute_convolve_pmf(
         GeometricMixture.geometric(0.5), GeometricMixture.geometric(0.25), 200
     )
-    got = np.array([float(a.pmf(k)) for k in range(201)])
+    got = np.array([float(gap_pmf(a, k)) for k in range(201)])
     np.testing.assert_allclose(got, oracle, atol=1e-12)
 
 
@@ -79,7 +81,7 @@ def test_random_pairs_match_brute_force():
         b = diagonal_mixture([(0.5, ts[2]), (0.5, ts[3])])
         conv = a.convolve(b)
         oracle = brute_convolve_pmf(a, b, 200)
-        got = np.array([float(conv.pmf(k)) for k in range(201)])
+        got = np.array([float(gap_pmf(conv, k)) for k in range(201)])
         np.testing.assert_allclose(got[2:], oracle[2:], atol=1e-10)
 
 
@@ -90,32 +92,26 @@ def test_mean_additivity():
     assert float(conv.mean()) == pytest.approx(float(a.mean() + b.mean()), rel=1e-12)
 
 
-def test_variance_of_a_geometric_and_additivity():
-    g = GeometricMixture.geometric(0.8)
-    assert g.variance() == pytest.approx(0.8 / 0.2**2, rel=1e-12)
-    a = diagonal_mixture([(0.7, 0.2), (0.3, 0.8)])
-    assert a.convolve(g).variance() == pytest.approx(a.variance() + g.variance(), rel=1e-12)
-
-
-def test_variance_matches_the_pmf_with_a_mass_at_zero():
+def test_mean_matches_the_pmf_with_a_mass_at_zero():
     # a non-diagonal T and an atom at zero, summed far into the tail
     a = GeometricMixture(np.array([0.5, 0.3]), np.array([[0.4, 0.35], [0.0, 0.6]]), 0.2)
     g = a.convolve(diagonal_mixture([(0.6, 0.3), (0.4, 0.7)]))
     ks = np.arange(400)
-    pmf = np.array([g.pmf(int(k)) for k in ks])
-    mean = float(ks @ pmf)
-    assert g.mean() == pytest.approx(mean, rel=1e-12)
-    assert g.variance() == pytest.approx(float((ks - mean) ** 2 @ pmf), rel=1e-12)
+    pmf = np.array([gap_pmf(g, int(k)) for k in ks])
+    assert g.mean() == pytest.approx(float(ks @ pmf), rel=1e-12)
 
 
 def test_pmf_head_is_the_matrix_power_pmf():
     a = GeometricMixture(np.array([0.5, 0.3]), np.array([[0.4, 0.35], [0.0, 0.6]]), 0.2)
     g = a.convolve(diagonal_mixture([(0.6, 0.3), (0.4, 0.97)]))
-    tail = 1e-9
-    pmf, left = g.pmf_head(tail)
+    # delay's recursion on the gap's stacked operator [T^T; t0^T; 1^T]; it emits f(0) = 0
+    step = sparse.csr_matrix(np.vstack([g.T.T, g.exit, np.ones(g.alpha.size)]))
+    tail = delay._TAIL_BUDGET
+    pmf, left = delay._pmf_head(step, g.alpha)
+    pmf[0] = g.atom0
     assert pmf.size > 201
     ks = range(201)
-    np.testing.assert_allclose(pmf[:201], [g.pmf(k) for k in ks], rtol=1e-12, atol=1e-17)
+    np.testing.assert_allclose(pmf[:201], [gap_pmf(g, k) for k in ks], rtol=1e-12, atol=1e-17)
     # the mass left is P(gap > last k emitted): below the cut, and not before it
     assert 0.0 <= left < tail
     assert left == pytest.approx(1.0 - pmf.sum(), abs=1e-13)
@@ -130,8 +126,8 @@ def test_coincident_parameters_give_negative_binomial():
     oracle = brute_convolve_pmf(two, g, 200)
     for k in range(201):
         nbinom = (k - 1) * (1 - theta) ** 2 * theta ** (k - 2) if k >= 2 else 0.0
-        assert two.pmf(k) == pytest.approx(nbinom, abs=1e-15)
-        assert three.pmf(k) == pytest.approx(oracle[k], abs=1e-15)
+        assert gap_pmf(two, k) == pytest.approx(nbinom, abs=1e-15)
+        assert gap_pmf(three, k) == pytest.approx(oracle[k], abs=1e-15)
     assert three.mean() == pytest.approx(3 / (1 - theta), rel=1e-14)
 
 
@@ -149,8 +145,8 @@ def test_convolution_properties(thetas, seed):
     assert float(conv.weight_sum()) == pytest.approx(1.0, abs=1e-9)
     assert float(conv.mean()) == pytest.approx(float(a.mean() + b.mean()), rel=1e-9)
     # a sum of two waits of at least one epoch each cannot finish in one
-    assert abs(float(conv.pmf(1))) < 1e-9
-    assert float(conv.pmf(0)) == 0.0
+    assert abs(float(gap_pmf(conv, 1))) < 1e-9
+    assert float(gap_pmf(conv, 0)) == 0.0
 
 
 def test_compact_restores_unit_mass():
@@ -158,7 +154,7 @@ def test_compact_restores_unit_mass():
     c = a.compact()
     assert float(c.weight_sum()) == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_array_equal(c.T, a.T)
-    assert c.pmf(3) == pytest.approx(a.pmf(3) / a.weight_sum(), rel=1e-15)
+    assert gap_pmf(c, 3) == pytest.approx(gap_pmf(a, 3) / a.weight_sum(), rel=1e-15)
 
 
 def test_serialization_round_trip():
@@ -166,7 +162,7 @@ def test_serialization_round_trip():
     obj = json.loads(json.dumps(a.to_obj()))
     assert obj == {"alpha": [1.0, 0.0], "T": [[0.5, 0.5], [0.0, 0.25]], "atom0": 0.0}
     back = GeometricMixture(np.array(obj["alpha"]), np.array(obj["T"]), obj["atom0"])
-    assert [back.pmf(k) for k in range(20)] == [a.pmf(k) for k in range(20)]
+    assert [gap_pmf(back, k) for k in range(20)] == [gap_pmf(a, k) for k in range(20)]
     ups = GeometricMixture(np.array([0.75]), np.array([[0.5]]), 0.25)
     assert ups.to_obj() == {"alpha": [0.75], "T": [[0.5]], "atom0": 0.25}
 
@@ -183,4 +179,4 @@ def test_extended_precision_survives_large_weights():
     with mp.workdps(50):
         for k in (1, 2, 3, 10, 100, 1000):
             expect = spectral_pmf(thetas, k)
-            assert float(conv.pmf(k)) == pytest.approx(float(expect), rel=1e-12, abs=1e-30)
+            assert float(gap_pmf(conv, k)) == pytest.approx(float(expect), rel=1e-12, abs=1e-30)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import eta_vector
 from linenet import emc, netcod
 from linenet.errors import SpecValidationError
 from linenet.gf import SUPPORTED_FIELD_SIZES, GF2m, rank
@@ -55,11 +56,11 @@ def eta_transition_comparison(
     rng = make_rng(seed)
     ws = netcod._Workspace(gf, spec.buffers)
     path = np.empty(epochs + 1, dtype=np.int64)
-    path[0] = state_index(ws.eta_vector(), spec) - 1
+    path[0] = state_index(eta_vector(ws), spec) - 1
     for t in range(epochs):
         x = rng.random(h) >= eps
         ws.epoch(x, epoch_logs(gf, rng, x, spec.buffers))
-        path[t + 1] = state_index(ws.eta_vector(), spec) - 1
+        path[t + 1] = state_index(eta_vector(ws), spec) - 1
 
     # empirical transition frequencies, one entry per visited (from, to) pair
     n = spec.num_states
@@ -307,7 +308,7 @@ def check_against_brute_force(spec, capacity_hint):
         if t % 16 == 15:
             checked += 1
             assert brute.dest_rank() == rank_dest
-            assert brute.eta() == ws.eta_vector()
+            assert brute.eta() == eta_vector(ws)
     assert checked == 20
     # information cannot exceed what the source actually delivered
     assert rank_dest <= brute.injected
@@ -342,11 +343,11 @@ def test_compaction_keeps_ranks_and_clears_the_columns_past_active():
     slots[4] = gf.mul(3, slots[0]) ^ gf.mul(7, slots[5])
     ws.slots[:] = slots
     ws.active = 12
-    eta = ws.eta_vector()
+    eta = eta_vector(ws)
     span = rank(gf, ws.slots)
     assert span == 3
     ws._compact()
-    assert ws.eta_vector() == eta
+    assert eta_vector(ws) == eta
     assert rank(gf, ws.slots) == span
     assert ws.active == span
     assert not ws.slots[:, ws.active :].any()
